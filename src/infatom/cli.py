@@ -33,7 +33,9 @@ _DOMAIN_ERRORS = (
 
 
 def _fnum(x: float) -> str:
-    return f"{x:.9f}"
+    # A value that rounds to zero prints unsigned, whatever its sign.
+    text = f"{x:.9f}"
+    return text[1:] if text == "-0.000000000" else text
 
 
 def _read(path: str) -> str:

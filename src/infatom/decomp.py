@@ -7,6 +7,23 @@ the system's variables.  Two bookkeeping identities tie the solution to
 the distribution: the conservation law ``sum H(X_k) = sum c_i * Pi_i``
 and the total law ``H(all) = sum Pi_i``.
 
+Parthood
+--------
+Every solver's table comes from one rule, applied to each term ``a``:
+
+* a set-theoretic atom over index set T is part of ``a`` iff every
+  bracket of ``a`` meets T (the distributive, Venn-diagram rule);
+* the synergistic atom ``Pi_s`` is part of ``a`` iff ``a`` has one
+  bracket, or two brackets that together use all n indices;
+* the ghost atom ``Pi_g_k`` is part of ``a`` iff ``a`` is a single
+  bracket B and ``k < min(|B|, n - 1)``.
+
+The synergistic and ghost atoms are exactly where the Venn rule fails,
+i.e. where distributivity fails: for n = 3, ``Pi_s`` lies in
+``(X1 u X2) n X3`` but in neither ``X1 n X3`` nor ``X2 n X3``, and
+``Pi_g`` lies in ``X1 u X2`` but in neither ``X1`` nor ``X2``.  Lifted
+tables keep their pre-lift rows and are not rebuilt by the rule.
+
 Solvers
 -------
 * :func:`solve_trivariate` decomposes any 3-variable system into nine
@@ -54,7 +71,7 @@ from .errors import (
     WrongArity,
 )
 from .lattice import Antichain, enumerate_antichains, leq, lift_map, top
-from .terms import eval_term, reduce_antichain, redundancy_bounds
+from .terms import _check_feasible, eval_term, reduce_antichain, redundancy_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +213,30 @@ class ParthoodTable:
         return a in self._row_index
 
 
+def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
+    """Parthood table of ``labels`` over every antichain on ``{1..n}``, by
+    the rule in the module docstring, built one column at a time."""
+    rows = enumerate_antichains(n).elements
+    brackets = [a.brackets for a in rows]
+    columns = []
+    for lab in labels:
+        if lab.kind == "set":
+            support = frozenset(lab.antichain.indices)
+            col = [all(not support.isdisjoint(b) for b in bs) for bs in brackets]
+        elif lab.kind == "synergy":
+            col = [
+                len(bs) == 1 or (len(bs) == 2 and len(bs[0]) + len(bs[1]) == n)
+                for bs in brackets
+            ]
+        elif lab.kind == "ghost":
+            k = lab.index
+            col = [len(bs) == 1 and k < min(len(bs[0]), n - 1) for bs in brackets]
+        else:
+            raise LabelError(f"no parthood rule for named atom {lab.text!r}")
+        columns.append([int(v) for v in col])
+    return ParthoodTable(rows, labels, tuple(zip(*columns)))
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """A parthood table plus solved atom sizes and coverings.
@@ -239,38 +280,6 @@ def _clip(value: float, eps: float, what: str) -> float:
 # ---------------------------------------------------------------------------
 # General trivariate solution
 # ---------------------------------------------------------------------------
-
-# Parthood rows of the 9-atom trivariate system, keyed by antichain text.
-# Column order: redundancy, synergy, the three pairwise atoms, the three
-# per-variable atoms, ghost.
-_TRIVARIATE_COL_TEXTS = (
-    "{1}{2}{3}",
-    "Pi_s",
-    "{1}{2}",
-    "{1}{3}",
-    "{2}{3}",
-    "{1}",
-    "{2}",
-    "{3}",
-    "Pi_g",
-)
-
-_TRIVARIATE_ROWS: dict[str, tuple[int, ...]] = {
-    "{1}{2}{3}": (1, 0, 0, 0, 0, 0, 0, 0, 0),
-    "{1}{2}": (1, 0, 1, 0, 0, 0, 0, 0, 0),
-    "{1}{3}": (1, 0, 0, 1, 0, 0, 0, 0, 0),
-    "{2}{3}": (1, 0, 0, 0, 1, 0, 0, 0, 0),
-    "{1,2}{3}": (1, 1, 0, 1, 1, 0, 0, 0, 0),
-    "{1,3}{2}": (1, 1, 1, 0, 1, 0, 0, 0, 0),
-    "{1}{2,3}": (1, 1, 1, 1, 0, 0, 0, 0, 0),
-    "{1}": (1, 1, 1, 1, 0, 1, 0, 0, 0),
-    "{2}": (1, 1, 1, 0, 1, 0, 1, 0, 0),
-    "{3}": (1, 1, 0, 1, 1, 0, 0, 1, 0),
-    "{1,2}": (1, 1, 1, 1, 1, 1, 1, 0, 1),
-    "{1,3}": (1, 1, 1, 1, 1, 1, 0, 1, 1),
-    "{2,3}": (1, 1, 1, 1, 1, 0, 1, 1, 1),
-    "{1,2,3}": (1, 1, 1, 1, 1, 1, 1, 1, 1),
-}
 
 
 def feasible_interval(table: ProbTable) -> tuple[float, float]:
@@ -323,17 +332,10 @@ def solve_trivariate(
     lo, hi = feasible_interval(table)
     if r is None:
         r = lo
-    if not (lo - eps <= r <= hi + eps):
-        raise InfeasibleRedundancy(
-            f"r = {r!r} outside feasible interval [{lo!r}, {hi!r}]"
-        )
+    _check_feasible(r, lo, hi, eps)
     sizes = _trivariate_sizes(table, r, eps)
     atoms = AtomSet(tuple(Atom(parse_label(t), s, c) for t, s, c in sizes))
-    view = enumerate_antichains(3)
-    rows = view.elements
-    entries = tuple(_TRIVARIATE_ROWS[str(a)] for a in rows)
-    cols = tuple(parse_label(t) for t in _TRIVARIATE_COL_TEXTS)
-    return Decomposition(3, ParthoodTable(rows, cols, entries), atoms, r)
+    return Decomposition(3, _parthood(3, atoms.labels()), atoms, r)
 
 
 @dataclass(frozen=True)
@@ -421,19 +423,9 @@ def solve_set_theoretic(table: ProbTable, *, eps: float = DEFAULT_EPS) -> Decomp
     for t in order:
         label = AtomLabel.set_theoretic(Antichain.of(*[[i] for i in t]))
         atoms.append(Atom(label, _clip(raw[t], eps, label.text), len(t)))
-    view = enumerate_antichains(n)
-    supports = [set(t) for t in order]
-    entries = []
-    for a in view.elements:
-        bracket_sets = [set(b) for b in a.brackets]
-        entries.append(
-            tuple(
-                1 if all(bs & supp for bs in bracket_sets) else 0 for supp in supports
-            )
-        )
-    tab = ParthoodTable(view.elements, tuple(a.label for a in atoms), tuple(entries))
+    atom_set = AtomSet(tuple(atoms))
     r = raw[tuple(range(1, n + 1))] if n == 3 else None
-    return Decomposition(n, tab, AtomSet(tuple(atoms)), r)
+    return Decomposition(n, _parthood(n, atom_set.labels()), atom_set, r)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +437,9 @@ def solve_n_parity(n: int) -> Decomposition:
     """Closed-form decomposition of the n-bit even-parity system, n in 3..8.
 
     One unit synergistic atom covered twice and ``n - 2`` unit ghost
-    atoms covered once.  A term over a single bracket of k indices has
-    size ``min(k, n-1)`` and is composed of the synergistic atom plus the
-    first ``min(k, n-1) - 1`` ghosts; a term over two complementary
-    brackets is exactly the synergistic atom; every other term is empty.
+    atoms covered once, so a term over a single bracket of k indices has
+    size ``min(k, n-1)``, a term over two complementary brackets has size
+    1, and every other term is empty.
     """
     if not isinstance(n, int) or not 3 <= n <= 8:
         raise LatticeRangeError(f"n-parity solver supports n in [3, 8], got {n!r}")
@@ -458,20 +449,7 @@ def solve_n_parity(n: int) -> Decomposition:
             Atom(lab, 1.0, 2 if lab.kind == "synergy" else 1) for lab in labels
         )
     )
-    view = enumerate_antichains(n)
-    entries = []
-    for a in view.elements:
-        row = [0] * len(labels)
-        if a.covering == 1:
-            k = len(a.brackets[0])
-            row[0] = 1
-            for g in range(1, min(k, n - 1)):
-                row[g] = 1
-        elif a.covering == 2 and len(a.indices) == n:
-            row[0] = 1
-        entries.append(tuple(row))
-    tab = ParthoodTable(view.elements, tuple(labels), tuple(entries))
-    return Decomposition(n, tab, atoms, None)
+    return Decomposition(n, _parthood(n, atoms.labels()), atoms, None)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,9 @@ class ProbTable:
         seen: dict[Outcome, float] = {}
         for outcome, p in items:
             key = tuple(outcome)
-            if len(key) != len(names) or not all(isinstance(v, int) and v >= 0 for v in key):
+            if len(key) != len(names) or not all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in key
+            ):
                 raise MalformedRow(f"bad outcome {outcome!r} for {len(names)} variables")
             p = float(p)
             if p < 0.0:
@@ -130,11 +132,13 @@ class ProbTable:
 # ---------------------------------------------------------------------------
 
 
-def _parse_prob(token: str) -> float:
-    token = token.strip()
+def _parse_prob(token: str | float) -> float:
+    """A probability from text (decimal or ``a/b``) or from a JSON number."""
+    if isinstance(token, bool) or not isinstance(token, (str, int, float)):
+        raise MalformedRow(f"probability must be a number or a string, got {token!r}")
     try:
-        return float(Fraction(token))
-    except (ValueError, ZeroDivisionError) as exc:
+        return float(Fraction(token.strip()) if isinstance(token, str) else token)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedRow(f"cannot parse probability {token!r}") from exc
 
 
@@ -171,8 +175,8 @@ def _load_json(text: str, eps: float) -> ProbTable:
     if not isinstance(obj, dict) or "variables" not in obj or "outcomes" not in obj:
         raise MalformedRow("JSON table needs 'variables' and 'outcomes' keys")
     names = obj["variables"]
-    if not isinstance(names, list):
-        raise MalformedRow("'variables' must be a list")
+    if not isinstance(names, list) or not isinstance(obj["outcomes"], list):
+        raise MalformedRow("'variables' and 'outcomes' must be lists")
     pmf: list[tuple[Outcome, float]] = []
     for entry in obj["outcomes"]:
         if not isinstance(entry, dict) or "p" not in entry or "values" not in entry:
@@ -180,9 +184,7 @@ def _load_json(text: str, eps: float) -> ProbTable:
         values = entry["values"]
         if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
             raise MalformedRow(f"bad outcome values {values!r}")
-        p = entry["p"]
-        p = _parse_prob(p) if isinstance(p, str) else float(p)
-        pmf.append((tuple(values), p))
+        pmf.append((tuple(values), _parse_prob(entry["p"])))
     return ProbTable.from_pmf([str(v) for v in names], pmf, eps=eps)
 
 

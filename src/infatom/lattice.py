@@ -167,10 +167,6 @@ class LatticeView:
         self._check(b)
         return leq(a, b)
 
-    def matrix(self) -> list[list[bool]]:
-        """Dense comparability matrix; quadratic, meant for small ``n``."""
-        return [[leq(a, b) for b in self.elements] for a in self.elements]
-
     def hasse_edges(self) -> list[tuple[Antichain, Antichain]]:
         """Cover pairs (a, b): a < b with nothing strictly between."""
         strict_ups: dict[Antichain, list[Antichain]] = {}

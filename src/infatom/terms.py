@@ -26,6 +26,7 @@ from .dist import (
     ProbTable,
     entropy,
     interaction_information,
+    is_deterministic_function,
     mutual_information,
 )
 from .errors import AntichainError, InfeasibleRedundancy, WrongArity
@@ -96,7 +97,7 @@ def reduce_antichain(
             for j in range(len(brackets)):
                 if i == j:
                     continue
-                if _is_det(table, brackets[i], brackets[j], eps_det):
+                if is_deterministic_function(table, brackets[i], brackets[j], eps_det=eps_det):
                     trace.append(f"R2({_btext(brackets[i])}<={_btext(brackets[j])})")
                     del brackets[j]
                     changed = True
@@ -105,11 +106,6 @@ def reduce_antichain(
                 break
     reduced = Antichain.of(*[[i + 1 for i in b] for b in brackets])
     return reduced, tuple(trace)
-
-
-def _is_det(table: ProbTable, a, b, eps_det: float) -> bool:
-    # H(a|b) <= eps_det, on raw 0-based selections.
-    return entropy(table, set(a) | set(b)) - entropy(table, b) <= eps_det
 
 
 def eval_term(
@@ -161,13 +157,11 @@ def redundancy_bounds(table: ProbTable) -> tuple[float, float]:
     return max(0.0, i3), min(i12, i13, i23)
 
 
-def _check_feasible(table: ProbTable, r: float, eps: float) -> tuple[float, float]:
-    lo, hi = redundancy_bounds(table)
+def _check_feasible(r: float, lo: float, hi: float, eps: float) -> None:
     if not (lo - eps <= r <= hi + eps):
         raise InfeasibleRedundancy(
             f"r = {r!r} outside feasible interval [{lo!r}, {hi!r}]"
         )
-    return lo, hi
 
 
 def delta_H(table: ProbTable, r: float, *, eps: float = DEFAULT_EPS) -> float:
@@ -178,7 +172,7 @@ def delta_H(table: ProbTable, r: float, *, eps: float = DEFAULT_EPS) -> float:
     non-negative for feasible ``r`` and invariant under variable
     permutations.
     """
-    _check_feasible(table, r, eps)
+    _check_feasible(r, *redundancy_bounds(table), eps)
     return r - interaction_information(table, [[0], [1], [2]])
 
 

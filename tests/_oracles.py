@@ -73,3 +73,48 @@ def brute_leq(a_brackets, b_brackets) -> bool:
         if not found:
             return False
     return True
+
+
+def oracle_parity_row(brackets, n) -> tuple[int, ...]:
+    """Parthood row of the n-parity closed form, columns Pi_s then ghosts
+    1..n-2: a single bracket of k indices holds Pi_s and the first
+    min(k, n-1) - 1 ghosts, two brackets using all n indices hold Pi_s
+    alone, and every other term holds nothing."""
+    row = [0] * (n - 1)
+    if len(brackets) == 1:
+        row[0] = 1
+        for g in range(1, min(len(brackets[0]), n - 1)):
+            row[g] = 1
+    if len(brackets) == 2:
+        used = 0
+        for b in brackets:
+            used += len(b)
+        if used == n:
+            row[0] = 1
+    return tuple(row)
+
+
+def oracle_supports(n) -> list[tuple[int, ...]]:
+    """Index sets of the distributive atoms over 1..n, larger sets first,
+    then lexicographic."""
+    out = []
+    for m in range(n, 0, -1):
+        out.extend(combinations(range(1, n + 1), m))
+    return out
+
+
+def oracle_set_row(brackets, supports) -> tuple[int, ...]:
+    """Venn parthood: the atom over index set T lies in a term iff every
+    bracket of the term shares an index with T."""
+    row = []
+    for t in supports:
+        inside = 1
+        for b in brackets:
+            meets = False
+            for i in b:
+                if i in t:
+                    meets = True
+            if not meets:
+                inside = 0
+        row.append(inside)
+    return tuple(row)

@@ -150,6 +150,20 @@ def test_info_summary_without_flags(tmp_path, capsys):
     assert "H(all) = 2.000000000" in out
 
 
+def test_info_deterministic_variable_prints_unsigned_zero(tmp_path, capsys):
+    path = tmp_path / "det.csv"
+    path.write_text("p,a,b\n0.5,0,0\n0.5,0,1\n")
+    code, out, _ = run(capsys, "info", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "variables: a,b",
+        "H(a) = 0.000000000",
+        "H(b) = 1.000000000",
+        "H(all) = 1.000000000",
+    ]
+    assert run(capsys, "info", str(path), "--entropy", "1")[1] == "0.000000000\n"
+
+
 def test_interval_output(tmp_path, capsys):
     path = tmp_path / "xor.csv"
     path.write_text(XOR_CSV)
@@ -288,12 +302,24 @@ def test_unknown_flag_exits_2(capsys):
     assert run(capsys, "gate", "xor", "--frobnicate")[0] == 2
 
 
-def test_malformed_table_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.csv"
-    path.write_text("p,A\n0.9,0\n")
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("p,A\n0.9,0\n", "mass"),
+        ('{"variables": ["A"], "outcomes": 5}', "must be lists"),
+        ('{"variables": ["A"], "outcomes": [{"p": null, "values": [0]}]}', "probability"),
+        ("p,A\n1e400,0\n", "probability"),
+        ('{"variables": ["A"], "outcomes": [{"p": 1, "values": [true]}]}', "bad outcome"),
+    ],
+    ids=["mass", "outcomes-not-list", "null-p", "overflow-p", "bool-value"],
+)
+def test_malformed_table_exits_2(tmp_path, capsys, text, fragment):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
     code, _, err = run(capsys, "decompose", str(path))
     assert code == 2
-    assert "mass" in err
+    assert fragment in err
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_file_exits_2(capsys):

@@ -14,6 +14,9 @@ from _oracles import (
     oracle_interaction,
     oracle_interval,
     oracle_mi,
+    oracle_parity_row,
+    oracle_set_row,
+    oracle_supports,
 )
 
 # The nine-atom parthood table of the general 3-variable solution,
@@ -288,6 +291,17 @@ def test_distributive_agreement_with_trivariate_solver():
     assert agreements > 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_distributive_table_matches_venn_oracle(n):
+    names = [f"X{i}" for i in range(1, n + 1)]
+    copies = ia.ProbTable.from_pmf(names, {(0,) * n: 0.5, (1,) * n: 0.5})
+    d = ia.solve_set_theoretic(copies)
+    supports = oracle_supports(n)
+    assert [c.antichain.indices for c in d.table.cols] == supports
+    for a, row in zip(d.table.rows, d.table.entries):
+        assert row == oracle_set_row(a.brackets, supports), str(a)
+
+
 def test_distributive_solver_arity_cap():
     with pytest.raises(ia.WrongArity):
         ia.solve_set_theoretic(ia.parity_gate(6))
@@ -327,6 +341,15 @@ def test_parity_solutions_validate():
     for n in (3, 4, 5):
         rep = ia.validate(ia.solve_n_parity(n), ia.parity_gate(n))
         assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_parity_table_matches_closed_form_oracle(n):
+    d = ia.solve_n_parity(n)
+    ghosts = ["Pi_g"] + [f"Pi_g_{k}" for k in range(2, n - 1)]
+    assert [c.text for c in d.table.cols] == ["Pi_s"] + ghosts
+    for a, row in zip(d.table.rows, d.table.entries):
+        assert row == oracle_parity_row(a.brackets, n), str(a)
 
 
 def test_parity_solver_range():

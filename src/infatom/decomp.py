@@ -48,11 +48,13 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .dist import (
     DEFAULT_EPS,
     ProbTable,
+    _excerpt,
     entropy,
     interaction_information,
     mutual_information,
@@ -213,9 +215,13 @@ class ParthoodTable:
         return a in self._row_index
 
 
+@lru_cache(maxsize=32)
 def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
     """Parthood table of ``labels`` over every antichain on ``{1..n}``, by
-    the rule in the module docstring, built one column at a time."""
+    the rule in the module docstring, built one column at a time.
+
+    Each solver passes a label tuple fixed by its arity, so a dozen keys
+    cover every call; the frozen table is shared between solutions."""
     rows = enumerate_antichains(n).elements
     brackets = [a.brackets for a in rows]
     columns = []
@@ -819,8 +825,8 @@ def decomposition_from_json(text: str) -> Decomposition:
     """Parse and shape-check a serialized decomposition."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DecompositionFormatError(f"invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise DecompositionFormatError(f"invalid JSON: {_excerpt(str(exc))}") from exc
     try:
         n = int(obj["n"])
         r = obj.get("redundancy_param")
@@ -834,8 +840,8 @@ def decomposition_from_json(text: str) -> Decomposition:
         rows = tuple(Antichain.parse(t) for t in tbl["rows"])
         cols = tuple(parse_label(t) for t in tbl["cols"])
         entries = tuple(tuple(int(v) for v in row) for row in tbl["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecompositionFormatError(f"bad decomposition JSON: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DecompositionFormatError(f"bad decomposition JSON: {_excerpt(str(exc))}") from exc
     atom_set = AtomSet(tuple(atoms))
     if tuple(c.text for c in cols) != tuple(a.label.text for a in atom_set):
         raise DecompositionFormatError("table columns do not match atom list")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import infatom as ia
+from infatom import dist
 
 from _oracles import three_pair_pmf
 
@@ -30,3 +31,17 @@ def two_coins():
 @pytest.fixture
 def three_pair():
     return ia.ProbTable.from_pmf(("X1", "X2", "X3"), three_pair_pmf(), (4, 4, 4))
+
+
+@pytest.fixture
+def marginal_passes(monkeypatch):
+    """Selections passed to ``dist._marginal``, one entry per row pass."""
+    passes = []
+    real = dist._marginal
+
+    def counting(table, idx):
+        passes.append(idx)
+        return real(table, idx)
+
+    monkeypatch.setattr(dist, "_marginal", counting)
+    return passes

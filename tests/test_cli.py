@@ -302,6 +302,10 @@ def test_unknown_flag_exits_2(capsys):
     assert run(capsys, "gate", "xor", "--frobnicate")[0] == 2
 
 
+LONG_ZEROS = "0," * 100000 + "0"
+HUGE_VALUES = '{"variables": ["a"], "outcomes": [{"p": 1, "values": [' + LONG_ZEROS + "]}]}"
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -310,8 +314,24 @@ def test_unknown_flag_exits_2(capsys):
         ('{"variables": ["A"], "outcomes": [{"p": null, "values": [0]}]}', "probability"),
         ("p,A\n1e400,0\n", "probability"),
         ('{"variables": ["A"], "outcomes": [{"p": 1, "values": [true]}]}', "bad outcome"),
+        ('{"a":' * 100000, "invalid JSON"),
+        ("[" * 200000, "header"),
+        ("p" + ",a" * 100000 + "\n1" + ",0" * 100000, "unique"),
+        ('{"variables": ["a"], "outcomes": [[' + LONG_ZEROS + "]]}", "bad outcome entry"),
+        (HUGE_VALUES, "bad outcome"),
     ],
-    ids=["mass", "outcomes-not-list", "null-p", "overflow-p", "bool-value"],
+    ids=[
+        "mass",
+        "outcomes-not-list",
+        "null-p",
+        "overflow-p",
+        "bool-value",
+        "deep-object",
+        "huge-header",
+        "huge-names",
+        "huge-entry",
+        "huge-values",
+    ],
 )
 def test_malformed_table_exits_2(tmp_path, capsys, text, fragment):
     path = tmp_path / "bad.txt"
@@ -320,6 +340,44 @@ def test_malformed_table_exits_2(tmp_path, capsys, text, fragment):
     assert code == 2
     assert fragment in err
     assert len(err.splitlines()) == 1
+    assert len(err) < 200
+
+
+XOR_DECOMP = ia.decomposition_to_json(ia.solve_trivariate(ia.xor_gate()))
+N_OVERFLOW = XOR_DECOMP.replace('"n": 3', '"n": 1e400', 1)
+COVERING_OVERFLOW = XOR_DECOMP.replace('"covering": 3', '"covering": 1e400', 1)
+
+
+@pytest.mark.parametrize(
+    "command, decomp, stdin",
+    [
+        ("validate", N_OVERFLOW, ""),
+        ("validate", COVERING_OVERFLOW, ""),
+        ("lift", N_OVERFLOW, ""),
+        ("lift", COVERING_OVERFLOW, ""),
+        ("validate", None, "[" * 200000),
+    ],
+    ids=[
+        "validate-n-overflow",
+        "validate-covering-overflow",
+        "lift-n-overflow",
+        "lift-covering-overflow",
+        "validate-deep-array-stdin",
+    ],
+)
+def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command, decomp, stdin):
+    dist = tmp_path / "xor.csv"
+    dist.write_text(XOR_CSV)
+    path = "-"
+    if decomp is not None:
+        path = str(tmp_path / "decomp.json")
+        (tmp_path / "decomp.json").write_text(decomp)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, _, err = run(capsys, command, path, str(dist))
+    assert code == 2
+    assert "JSON" in err
+    assert len(err.splitlines()) == 1
+    assert len(err) < 200
 
 
 def test_missing_file_exits_2(capsys):

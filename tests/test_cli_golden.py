@@ -1,0 +1,101 @@
+"""Byte-identity contract for CLI output.
+
+Each case runs one ``infatom`` command in-process and compares the
+SHA-256 of its stdout with a digest recorded from a known-good build.
+A change that alters any printed byte of these outputs (a float's last
+digit, a line order, a label) fails here.  Re-record only on purpose:
+``python tests/test_cli_golden.py`` prints the current digests.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from infatom.cli import main
+
+GATES = ("xor", "and", "copy", "two-coins-copy", "random(0,[3,3,3])", "random(7,[2,3,4])")
+
+#: Gates whose distributive solve succeeds (the others exit 1 by design).
+SET_THEORETIC_GATES = ("copy", "two-coins-copy")
+
+LATTICE_GATE = "random(11,[2,2,2,2])"
+
+
+def _cases() -> list[tuple[str, str | None, tuple[str, ...]]]:
+    """(case id, gate spec written to a file or None, argv after the file)."""
+    cases: list[tuple[str, str | None, tuple[str, ...]]] = []
+    for spec in GATES:
+        cases.append((f"decompose:{spec}", spec, ("decompose", "{}")))
+        cases.append((f"decompose-json:{spec}", spec, ("decompose", "{}", "--json")))
+    for spec in SET_THEORETIC_GATES:
+        cases.append(
+            (f"decompose-set-theoretic:{spec}", spec, ("decompose", "{}", "--set-theoretic"))
+        )
+    for n in range(3, 9):
+        cases.append((f"decompose-parity:{n}", None, ("decompose", "--parity", str(n))))
+    cases.append(("scan:50:3", None, ("scan", "--samples", "50", "--seed", "3")))
+    lattice_argv = ("lattice", "4", "--dot", "--dist", "{}")
+    cases.append((f"lattice-dot-dist:{LATTICE_GATE}", LATTICE_GATE, lattice_argv))
+    return cases
+
+
+def _stdout_digest(tmp: Path, spec: str | None, argv: tuple[str, ...]) -> str:
+    if spec is not None:
+        path = tmp / "gate.csv"
+        assert main(["gate", spec, "-o", str(path)]) == 0
+        argv = tuple(str(path) if a == "{}" else a for a in argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, argv
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+DIGESTS = {
+    'decompose:xor': 'c4507f72b3749953aeaa5547019a864ab7f26d6df61d2e80cc55b70033eaff1c',
+    'decompose-json:xor': '06a597093d78ab27443e7b55f8fdead257710c986af9c6cc0a29a6f6e97e951a',
+    'decompose:and': '0eedcad01ddd204fb1bebc1cf5f498fcd77d809fea312ba3516f9846f929bb48',
+    'decompose-json:and': 'c36cf4dd9437eb2e361b4829d8ffc988f82cb94dc94a280b0f7d0be097804320',
+    'decompose:copy': 'cb7ebafdc40c25ebf4c57b2bcd88577f13f5b4c7cd6905f40e3336c107ea8c0a',
+    'decompose-json:copy': 'c7e19d728fa2e2048b534dfe0c8d2c9980044731951938146ffc63d26d8a6f1a',
+    'decompose:two-coins-copy': '837ecb77607bbaa4bf281511bc78fc6e7a1661db74e78f17efae9e7b1422b236',
+    'decompose-json:two-coins-copy': '968a88062cf033806832e31b42afc207d61f43e60044b05115d12f41e4c6cb2e',
+    'decompose:random(0,[3,3,3])': '49203bfeb5527aa70125ec8ce3da5ef8cd458207dd2aac145f484feb85c92191',
+    'decompose-json:random(0,[3,3,3])': 'fc2bae5601f69be16f1eccc3117ec88971c751e567eeeb3bd4deb3c82dac2af9',
+    'decompose:random(7,[2,3,4])': 'be78d90267798ccd8e0ed2adeb0e329fc377bfa53163a02d22b5952157079ece',
+    'decompose-json:random(7,[2,3,4])': '125d9c16a3a190262a1376172ac519bcb13924101d1102fcdd52b1216ef2ca62',
+    'decompose-set-theoretic:copy': '2777083ac5531fb0a1fa601a6879d75f50d5632262a766f131e932071d430498',
+    'decompose-set-theoretic:two-coins-copy': 'e88443db1ac20da17e5e61759c595fbebacc6ab3c4d774ae79d9abef7c34acd1',
+    'decompose-parity:3': 'fe8323634a693100081241d1ff00e21bea946e471dc9b49742481146587a3592',
+    'decompose-parity:4': 'ca29167106adbfd54196edd62e7847f2767857d18d3628ebf4ff2ea7a23feb56',
+    'decompose-parity:5': '3bd005d039be2b74cbc8e0d966492e8bcf2e06ea8fd9835fbd331b9bc33ff502',
+    'decompose-parity:6': '06e5e6ac5fffad782ba7f44971946cf3cae1ed44da2af865f3eaa89048b67b5b',
+    'decompose-parity:7': 'd2aa23497b9f4aa60e0b0e18fd339ca2ed44de7e4b73c8e5a3140314f02512d3',
+    'decompose-parity:8': 'ca8ab098f9a65c164558e29b715120a14d4307ab1b93805c8c79050016fc4f1f',
+    'scan:50:3': '3f2e4908d52615220b51d8660896c628b40ac88a21f15ef804f179aacb414f43',
+    'lattice-dot-dist:random(11,[2,2,2,2])': '7ef04d5ba40f9e69b83fc17f0bbcc3eb804627a124aa28f21025c26401be61df',
+}
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("case_id, spec, argv", CASES, ids=[c[0] for c in CASES])
+def test_cli_stdout_is_byte_identical(tmp_path, case_id, spec, argv):
+    assert _stdout_digest(tmp_path, spec, argv) == DIGESTS[case_id]
+
+
+def test_corpus_is_fully_recorded():
+    assert sorted(DIGESTS) == sorted(c[0] for c in CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case_id, spec, argv in CASES:
+            print(f"    {case_id!r}: {_stdout_digest(Path(tmp), spec, argv)!r},")

@@ -105,6 +105,34 @@ def test_trivariate_table_matches_golden(xor):
         assert row == GOLDEN_TRIVARIATE_ROWS[text], text
 
 
+def test_repeated_trivariate_tables_match_oracles():
+    tables = [ia.solve_trivariate(ia.random_table(f"pt:{s}", [2, 2, 3])).table for s in "abc"]
+    supports = [c.antichain.indices for c in tables[0].cols if c.kind == "set"]
+    for tab in tables:
+        assert tab == tables[0]
+        for a, entries in zip(tab.rows, tab.entries):
+            set_cells = iter(oracle_set_row(a.brackets, supports))
+            pi_s, pi_g = oracle_parity_row(a.brackets, 3)
+            by_kind = {"synergy": pi_s, "ghost": pi_g}
+            expected = tuple(
+                next(set_cells) if c.kind == "set" else by_kind[c.kind] for c in tab.cols
+            )
+            assert entries == expected, str(a)
+
+
+def test_one_marginal_pass_per_subset(marginal_passes):
+    t = ia.random_table("passes", [2, 3, 4])
+    lo, _hi = ia.feasible_interval(t)
+    for _ in range(3):
+        ia.solve_trivariate(t)
+    ia.check_inclusion_exclusion3(t, lo)
+    try:
+        ia.solve_set_theoretic(t)
+    except ia.NotSetTheoretic:
+        pass
+    assert sorted(marginal_passes) == [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+
+
 def test_copies_decomposition_is_pure_redundancy(copies):
     d = ia.solve_trivariate(copies)
     sizes = atom_map(d)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import infatom as ia
+from infatom import dist
 
 from _oracles import AND_PMF, oracle_entropy, oracle_marginal
 
@@ -175,6 +176,50 @@ def test_interaction_information_independent_groups():
     assert ia.interaction_information(t, [[0], [1], [2]]) == pytest.approx(
         0.0, abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-table entropy memo
+# ---------------------------------------------------------------------------
+
+
+def test_entropy_memo_keys_the_sorted_selection(marginal_passes):
+    t = ia.random_table("memo", [2, 3, 2])
+    h = ia.entropy(t, [2, 0])
+    assert ia.entropy(t, [0, 2]) == h
+    assert ia.entropy(t, (2, 0, 2)) == h
+    assert marginal_passes == [(0, 2)]
+
+
+def test_entropy_of_empty_selection_is_zero(marginal_passes):
+    t = ia.random_table("memo", [2, 3, 2])
+    assert ia.entropy(t, []) == 0.0
+    assert ia.entropy(t, ()) == 0.0
+    assert marginal_passes == [()]
+
+
+def test_entropy_memo_hit_is_bit_identical_to_a_fresh_pass():
+    t = ia.random_table("memo-bits", [3, 2, 4, 2])
+    for mask in range(1, 1 << t.n):
+        idx = tuple(i for i in range(t.n) if mask >> i & 1)
+        fresh = -math.fsum(
+            p * math.log2(p) for p in dist._marginal(t, idx).values() if p > 0.0
+        )
+        assert ia.entropy(t, idx) == fresh
+        assert ia.entropy(t, reversed(idx)) == fresh
+
+
+def test_equal_tables_keep_separate_memos(marginal_passes):
+    first = ia.random_table("memo-eq", [2, 2, 3])
+    second = ia.random_table("memo-eq", [2, 2, 3])
+    before = (repr(first), hash(first))
+    for i in range(3):
+        ia.entropy(first, [i])
+    assert (repr(first), hash(first)) == before
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    ia.entropy(second, [0])
+    assert marginal_passes == [(0,), (1,), (2,), (0,)]
 
 
 def test_is_deterministic_function(xor):

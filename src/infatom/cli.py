@@ -32,6 +32,20 @@ _DOMAIN_ERRORS = (
 )
 
 
+#: Longest usage or format error printed.  Such a message may quote the
+#: offending input, which can be any size.
+_MAX_MESSAGE = 150
+
+
+def _usage_error(message: str) -> int:
+    """Print ``message`` to stderr as one short line; return exit code 2."""
+    message = " ".join(message.splitlines())
+    if len(message) > _MAX_MESSAGE:
+        message = message[: _MAX_MESSAGE - 3] + "..."
+    print(f"infatom: {message}", file=sys.stderr)
+    return 2
+
+
 def _fnum(x: float) -> str:
     # A value that rounds to zero prints unsigned, whatever its sign.
     text = f"{x:.9f}"
@@ -288,8 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             eps = float(eps_text)
         except ValueError:
-            print(f"infatom: bad INFATOM_EPS value {eps_text!r}", file=sys.stderr)
-            return 2
+            return _usage_error(f"bad INFATOM_EPS value {eps_text!r}")
     else:
         eps = dist.DEFAULT_EPS
     try:
@@ -298,8 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"infatom: {exc}", file=sys.stderr)
         return 1
     except (InfatomError, OSError) as exc:
-        print(f"infatom: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

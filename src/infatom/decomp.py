@@ -48,13 +48,11 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .dist import (
     DEFAULT_EPS,
     ProbTable,
-    _excerpt,
     entropy,
     interaction_information,
     mutual_information,
@@ -215,14 +213,22 @@ class ParthoodTable:
         return a in self._row_index
 
 
-@lru_cache(maxsize=32)
-def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
-    """Parthood table of ``labels`` over every antichain on ``{1..n}``, by
-    the rule in the module docstring, built one column at a time.
+#: Parthood tables already built, by ``(n, labels)``.  Each solver passes a
+#: label tuple fixed by its arity, so about 14 keys ever occur.
+_PARTHOOD_TABLES: dict[tuple[int, tuple[AtomLabel, ...]], ParthoodTable] = {}
 
-    Each solver passes a label tuple fixed by its arity, so a dozen keys
-    cover every call; the frozen table is shared between solutions."""
+
+def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
+    """Parthood table of ``labels`` over every antichain on ``{1..n}``.
+
+    Each table is built once and shared, as tables are frozen.  The lattice
+    is fetched before the lookup, so every solve makes the same calls into
+    :mod:`lattice` whether or not its table was built by an earlier one."""
     rows = enumerate_antichains(n).elements
+    table = _PARTHOOD_TABLES.get((n, labels))
+    if table is not None:
+        return table
+    # Built by the rule in the module docstring, one column at a time.
     brackets = [a.brackets for a in rows]
     columns = []
     for lab in labels:
@@ -240,7 +246,8 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
         else:
             raise LabelError(f"no parthood rule for named atom {lab.text!r}")
         columns.append([int(v) for v in col])
-    return ParthoodTable(rows, labels, tuple(zip(*columns)))
+    table = _PARTHOOD_TABLES[n, labels] = ParthoodTable(rows, labels, tuple(zip(*columns)))
+    return table
 
 
 @dataclass(frozen=True)
@@ -826,7 +833,7 @@ def decomposition_from_json(text: str) -> Decomposition:
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise DecompositionFormatError(f"invalid JSON: {_excerpt(str(exc))}") from exc
+        raise DecompositionFormatError(f"invalid JSON: {exc}") from exc
     try:
         n = int(obj["n"])
         r = obj.get("redundancy_param")
@@ -841,7 +848,7 @@ def decomposition_from_json(text: str) -> Decomposition:
         cols = tuple(parse_label(t) for t in tbl["cols"])
         entries = tuple(tuple(int(v) for v in row) for row in tbl["entries"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DecompositionFormatError(f"bad decomposition JSON: {_excerpt(str(exc))}") from exc
+        raise DecompositionFormatError(f"bad decomposition JSON: {exc}") from exc
     atom_set = AtomSet(tuple(atoms))
     if tuple(c.text for c in cols) != tuple(a.label.text for a in atom_set):
         raise DecompositionFormatError("table columns do not match atom list")

@@ -103,9 +103,7 @@ class ProbTable:
         """
         names = tuple(str(v) for v in variables)
         if not names or len(set(names)) != len(names) or any(not v for v in names):
-            raise MalformedRow(
-                f"variable names must be non-empty and unique: {_excerpt(repr(names))}"
-            )
+            raise MalformedRow(f"variable names must be non-empty and unique: {names!r}")
         items = list(pmf.items()) if isinstance(pmf, Mapping) else list(pmf)
         seen: dict[Outcome, float] = {}
         for outcome, p in items:
@@ -113,14 +111,12 @@ class ProbTable:
             if len(key) != len(names) or not all(
                 isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in key
             ):
-                raise MalformedRow(
-                    f"bad outcome {_excerpt(repr(outcome))} for {len(names)} variables"
-                )
+                raise MalformedRow(f"bad outcome {outcome!r} for {len(names)} variables")
             p = float(p)
             if p < 0.0:
-                raise NegativeProbability(f"P{_excerpt(repr(key))} = {p}")
+                raise NegativeProbability(f"P{key!r} = {p}")
             if key in seen:
-                raise DuplicateOutcome(f"outcome {_excerpt(repr(key))} listed twice")
+                raise DuplicateOutcome(f"outcome {key!r} listed twice")
             seen[key] = p
         total = math.fsum(seen.values())
         if not (1.0 - eps <= total <= 1.0 + eps):
@@ -135,13 +131,10 @@ class ProbTable:
         else:
             cards_t = tuple(int(c) for c in cards)
             if len(cards_t) != len(names) or any(c < 1 for c in cards_t):
-                raise MalformedRow(f"bad cardinalities {_excerpt(repr(cards_t))}")
+                raise MalformedRow(f"bad cardinalities {cards_t!r}")
             for o in kept:
                 if any(v >= c for v, c in zip(o, cards_t)):
-                    raise MalformedRow(
-                        f"outcome {_excerpt(repr(o))} exceeds cardinalities "
-                        f"{_excerpt(repr(cards_t))}"
-                    )
+                    raise MalformedRow(f"outcome {o!r} exceeds cardinalities {cards_t!r}")
         return cls(names, cards_t, tuple(sorted(kept.items())))
 
 
@@ -150,28 +143,14 @@ class ProbTable:
 # ---------------------------------------------------------------------------
 
 
-#: Longest fragment of offending input that an error message quotes.
-_EXCERPT_CHARS = 60
-
-
-def _excerpt(text: str) -> str:
-    """``text`` cut to a fixed length, so that an error message stays one
-    short line whatever the size of the input it quotes."""
-    if len(text) <= _EXCERPT_CHARS:
-        return text
-    return text[: _EXCERPT_CHARS - 3] + "..."
-
-
 def _parse_prob(token: str | float) -> float:
     """A probability from text (decimal or ``a/b``) or from a JSON number."""
     if isinstance(token, bool) or not isinstance(token, (str, int, float)):
-        raise MalformedRow(
-            f"probability must be a number or a string, got {_excerpt(repr(token))}"
-        )
+        raise MalformedRow(f"probability must be a number or a string, got {token!r}")
     try:
         return float(Fraction(token.strip()) if isinstance(token, str) else token)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise MalformedRow(f"cannot parse probability {_excerpt(repr(token))}") from exc
+        raise MalformedRow(f"cannot parse probability {token!r}") from exc
 
 
 def _load_csv(text: str, eps: float) -> ProbTable:
@@ -181,22 +160,20 @@ def _load_csv(text: str, eps: float) -> ProbTable:
         raise MalformedRow("empty table")
     header = [tok.strip() for tok in lines[0].split(",")]
     if len(header) < 2 or header[0] != "p":
-        raise MalformedRow(f"header must be 'p,<v1>,...': {_excerpt(repr(lines[0]))}")
+        raise MalformedRow(f"header must be 'p,<v1>,...': {lines[0]!r}")
     names = header[1:]
     pmf: list[tuple[Outcome, float]] = []
     for ln in lines[1:]:
         toks = [tok.strip() for tok in ln.split(",")]
         if len(toks) != len(header):
-            raise MalformedRow(
-                f"row {_excerpt(repr(ln))} has {len(toks)} fields, expected {len(header)}"
-            )
+            raise MalformedRow(f"row {ln!r} has {len(toks)} fields, expected {len(header)}")
         p = _parse_prob(toks[0])
         try:
             outcome = tuple(int(tok) for tok in toks[1:])
         except ValueError as exc:
-            raise MalformedRow(f"bad symbol index in row {_excerpt(repr(ln))}") from exc
+            raise MalformedRow(f"bad symbol index in row {ln!r}") from exc
         if any(v < 0 for v in outcome):
-            raise MalformedRow(f"negative symbol index in row {_excerpt(repr(ln))}")
+            raise MalformedRow(f"negative symbol index in row {ln!r}")
         pmf.append((outcome, p))
     return ProbTable.from_pmf(names, pmf, eps=eps)
 
@@ -205,7 +182,7 @@ def _load_json(text: str, eps: float) -> ProbTable:
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise MalformedRow(f"invalid JSON: {_excerpt(str(exc))}") from exc
+        raise MalformedRow(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "variables" not in obj or "outcomes" not in obj:
         raise MalformedRow("JSON table needs 'variables' and 'outcomes' keys")
     names = obj["variables"]
@@ -214,10 +191,10 @@ def _load_json(text: str, eps: float) -> ProbTable:
     pmf: list[tuple[Outcome, float]] = []
     for entry in obj["outcomes"]:
         if not isinstance(entry, dict) or "p" not in entry or "values" not in entry:
-            raise MalformedRow(f"bad outcome entry {_excerpt(repr(entry))}")
+            raise MalformedRow(f"bad outcome entry {entry!r}")
         values = entry["values"]
         if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
-            raise MalformedRow(f"bad outcome values {_excerpt(repr(values))}")
+            raise MalformedRow(f"bad outcome values {values!r}")
         pmf.append((tuple(values), _parse_prob(entry["p"])))
     return ProbTable.from_pmf([str(v) for v in names], pmf, eps=eps)
 

@@ -380,6 +380,30 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
     assert len(err) < 200
 
 
+@pytest.mark.parametrize(
+    "argv, env, fragment",
+    [
+        (["validate", "huge-n.json", "xor.csv"], None, "decomposition over"),
+        (["info", "xor.csv", "--entropy", "x" * 100000], None, "bad variable selection"),
+        (["gate", "xor"], "9" * 100000 + "x", "INFATOM_EPS"),
+    ],
+    ids=["validate-huge-n", "info-huge-vars", "huge-eps"],
+)
+def test_usage_error_echoing_input_is_one_short_line(
+    tmp_path, capsys, monkeypatch, argv, env, fragment
+):
+    (tmp_path / "xor.csv").write_text(XOR_CSV)
+    (tmp_path / "huge-n.json").write_text(XOR_DECOMP.replace('"n": 3', '"n": 1' + "0" * 300, 1))
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("INFATOM_EPS", env)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert fragment in err
+    assert len(err.splitlines()) == 1
+    assert len(err) < 200
+
+
 def test_missing_file_exits_2(capsys):
     assert run(capsys, "interval", "/nonexistent/table.csv")[0] == 2
 

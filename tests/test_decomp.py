@@ -5,6 +5,7 @@ import math
 import pytest
 
 import infatom as ia
+from infatom import decomp
 from infatom.decomp import Atom, AtomSet, Decomposition, ParthoodTable, parse_label
 from infatom.lattice import Antichain
 
@@ -118,6 +119,18 @@ def test_repeated_trivariate_tables_match_oracles():
                 next(set_cells) if c.kind == "set" else by_kind[c.kind] for c in tab.cols
             )
             assert entries == expected, str(a)
+
+
+def test_every_solve_fetches_its_lattice(monkeypatch):
+    # Parthood tables are shared between solves, but each solve still asks
+    # for its lattice, so its calls do not depend on earlier solves.
+    fetched = []
+    real = decomp.enumerate_antichains
+    monkeypatch.setattr(decomp, "enumerate_antichains", lambda n: fetched.append(n) or real(n))
+    t = ia.random_table("fetch", [2, 2, 2])
+    first = ia.solve_trivariate(t).table
+    assert ia.solve_trivariate(t).table is first
+    assert fetched == [3, 3]
 
 
 def test_one_marginal_pass_per_subset(marginal_passes):

@@ -11,7 +11,6 @@ atom that cancels it from per-source informations.
 
 from .dist import (
     DEFAULT_EPS,
-    DEFAULT_EPS_DET,
     ProbTable,
     and_gate,
     conditional_mi,

@@ -8,7 +8,7 @@ format error.  Computed quantities print with 9 decimal places; emitted
 files carry shortest round-trip floats so pipelines reproduce exactly.
 
 The environment variable ``INFATOM_EPS`` overrides the numerical
-tolerance used by every subcommand.
+tolerance used by every subcommand; it must be a number in ``[0, 1)``.
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ from . import dist
 from .errors import InfatomError
 from .lattice import Antichain, enumerate_antichains
 from .terms import eval_term
-
-_DOMAIN_ERRORS = (
-    dc.InfeasibleRedundancy,
-    dc.NotSetTheoretic,
-    dc.ValidationFailed,
-    dc.NegativeAtomSize,
-)
 
 
 #: Longest usage or format error printed.  Such a message may quote the
@@ -187,7 +180,7 @@ def _node_label(a: Antichain, table, eps: float) -> str:
     base = f"{a} [{a.covering}]"
     if table is None:
         return base
-    tv = eval_term(table, a, eps_det=eps)
+    tv = eval_term(table, a, eps=eps)
     if tv.is_exact:
         return f"{base} = {_fnum(tv.value)}"
     lo, hi = tv.bounds
@@ -301,16 +294,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     if eps_text is not None:
         try:
             eps = float(eps_text)
+            if not 0.0 <= eps < 1.0:  # eps >= 1 would admit a zero-mass table
+                raise ValueError(eps_text)
         except ValueError:
             return _usage_error(f"bad INFATOM_EPS value {eps_text!r}")
     else:
         eps = dist.DEFAULT_EPS
     try:
         return _DISPATCH[args.command](args, eps)
-    except _DOMAIN_ERRORS as exc:
+    except InfatomError as exc:
+        # Input-contract errors are ValueErrors; the rest are mathematical.
+        if isinstance(exc, ValueError):
+            return _usage_error(str(exc))
         print(f"infatom: {exc}", file=sys.stderr)
         return 1
-    except (InfatomError, OSError) as exc:
+    except OSError as exc:
         return _usage_error(str(exc))
 
 

@@ -209,9 +209,6 @@ class ParthoodTable:
     def row(self, a: Antichain) -> tuple[int, ...]:
         return self.entries[self._row_index[a]]
 
-    def has_row(self, a: Antichain) -> bool:
-        return a in self._row_index
-
 
 #: Parthood tables already built, by ``(n, labels)``.  Each solver passes a
 #: label tuple fixed by its arity, so about 14 keys ever occur.
@@ -529,10 +526,7 @@ def lift_decomposition(
     entries = []
     for a in view.elements:
         image = lift_map(a, n1)
-        target = whole if image.is_empty else image
-        if not decomp.table.has_row(target):
-            raise DecompositionFormatError(f"input table lacks a row for {target}")
-        entries.append(decomp.table.row(target))
+        entries.append(decomp.table.row(whole if image.is_empty else image))
     tab = ParthoodTable(view.elements, decomp.table.cols, tuple(entries))
     return Decomposition(n1, tab, lifted_atoms, decomp.redundancy_param)
 
@@ -580,10 +574,11 @@ def validate(
     table: ProbTable,
     *,
     eps: float = DEFAULT_EPS,
-    eps_det: float | None = None,
 ) -> ValidationReport:
     """Run every structural and numerical check; failures are reported,
-    never raised.
+    never raised.  Shape errors raise: :class:`WrongArity` if the variable
+    counts differ, :class:`DecompositionFormatError` unless the parthood
+    table has exactly one row per antichain over ``{1..n}``.
 
     Checks: atom non-negativity; row monotonicity along the antichain
     order (extended by reduction-proven term equalities, which compare
@@ -596,12 +591,16 @@ def validate(
         raise WrongArity(
             f"decomposition over {decomp.n} variables, table over {table.n}"
         )
-    if eps_det is None:
-        eps_det = eps
+    rows = decomp.table.rows
+    view = enumerate_antichains(decomp.n)
+    if len(rows) != len(view) or set(rows) != set(view.elements):
+        raise DecompositionFormatError(
+            f"parthood table rows are not the {len(view)} antichains over "
+            f"{decomp.n} variables"
+        )
     checks: list[CheckResult] = []
     atoms = decomp.atoms.atoms
-    rows = decomp.table.rows
-    sizes = [a.size for a in atoms]
+    entries = decomp.table.entries
     positive = [a.size > eps for a in atoms]
 
     # V1: non-negative atoms.
@@ -613,7 +612,7 @@ def validate(
     # Reduced form of every row term, for V2/V7.
     reduced: dict[Antichain, Antichain | None] = {}
     for a in rows:
-        red, _trace = reduce_antichain(table, a, eps_det=eps_det)
+        red, _trace = reduce_antichain(table, a, eps=eps)
         reduced[a] = red
 
     def row_leq(x: tuple[int, ...], y: tuple[int, ...], positive_only: bool) -> bool:
@@ -627,13 +626,13 @@ def validate(
     # V2: monotonicity along the order, extended by reduction equalities.
     violations = 0
     first_bad = ""
-    for a in rows:
-        for b in rows:
+    for a, x in zip(rows, entries):
+        for b, y in zip(rows, entries):
             if a == b:
                 continue
             plain = leq(a, b)
             if plain:
-                ok = row_leq(decomp.table.row(a), decomp.table.row(b), False)
+                ok = row_leq(x, y, False)
             else:
                 ra, rb = reduced[a], reduced[b]
                 alt = (
@@ -648,7 +647,7 @@ def validate(
                 )
                 if not alt:
                     continue
-                ok = row_leq(decomp.table.row(a), decomp.table.row(b), True)
+                ok = row_leq(x, y, True)
             if not ok:
                 violations += 1
                 if not first_bad:
@@ -660,7 +659,7 @@ def validate(
     first_bad = ""
     for j, atom in enumerate(atoms):
         observed = max(
-            (rows[i].covering for i, row in enumerate(decomp.table.entries) if row[j]),
+            (a.covering for a, row in zip(rows, entries) if row[j]),
             default=0,
         )
         if observed != atom.covering:
@@ -681,9 +680,9 @@ def validate(
     # V6: term sizes, exact or by interval containment.
     worst_gap = 0.0
     first_bad = ""
-    for i, a in enumerate(rows):
-        total = math.fsum(s for s, flag in zip(sizes, decomp.table.entries[i]) if flag)
-        tv = eval_term(table, a, eps_det=eps_det)
+    for a in rows:
+        total = decomp.term_sum(a)
+        tv = eval_term(table, a, eps=eps)
         if tv.is_exact:
             gap = abs(total - tv.value)
         else:
@@ -701,7 +700,7 @@ def validate(
     first_bad = ""
     for a in rows:
         ra = reduced[a]
-        if ra is None or ra == a or not decomp.table.has_row(ra):
+        if ra is None or ra == a:
             continue
         x, y = decomp.table.row(a), decomp.table.row(ra)
         if not (row_leq(x, y, True) and row_leq(y, x, True)):

@@ -8,6 +8,8 @@ probability exactly zero are dropped at construction time.
 Variable selections ("varsets") are iterables of 0-based positions into
 ``table.variables``.  Text interfaces (CSV headers, CLI flags, antichain
 syntax) are 1-based; the conversion happens at those boundaries only.
+Each function checks a selection once, where it enters, and
+:func:`entropy` checks one only on a memo miss.
 
 Every quantity below is a signed sum of subset entropies, and
 :func:`entropy` is the one place they are computed.  Tables are
@@ -45,15 +47,13 @@ from .errors import (
     VariableSetError,
 )
 
-#: Default tolerance for equality and non-negativity assertions, in bits.
+#: Default tolerance, in bits, for equality and non-negativity assertions
+#: and for classifying a conditional entropy or a mutual information as
+#: exactly zero (deterministic / independent).  It is the only tolerance.
 DEFAULT_EPS = 1e-9
 
-#: Default threshold below which a conditional entropy or mutual
-#: information is classified as exactly zero (deterministic / independent).
-DEFAULT_EPS_DET = 1e-9
-
 Outcome = tuple[int, ...]
-VarSet = tuple[int, ...]
+VarSet = frozenset[int]
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ class ProbTable:
     rows: tuple[tuple[Outcome, float], ...]
 
     def __post_init__(self) -> None:
-        # Subset entropies by sorted selection; filled by entropy().
+        # Subset entropies by selection (a frozenset); filled by entropy().
         object.__setattr__(self, "_entropies", {})
 
     @property
@@ -230,18 +230,20 @@ def dump_json(table: ProbTable) -> str:
 
 
 def _varset(table: ProbTable, s: Iterable[int], *, allow_empty: bool = False) -> VarSet:
-    idx = tuple(sorted(set(int(i) for i in s)))
+    idx = frozenset(int(i) for i in s)
     if not idx:
         if allow_empty:
             return idx
         raise VariableSetError("empty variable selection")
-    if idx[0] < 0 or idx[-1] >= table.n:
-        raise VariableSetError(f"selection {idx!r} out of range for {table.n} variables")
+    if min(idx) < 0 or max(idx) >= table.n:
+        raise VariableSetError(
+            f"selection {tuple(sorted(idx))!r} out of range for {table.n} variables"
+        )
     return idx
 
 
-def _marginal(table: ProbTable, idx: VarSet) -> dict[Outcome, float]:
-    # idx may be empty; the marginal is then the trivial pmf on ().
+def _marginal(table: ProbTable, idx: tuple[int, ...]) -> dict[Outcome, float]:
+    # idx is sorted and may be empty; the marginal is then the trivial pmf on ().
     acc: dict[Outcome, float] = {}
     for outcome, p in table.rows:
         key = tuple(outcome[i] for i in idx)
@@ -251,7 +253,7 @@ def _marginal(table: ProbTable, idx: VarSet) -> dict[Outcome, float]:
 
 def marginalize(table: ProbTable, s: Iterable[int]) -> ProbTable:
     """Project the pmf onto the (non-empty) selection ``s``."""
-    idx = _varset(table, s)
+    idx = tuple(sorted(_varset(table, s)))
     pmf = _marginal(table, idx)
     return ProbTable.from_pmf(
         [table.variables[i] for i in idx], pmf, [table.cards[i] for i in idx]
@@ -268,12 +270,13 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
 
     An empty selection has entropy 0 by the ``0 log 0`` convention.
     """
-    idx = _varset(table, s, allow_empty=True)
+    key = frozenset(s)
     memo = table._entropies
-    h = memo.get(idx)
+    h = memo.get(key)
     if h is None:
-        h = -math.fsum(p * math.log2(p) for p in _marginal(table, idx).values() if p > 0.0)
-        memo[idx] = h
+        idx = _varset(table, key, allow_empty=True)
+        marginal = _marginal(table, tuple(sorted(idx)))
+        h = memo[idx] = -math.fsum(p * math.log2(p) for p in marginal.values() if p > 0.0)
     return h
 
 
@@ -281,7 +284,7 @@ def mutual_information(table: ProbTable, a: Iterable[int], b: Iterable[int]) -> 
     """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine."""
     sa = _varset(table, a)
     sb = _varset(table, b)
-    return entropy(table, sa) + entropy(table, sb) - entropy(table, set(sa) | set(sb))
+    return entropy(table, sa) + entropy(table, sb) - entropy(table, sa | sb)
 
 
 def conditional_mi(
@@ -291,9 +294,9 @@ def conditional_mi(
     sa = _varset(table, a)
     sb = _varset(table, b)
     sc = _varset(table, c, allow_empty=True)
-    ac = set(sa) | set(sc)
-    bc = set(sb) | set(sc)
-    abc = ac | set(sb)
+    ac = sa | sc
+    bc = sb | sc
+    abc = ac | sb
     return entropy(table, ac) + entropy(table, bc) - entropy(table, abc) - entropy(table, sc)
 
 
@@ -304,14 +307,14 @@ def interaction_information(table: ProbTable, groups: Sequence[Iterable[int]]) -
     groups)``.  ``I_1`` is the entropy and ``I_2`` the mutual information;
     ``I_3`` is the co-information, which may be negative.
     """
-    sets = [set(_varset(table, g)) for g in groups]
+    sets = [_varset(table, g) for g in groups]
     if not sets:
         raise VariableSetError("interaction information needs at least one group")
     total = 0.0
     for k in range(1, len(sets) + 1):
         sign = 1.0 if k % 2 == 1 else -1.0
         for chosen in combinations(sets, k):
-            union: set[int] = set()
+            union: frozenset[int] = frozenset()
             for s in chosen:
                 union |= s
             total += sign * entropy(table, union)
@@ -323,13 +326,12 @@ def is_deterministic_function(
     a: Iterable[int],
     b: Iterable[int],
     *,
-    eps_det: float = DEFAULT_EPS_DET,
+    eps: float = DEFAULT_EPS,
 ) -> bool:
     """True iff ``a`` is a deterministic function of ``b``: H(a|b) <= eps."""
     sa = _varset(table, a)
     sb = _varset(table, b)
-    h_cond = entropy(table, set(sa) | set(sb)) - entropy(table, sb)
-    return h_cond <= eps_det
+    return entropy(table, sa | sb) - entropy(table, sb) <= eps
 
 
 def is_independent(
@@ -337,14 +339,16 @@ def is_independent(
     a: Iterable[int],
     b: Iterable[int],
     *,
-    eps_det: float = DEFAULT_EPS_DET,
+    eps: float = DEFAULT_EPS,
 ) -> bool:
     """True iff the disjoint selections carry no mutual information."""
     sa = _varset(table, a)
     sb = _varset(table, b)
-    if set(sa) & set(sb):
-        raise VariableSetError(f"selections {sa!r} and {sb!r} overlap")
-    return mutual_information(table, sa, sb) <= eps_det
+    if sa & sb:
+        raise VariableSetError(
+            f"selections {tuple(sorted(sa))!r} and {tuple(sorted(sb))!r} overlap"
+        )
+    return mutual_information(table, sa, sb) <= eps
 
 
 # ---------------------------------------------------------------------------

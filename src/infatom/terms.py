@@ -18,11 +18,10 @@ bracket pairs in position order so reduction traces are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .dist import (
     DEFAULT_EPS,
-    DEFAULT_EPS_DET,
     ProbTable,
     entropy,
     interaction_information,
@@ -77,7 +76,7 @@ def _btext(bracket: frozenset[int]) -> str:
 
 
 def reduce_antichain(
-    table: ProbTable, a: Antichain, *, eps_det: float = DEFAULT_EPS_DET
+    table: ProbTable, a: Antichain, *, eps: float = DEFAULT_EPS
 ) -> tuple[Antichain | None, tuple[str, ...]]:
     """Apply R1/R2 to a fixpoint.
 
@@ -86,30 +85,25 @@ def reduce_antichain(
     """
     brackets = _bracket_sets(table, a)
     trace: list[str] = []
-    changed = True
-    while changed and len(brackets) >= 2:
-        changed = False
-        for i, j in combinations(range(len(brackets)), 2):
-            if mutual_information(table, brackets[i], brackets[j]) <= eps_det:
-                trace.append(f"R1({_btext(brackets[i])},{_btext(brackets[j])})")
+    while len(brackets) >= 2:
+        for x, y in combinations(brackets, 2):
+            if mutual_information(table, x, y) <= eps:
+                trace.append(f"R1({_btext(x)},{_btext(y)})")
                 return None, tuple(trace)
-        for i in range(len(brackets)):
-            for j in range(len(brackets)):
-                if i == j:
-                    continue
-                if is_deterministic_function(table, brackets[i], brackets[j], eps_det=eps_det):
-                    trace.append(f"R2({_btext(brackets[i])}<={_btext(brackets[j])})")
-                    del brackets[j]
-                    changed = True
-                    break
-            if changed:
-                break
+        pair = next(
+            (p for p in permutations(brackets, 2) if is_deterministic_function(table, *p, eps=eps)),
+            None,
+        )
+        if pair is None:
+            break
+        trace.append(f"R2({_btext(pair[0])}<={_btext(pair[1])})")
+        brackets.remove(pair[1])  # brackets are disjoint, so distinct
     reduced = Antichain.of(*[[i + 1 for i in b] for b in brackets])
     return reduced, tuple(trace)
 
 
 def eval_term(
-    table: ProbTable, a: Antichain, *, eps_det: float = DEFAULT_EPS_DET
+    table: ProbTable, a: Antichain, *, eps: float = DEFAULT_EPS
 ) -> TermValue:
     """Size of the term labeled by ``a`` on ``table``, in bits.
 
@@ -122,7 +116,7 @@ def eval_term(
     brackets = _bracket_sets(table, a)
     if len(brackets) == 1:
         return TermValue.exact(entropy(table, brackets[0]))
-    reduced, trace = reduce_antichain(table, a, eps_det=eps_det)
+    reduced, trace = reduce_antichain(table, a, eps=eps)
     if reduced is None:
         return TermValue.exact(0.0, trace)
     sets = _bracket_sets(table, reduced)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import infatom as ia
@@ -45,3 +47,27 @@ def marginal_passes(monkeypatch):
 
     monkeypatch.setattr(dist, "_marginal", counting)
     return passes
+
+
+@pytest.fixture
+def made_up_xor_json():
+    """A 3-row "decomposition" of xor with two made-up atoms.
+
+    Its rows ``{1}``, ``{1,2}`` and ``{1,2}{3}`` are not the 14 antichains
+    over three variables, yet every one of the seven checks passes on them.
+    """
+    return json.dumps(
+        {
+            "n": 3,
+            "redundancy_param": None,
+            "atoms": [
+                {"label": "a", "size": 1.0, "covering": 2},
+                {"label": "b", "size": 1.0, "covering": 1},
+            ],
+            "table": {
+                "rows": ["{1}", "{1,2}", "{1,2}{3}"],
+                "cols": ["a", "b"],
+                "entries": [[1, 0], [1, 1], [1, 0]],
+            },
+        }
+    )

@@ -386,14 +386,31 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
         (["validate", "huge-n.json", "xor.csv"], None, "decomposition over"),
         (["info", "xor.csv", "--entropy", "x" * 100000], None, "bad variable selection"),
         (["gate", "xor"], "9" * 100000 + "x", "INFATOM_EPS"),
+        (["gate", "xor"], "inf", "INFATOM_EPS"),
+        (["gate", "xor"], "nan", "INFATOM_EPS"),
+        (["gate", "xor"], "-1", "INFATOM_EPS"),
+        (["gate", "xor"], "1", "INFATOM_EPS"),
+        (["validate", "tampered.json", "xor.csv"], "inf", "INFATOM_EPS"),
     ],
-    ids=["validate-huge-n", "info-huge-vars", "huge-eps"],
+    ids=[
+        "validate-huge-n",
+        "info-huge-vars",
+        "huge-eps",
+        "eps-inf",
+        "eps-nan",
+        "eps-negative",
+        "eps-one",
+        "validate-tampered-eps-inf",
+    ],
 )
 def test_usage_error_echoing_input_is_one_short_line(
     tmp_path, capsys, monkeypatch, argv, env, fragment
 ):
     (tmp_path / "xor.csv").write_text(XOR_CSV)
     (tmp_path / "huge-n.json").write_text(XOR_DECOMP.replace('"n": 3', '"n": 1' + "0" * 300, 1))
+    (tmp_path / "tampered.json").write_text(
+        XOR_DECOMP.replace('"size": 0.0', '"size": -3.0', 1)
+    )
     monkeypatch.chdir(tmp_path)
     if env is not None:
         monkeypatch.setenv("INFATOM_EPS", env)
@@ -402,6 +419,20 @@ def test_usage_error_echoing_input_is_one_short_line(
     assert fragment in err
     assert len(err.splitlines()) == 1
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("command", ["validate", "lift"])
+def test_made_up_decomposition_exits_2(
+    tmp_path, capsys, monkeypatch, made_up_xor_json, command
+):
+    (tmp_path / "xor.csv").write_text(XOR_CSV)
+    (tmp_path / "made-up.json").write_text(made_up_xor_json)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "made-up.json", "xor.csv")
+    assert code == 2
+    assert out == ""
+    assert "antichains" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_file_exits_2(capsys):

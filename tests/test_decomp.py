@@ -544,6 +544,36 @@ def test_validator_requires_matching_arity(xor):
         ia.validate(d, xor)
 
 
+def _with_rows(d: Decomposition, picks: list[int]) -> Decomposition:
+    """``d`` with its table cut down to (or repeating) the rows at ``picks``."""
+    table = ParthoodTable(
+        tuple(d.table.rows[i] for i in picks),
+        d.table.cols,
+        tuple(d.table.entries[i] for i in picks),
+    )
+    return Decomposition(d.n, table, d.atoms, d.redundancy_param)
+
+
+@pytest.mark.parametrize(
+    "picks",
+    [list(range(13)), list(range(14)) + [5], [i for i in range(14) if i != 5] + [4]],
+    ids=["missing-row", "duplicated-row", "missing-and-duplicated-row"],
+)
+def test_validator_rejects_incomplete_table(xor, picks):
+    d = ia.solve_trivariate(xor)
+    assert ia.validate(_with_rows(d, list(range(14))[::-1]), xor).passed
+    with pytest.raises(ia.DecompositionFormatError, match="14 antichains"):
+        ia.validate(_with_rows(d, picks), xor)
+
+
+def test_validator_rejects_made_up_xor_decomposition(xor, made_up_xor_json):
+    d = ia.decomposition_from_json(made_up_xor_json)
+    with pytest.raises(ia.DecompositionFormatError):
+        ia.validate(d, xor)
+    with pytest.raises(ia.DecompositionFormatError):
+        ia.lift_decomposition(d, xor)
+
+
 # ---------------------------------------------------------------------------
 # Random scan
 # ---------------------------------------------------------------------------

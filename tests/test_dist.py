@@ -188,7 +188,22 @@ def test_entropy_memo_keys_the_sorted_selection(marginal_passes):
     h = ia.entropy(t, [2, 0])
     assert ia.entropy(t, [0, 2]) == h
     assert ia.entropy(t, (2, 0, 2)) == h
+    assert ia.entropy(t, frozenset({0, 2})) == h
     assert marginal_passes == [(0, 2)]
+    assert len(t._entropies) == 1
+
+
+@pytest.mark.parametrize("selection", [[3], [0, 3], [-1], frozenset({1, 5})])
+def test_entropy_rejects_out_of_range_after_memo_fills(selection, marginal_passes):
+    t = ia.random_table("memo", [2, 3, 2])
+    for i in range(3):
+        ia.entropy(t, [i])
+    ia.entropy(t, [0, 1, 2])
+    before = dict(t._entropies)
+    with pytest.raises(ia.VariableSetError, match="out of range"):
+        ia.entropy(t, selection)
+    assert t._entropies == before
+    assert len(marginal_passes) == 4
 
 
 def test_entropy_of_empty_selection_is_zero(marginal_passes):

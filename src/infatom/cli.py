@@ -210,7 +210,10 @@ def _cmd_lattice(args, eps: float) -> int:
 
 
 def _cmd_scan(args, eps: float) -> int:
-    cards = [int(tok) for tok in args.cards.split(",") if tok.strip()]
+    try:
+        cards = [int(tok) for tok in args.cards.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise dc.GateSpecError(f"bad --cards value {args.cards!r}") from exc
     summary = dc.scan_random(args.samples, args.seed, cards, eps=eps)
     print(summary.to_json())
     return 0

@@ -578,7 +578,8 @@ def validate(
     """Run every structural and numerical check; failures are reported,
     never raised.  Shape errors raise: :class:`WrongArity` if the variable
     counts differ, :class:`DecompositionFormatError` unless the parthood
-    table has exactly one row per antichain over ``{1..n}``.
+    table has exactly one row per antichain over ``{1..n}`` and its
+    columns are the decomposition's atoms, in order.
 
     Checks: atom non-negativity; row monotonicity along the antichain
     order (extended by reduction-proven term equalities, which compare
@@ -586,6 +587,15 @@ def validate(
     over rows containing atom i; the conservation law; the total law;
     term sizes (equality where the term evaluates exactly, interval
     containment otherwise); and equal rows for reduction-equal terms.
+
+    Monotonicity counts violating ordered pairs of rows without testing
+    every pair: each row's strict up-set is a bitmask over row positions,
+    OR-ed together from its cover edges, and is intersected with the mask
+    of rows lacking one of the row's atoms.  Reduction-extended pairs are
+    tested one by one with :func:`leq`, but only unordered pairs where one
+    side's reduced form differs from itself and the first row holds a
+    positive atom the second lacks.  The detail names the first violating
+    pair in row order.
     """
     if table.n != decomp.n:
         raise WrongArity(
@@ -598,6 +608,8 @@ def validate(
             f"parthood table rows are not the {len(view)} antichains over "
             f"{decomp.n} variables"
         )
+    if decomp.table.cols != decomp.atoms.labels():
+        raise DecompositionFormatError("table columns do not match atom list")
     checks: list[CheckResult] = []
     atoms = decomp.atoms.atoms
     entries = decomp.table.entries
@@ -624,34 +636,60 @@ def validate(
         return True
 
     # V2: monotonicity along the order, extended by reduction equalities.
+    # Masks run over row positions.  ``up[a]`` is the strict up-set of
+    # ``a``: cover edges come sorted by their lower end's position in a
+    # linear extension, so read backwards each up-set is complete before
+    # it is used.  ``below[i]`` marks the rows lacking an atom that row
+    # ``i`` holds, and ``below_pos[i]`` only counts positive atoms.
+    pos = {a: i for i, a in enumerate(rows)}
+    up = dict.fromkeys(rows, 0)
+    for low, high in reversed(view.hasse_edges()):
+        up[low] |= up[high] | 1 << pos[high]
+    zero = [0] * len(atoms)
+    for i, x in enumerate(entries):
+        for j, v in enumerate(x):
+            if not v:
+                zero[j] |= 1 << i
+    below, below_pos = [], []
+    for x in entries:
+        m = mp = 0
+        for j, v in enumerate(x):
+            if v:
+                m |= zero[j]
+                if positive[j]:
+                    mp |= zero[j]
+        below.append(m)
+        below_pos.append(mp)
+    # A reduction-extended pair is unordered, has a side whose reduced
+    # form differs from itself, and orders once reduced forms replace a,
+    # b or both; where a side is unchanged, the "both" clause repeats one
+    # of the others.  Only pairs that would violate are tested; a row
+    # never lacks its own atoms, so ``below_pos[i]`` leaves out row i.
+    red = [reduced[a] for a in rows]
+    changed = [r is not None and r != a for r, a in zip(red, rows)]
+    changed_mask = sum(1 << i for i, flag in enumerate(changed) if flag)
     violations = 0
     first_bad = ""
-    for a, x in zip(rows, entries):
-        for b, y in zip(rows, entries):
-            if a == b:
-                continue
-            plain = leq(a, b)
-            if plain:
-                ok = row_leq(x, y, False)
-            else:
-                ra, rb = reduced[a], reduced[b]
-                alt = (
-                    (ra is not None and ra != a and leq(ra, b))
-                    or (rb is not None and rb != b and leq(a, rb))
-                    or (
-                        ra is not None
-                        and rb is not None
-                        and (ra != a or rb != b)
-                        and leq(ra, rb)
-                    )
-                )
-                if not alt:
-                    continue
-                ok = row_leq(x, y, True)
-            if not ok:
+    for i, a in enumerate(rows):
+        bad = up[a] & below[i]
+        violations += bad.bit_count()
+        first = (bad & -bad).bit_length() - 1 if bad else len(rows)
+        candidates = below_pos[i] & ~up[a]
+        if not changed[i]:
+            candidates &= changed_mask
+        bits = bin(candidates)[:1:-1]  # bit k at index k
+        k = bits.find("1")
+        while k >= 0:
+            if (
+                (changed[i] and leq(red[i], rows[k]))
+                or (changed[k] and leq(a, red[k]))
+                or (changed[i] and changed[k] and leq(red[i], red[k]))
+            ):
                 violations += 1
-                if not first_bad:
-                    first_bad = f"{a} vs {b}"
+                first = min(first, k)
+            k = bits.find("1", k + 1)
+        if not first_bad and first < len(rows):
+            first_bad = f"{a} vs {rows[first]}"
     checks.append(CheckResult("monotonicity", violations == 0, float(violations), first_bad))
 
     # V3: covering rule.
@@ -848,7 +886,4 @@ def decomposition_from_json(text: str) -> Decomposition:
         entries = tuple(tuple(int(v) for v in row) for row in tbl["entries"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DecompositionFormatError(f"bad decomposition JSON: {exc}") from exc
-    atom_set = AtomSet(tuple(atoms))
-    if tuple(c.text for c in cols) != tuple(a.label.text for a in atom_set):
-        raise DecompositionFormatError("table columns do not match atom list")
-    return Decomposition(n, ParthoodTable(rows, cols, entries), atom_set, r)
+    return Decomposition(n, ParthoodTable(rows, cols, entries), AtomSet(tuple(atoms)), r)

@@ -8,14 +8,32 @@ of brackets is the term's covering number.
 
 The order ``leq(a, b)`` holds iff every bracket of ``b`` contains some
 bracket of ``a``.  Under it the all-singletons antichain is the unique
-bottom element and the single full bracket is the unique top.
+bottom element and the single full bracket is the unique top.  Each
+antichain carries its brackets as int bitmasks (bit ``i - 1`` for index
+``i``), built on first use or, for the lattice's elements, at
+enumeration, so ``leq`` is a handful of subset tests on ints.
+
+Cover moves
+-----------
+A *move* of ``a`` drops one of its brackets (when it has at least two)
+or adds one index that ``a`` does not use to one of its brackets.  Every
+move ``c`` of ``a`` has ``a < c``, and every ``a < b`` passes through a
+move: some ``c`` with ``a < c <= b``.  (If ``b`` uses an index ``i`` that
+``a`` does not, the bracket of ``b`` holding ``i`` contains a bracket of
+``a``: add ``i`` to it.  Else, if some bracket of ``a`` lies in no bracket
+of ``b``, drop it.  Else some bracket of ``b`` holds two brackets of ``a``:
+drop either.)  Hence the covers of ``a`` are exactly its moves ``b`` such
+that no other move ``c`` of ``a`` has ``leq(c, b)``, which is how
+:meth:`LatticeView.hasse_edges` finds them without comparing all pairs.
+Every move raises :meth:`Antichain.sort_key`, so the listing order of
+:func:`enumerate_antichains` is a linear extension of the order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -91,6 +109,14 @@ class Antichain:
         """All indices used, ascending."""
         return tuple(sorted(i for b in self.brackets for i in b))
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One int per bracket with bit ``i - 1`` set for each index ``i``.
+
+        Built on first use and kept outside the dataclass fields, so
+        equality, hash and repr see only ``brackets``."""
+        return tuple(sum(1 << (i - 1) for i in b) for b in self.brackets)
+
     @property
     def is_empty(self) -> bool:
         return not self.brackets
@@ -109,8 +135,14 @@ def covering(a: Antichain) -> int:
 
 def leq(a: Antichain, b: Antichain) -> bool:
     """Order test: every bracket of ``b`` contains some bracket of ``a``."""
-    bsets = [set(br) for br in a.brackets]
-    return all(any(sa <= set(bb) for sa in bsets) for bb in b.brackets)
+    am = a.masks
+    for y in b.masks:
+        for x in am:
+            if not x & ~y:
+                break
+        else:
+            return False
+    return True
 
 
 def bottom(n: int) -> Antichain:
@@ -168,16 +200,40 @@ class LatticeView:
         return leq(a, b)
 
     def hasse_edges(self) -> list[tuple[Antichain, Antichain]]:
-        """Cover pairs (a, b): a < b with nothing strictly between."""
-        strict_ups: dict[Antichain, list[Antichain]] = {}
-        for a in self.elements:
-            strict_ups[a] = [b for b in self.elements if a != b and leq(a, b)]
+        """Cover pairs (a, b): a < b with nothing strictly between.
+
+        The covers of ``a`` are its moves that lie above no other move
+        (see the module docstring).  :attr:`elements` is a linear extension
+        of the order, so only moves earlier in it can lie below a move.
+        Edges are sorted by the positions of ``a``, then ``b``."""
+        position = {a.brackets: i for i, a in enumerate(self.elements)}
         edges = []
-        for a, ups in strict_ups.items():
-            for b in ups:
-                if not any(c != b and leq(c, b) for c in ups):
-                    edges.append((a, b))
+        for a in self.elements:
+            moves = [
+                self.elements[i]
+                for i in sorted(position[m] for m in _moves(a.brackets, self.n))
+            ]
+            edges.extend(
+                (a, b)
+                for k, b in enumerate(moves)
+                if not any(leq(c, b) for c in moves[:k])
+            )
         return edges
+
+
+def _moves(brackets: tuple[Bracket, ...], n: int) -> list[tuple[Bracket, ...]]:
+    """Canonical brackets of every move within ``{1..n}``: drop one bracket
+    (if there are two or more), or add one unused index to one bracket."""
+    out = []
+    if len(brackets) > 1:
+        out += [brackets[:k] + brackets[k + 1 :] for k in range(len(brackets))]
+    used = {i for b in brackets for i in b}
+    unused = [i for i in range(1, n + 1) if i not in used]
+    for k, bracket in enumerate(brackets):
+        rest = brackets[:k] + brackets[k + 1 :]
+        for i in unused:
+            out.append(tuple(sorted(rest + (tuple(sorted(bracket + (i,))),))))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -195,6 +251,11 @@ def enumerate_antichains(n: int) -> LatticeView:
             for blocks in _set_partitions(subset):
                 found.append(Antichain.of(*blocks))
     found.sort(key=Antichain.sort_key)
+    # Every order test on the lattice reads these masks.  Built here, next
+    # to the elements, they do not pin heap pages among the temporaries of
+    # later work, which raised peak memory when they were built on use.
+    for a in found:
+        _ = a.masks
     return LatticeView(n, tuple(found))
 
 

@@ -2,13 +2,17 @@
 
 Everything here works on plain dicts and loops, deliberately avoiding
 the package's own data structures, so that a test comparing the two is
-a genuine cross-check rather than a tautology.
+a genuine cross-check rather than a tautology.  The one exception is
+:func:`oracle_monotonicity`, which reads a decomposition and takes its
+reduced terms from the package; its order test is :func:`brute_leq`.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+
+from infatom.terms import reduce_antichain
 
 # Literal gate pmfs, written out by hand.
 XOR_PMF = {(0, 0, 0): 0.25, (0, 1, 1): 0.25, (1, 0, 1): 0.25, (1, 1, 0): 0.25}
@@ -118,3 +122,58 @@ def oracle_set_row(brackets, supports) -> tuple[int, ...]:
                 inside = 0
         row.append(inside)
     return tuple(row)
+
+
+def oracle_monotonicity(decomp, table, eps) -> tuple[bool, float, str]:
+    """``(passed, residual, detail)`` of the validator's monotonicity check,
+    by testing every ordered pair of rows with :func:`brute_leq`.
+
+    A pair (a, b) with a <= b violates it if row a holds an atom that row b
+    lacks.  A pair that is not ordered but becomes ordered once a, b or
+    both are replaced by reduced forms that differ from them violates it
+    if this happens for an atom of positive size.  Reduced forms come from
+    the package's ``reduce_antichain``, as in the validator."""
+    rows = decomp.table.rows
+    entries = decomp.table.entries
+    positive = [a.size > eps for a in decomp.atoms.atoms]
+    reduced = {a: reduce_antichain(table, a, eps=eps)[0] for a in rows}
+
+    def order(x, y) -> bool:
+        return brute_leq(x.brackets, y.brackets)
+
+    def holds_more(x, y, positive_only) -> bool:
+        for j in range(len(x)):
+            if positive_only and not positive[j]:
+                continue
+            if x[j] > y[j]:
+                return True
+        return False
+
+    violations = 0
+    first_bad = ""
+    for a, x in zip(rows, entries):
+        for b, y in zip(rows, entries):
+            if a == b:
+                continue
+            if order(a, b):
+                bad = holds_more(x, y, False)
+            else:
+                ra, rb = reduced[a], reduced[b]
+                alt = (
+                    (ra is not None and ra != a and order(ra, b))
+                    or (rb is not None and rb != b and order(a, rb))
+                    or (
+                        ra is not None
+                        and rb is not None
+                        and (ra != a or rb != b)
+                        and order(ra, rb)
+                    )
+                )
+                if not alt:
+                    continue
+                bad = holds_more(x, y, True)
+            if bad:
+                violations += 1
+                if not first_bad:
+                    first_bad = f"{a} vs {b}"
+    return violations == 0, float(violations), first_bad

@@ -391,6 +391,7 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
         (["gate", "xor"], "-1", "INFATOM_EPS"),
         (["gate", "xor"], "1", "INFATOM_EPS"),
         (["validate", "tampered.json", "xor.csv"], "inf", "INFATOM_EPS"),
+        (["scan", "--samples", "3", "--seed", "1", "--cards", "2,x,2"], None, "--cards"),
     ],
     ids=[
         "validate-huge-n",
@@ -401,6 +402,7 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
         "eps-negative",
         "eps-one",
         "validate-tampered-eps-inf",
+        "scan-bad-cards",
     ],
 )
 def test_usage_error_echoing_input_is_one_short_line(

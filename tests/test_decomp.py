@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from _oracles import (
     oracle_interaction,
     oracle_interval,
     oracle_mi,
+    oracle_monotonicity,
     oracle_parity_row,
     oracle_set_row,
     oracle_supports,
@@ -384,6 +386,10 @@ def test_parity_solutions_validate():
         assert rep.passed, [c for c in rep.checks if not c.passed]
 
 
+def test_parity7_validates():
+    assert ia.validate(ia.solve_n_parity(7), ia.parity_gate(7)).passed
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_parity_table_matches_closed_form_oracle(n):
     d = ia.solve_n_parity(n)
@@ -566,12 +572,76 @@ def test_validator_rejects_incomplete_table(xor, picks):
         ia.validate(_with_rows(d, picks), xor)
 
 
+def test_validator_rejects_columns_that_are_not_the_atoms(xor):
+    d = ia.solve_trivariate(xor)
+    eight = Decomposition(3, d.table, AtomSet(d.atoms.atoms[:8]), d.redundancy_param)
+    with pytest.raises(ia.DecompositionFormatError, match="columns"):
+        ia.validate(eight, xor)
+    swapped = AtomSet((d.atoms.atoms[1], d.atoms.atoms[0]) + d.atoms.atoms[2:])
+    with pytest.raises(ia.DecompositionFormatError, match="columns"):
+        ia.validate(Decomposition(3, d.table, swapped, d.redundancy_param), xor)
+
+
 def test_validator_rejects_made_up_xor_decomposition(xor, made_up_xor_json):
     d = ia.decomposition_from_json(made_up_xor_json)
     with pytest.raises(ia.DecompositionFormatError):
         ia.validate(d, xor)
     with pytest.raises(ia.DecompositionFormatError):
         ia.lift_decomposition(d, xor)
+
+
+def _monotonicity_cases():
+    """Solved decompositions with their tables: parity 3..5, random
+    trivariate solutions at random redundancy values, and lifts."""
+    cases = [(ia.solve_n_parity(n), ia.parity_gate(n)) for n in (3, 4, 5)]
+    lifts = [(ia.solve_n_parity(n), ia.parity_gate(n)) for n in (3, 4)]
+    for seed in range(3):
+        t = ia.random_table(f"mono:{seed}", [2, 3, 2] if seed else [2, 2, 2])
+        lo, hi = ia.feasible_interval(t)
+        r = lo + random.Random(seed).random() * (hi - lo)
+        cases.append((ia.solve_trivariate(t, r), t))
+        lifts.append((ia.solve_trivariate(t), t))
+    for d, t in lifts:
+        cases.append((ia.lift_decomposition(d, t), ia.extend_with_joint(t)))
+    return cases
+
+
+def _mutate(d: Decomposition, rng: random.Random) -> Decomposition:
+    """Flip entries, zero an atom or make one positive, and shuffle rows,
+    each with some chance."""
+    rows = list(d.table.rows)
+    entries = [list(row) for row in d.table.entries]
+    atoms = list(d.atoms.atoms)
+    for _ in range(rng.choice([0, 1, 1, 2, 4])):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(atoms))
+        entries[i][j] ^= 1
+    if rng.random() < 0.4:
+        j = rng.randrange(len(atoms))
+        size = 0.0 if atoms[j].size > 0 else 0.5
+        atoms[j] = Atom(atoms[j].label, size, atoms[j].covering)
+    order = list(range(len(rows)))
+    if rng.random() < 0.5:
+        rng.shuffle(order)
+    table = ParthoodTable(
+        tuple(rows[i] for i in order),
+        d.table.cols,
+        tuple(tuple(entries[i]) for i in order),
+    )
+    return Decomposition(d.n, table, AtomSet(tuple(atoms)), d.redundancy_param)
+
+
+def test_monotonicity_matches_all_pairs_oracle():
+    rng = random.Random(5)
+    failing = 0
+    for d, t in _monotonicity_cases():
+        for trial in range(8 if d.n < 5 else 3):
+            m = d if trial == 0 else _mutate(d, rng)
+            check = ia.validate(m, t).check("monotonicity")
+            assert (check.passed, check.residual, check.detail) == oracle_monotonicity(
+                m, t, ia.DEFAULT_EPS
+            ), (d.n, trial)
+            failing += not check.passed
+    assert failing >= 30
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,49 @@ def test_hasse_edges_have_unique_source_and_sink():
         assert sinks == {str(top(n))}
 
 
+def _is_move(a: Antichain, b: Antichain) -> bool:
+    """``b`` drops one bracket of ``a`` (which has two or more), or adds
+    one index unused by ``a`` to one bracket of ``a``."""
+    low = {frozenset(x) for x in a.brackets}
+    high = {frozenset(x) for x in b.brackets}
+    if len(low) >= 2 and high < low and len(high) == len(low) - 1:
+        return True
+    gone, new = low - high, high - low
+    if len(gone) != 1 or len(new) != 1 or len(low) != len(high):
+        return False
+    (old_bracket,), (new_bracket,) = gone, new
+    added = new_bracket - old_bracket
+    used = set().union(*low)
+    return old_bracket < new_bracket and len(added) == 1 and not added & used
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hasse_edges_match_brute_force_covers(n):
+    view = enumerate_antichains(n)
+    elements = view.elements
+    ups = {
+        a: [b for b in elements if b != a and brute_leq(a.brackets, b.brackets)]
+        for a in elements
+    }
+    expected = [
+        (a, b)
+        for a in elements
+        for b in ups[a]
+        if not any(brute_leq(c.brackets, b.brackets) for c in ups[a] if c != b)
+    ]
+    edges = view.hasse_edges()
+    assert edges == expected
+    assert all(_is_move(a, b) for a, b in edges)
+
+
+def test_masks_stay_out_of_eq_hash_and_repr():
+    a = Antichain.of([1, 3], [2])
+    b = Antichain.of([2], [1, 3])
+    assert a.masks == (0b101, 0b010)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(a) == "Antichain(brackets=((1, 3), (2,)))"
+
+
 # ---------------------------------------------------------------------------
 # Lift map
 # ---------------------------------------------------------------------------

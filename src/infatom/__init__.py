@@ -44,6 +44,7 @@ from .errors import (
     NegativeAtomSize,
     NegativeProbability,
     NotSetTheoretic,
+    RedundancyValueError,
     TableError,
     TotalMassInvalid,
     ValidationFailed,

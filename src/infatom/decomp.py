@@ -369,11 +369,12 @@ def pid_view(decomp: Decomposition, target: int) -> PidView:
     if target not in (1, 2, 3):
         raise VariableSetError(f"target must be 1, 2 or 3, got {target!r}")
     a, b = sorted({1, 2, 3} - {target})
+    size = decomp.atoms.size
     return PidView(
-        redundancy=decomp.atom_size("{1}{2}{3}"),
-        unique_a=decomp.atom_size(str(Antichain.of([a], [target]))),
-        unique_b=decomp.atom_size(str(Antichain.of([b], [target]))),
-        synergy=decomp.atom_size("Pi_s"),
+        redundancy=size(AtomLabel.set_theoretic(Antichain.of([1], [2], [3]))),
+        unique_a=size(AtomLabel.set_theoretic(Antichain.of([a], [target]))),
+        unique_b=size(AtomLabel.set_theoretic(Antichain.of([b], [target]))),
+        synergy=size(AtomLabel.synergy()),
         sources=(a, b),
         target=target,
     )
@@ -589,13 +590,16 @@ def validate(
     containment otherwise); and equal rows for reduction-equal terms.
 
     Monotonicity counts violating ordered pairs of rows without testing
-    every pair: each row's strict up-set is a bitmask over row positions,
-    OR-ed together from its cover edges, and is intersected with the mask
-    of rows lacking one of the row's atoms.  Reduction-extended pairs are
-    tested one by one with :func:`leq`, but only unordered pairs where one
-    side's reduced form differs from itself and the first row holds a
-    positive atom the second lacks.  The detail names the first violating
-    pair in row order.
+    every pair.  Each row's strict up-set is a bitmask over lattice
+    positions, OR-ed together in one backward pass over the view's cached
+    :attr:`~LatticeView.covers`, and is intersected with the mask of rows
+    lacking one of the row's atoms.  Reduction-extended pairs are tested
+    one by one with :func:`leq`, but only unordered pairs where one side's
+    reduced form differs from itself and the first row holds a positive
+    atom the second lacks.  The detail names the first violating pair in
+    row order, whatever the row order.  Each row with two or more brackets
+    is reduced once; monotonicity, term sizes and equal rows share that
+    reduction (a single bracket is its own reduced form).
     """
     if table.n != decomp.n:
         raise WrongArity(
@@ -621,11 +625,12 @@ def validate(
         CheckResult("atom_nonnegativity", worst >= -eps, max(0.0, -worst))
     )
 
-    # Reduced form of every row term, for V2/V7.
-    reduced: dict[Antichain, Antichain | None] = {}
-    for a in rows:
-        red, _trace = reduce_antichain(table, a, eps=eps)
-        reduced[a] = red
+    # The reduction of every row term, for V2, V6 and V7; None for a
+    # single bracket, which is its own reduced form.
+    reductions = [
+        None if a.covering == 1 else reduce_antichain(table, a, eps=eps) for a in rows
+    ]
+    red = [a if r is None else r[0] for a, r in zip(rows, reductions)]
 
     def row_leq(x: tuple[int, ...], y: tuple[int, ...], positive_only: bool) -> bool:
         for i, (xv, yv) in enumerate(zip(x, y)):
@@ -636,20 +641,29 @@ def validate(
         return True
 
     # V2: monotonicity along the order, extended by reduction equalities.
-    # Masks run over row positions.  ``up[a]`` is the strict up-set of
-    # ``a``: cover edges come sorted by their lower end's position in a
-    # linear extension, so read backwards each up-set is complete before
-    # it is used.  ``below[i]`` marks the rows lacking an atom that row
-    # ``i`` holds, and ``below_pos[i]`` only counts positive atoms.
-    pos = {a: i for i, a in enumerate(rows)}
-    up = dict.fromkeys(rows, 0)
-    for low, high in reversed(view.hasse_edges()):
-        up[low] |= up[high] | 1 << pos[high]
+    # Masks run over lattice positions; ``where[i]`` is row i's position and
+    # ``row_at`` inverts it.  ``up[p]`` is the strict up-set of position p:
+    # covers lie later in the listing, a linear extension, so read
+    # backwards each up-set is complete before it is used.  ``below[i]``
+    # marks the rows lacking an atom that row ``i`` holds, and
+    # ``below_pos[i]`` only counts positive atoms.
+    elements = view.elements
+    where = [view.index(a) for a in rows]
+    row_at = [0] * len(rows)
+    for i, p in enumerate(where):
+        row_at[p] = i
+    covers = view.covers
+    up = [0] * len(rows)
+    for p in range(len(rows) - 1, -1, -1):
+        m = 0
+        for c in covers[p]:
+            m |= up[c] | 1 << c
+        up[p] = m
     zero = [0] * len(atoms)
-    for i, x in enumerate(entries):
+    for p, x in zip(where, entries):
         for j, v in enumerate(x):
             if not v:
-                zero[j] |= 1 << i
+                zero[j] |= 1 << p
     below, below_pos = [], []
     for x in entries:
         m = mp = 0
@@ -665,28 +679,31 @@ def validate(
     # b or both; where a side is unchanged, the "both" clause repeats one
     # of the others.  Only pairs that would violate are tested; a row
     # never lacks its own atoms, so ``below_pos[i]`` leaves out row i.
-    red = [reduced[a] for a in rows]
-    changed = [r is not None and r != a for r, a in zip(red, rows)]
-    changed_mask = sum(1 << i for i, flag in enumerate(changed) if flag)
+    red_at = [red[i] for i in row_at]
+    changed_at = [r is not None and r != a for r, a in zip(red_at, elements)]
+    changed_mask = sum(1 << p for p, flag in enumerate(changed_at) if flag)
     violations = 0
     first_bad = ""
-    for i, a in enumerate(rows):
-        bad = up[a] & below[i]
+    for i, (a, p) in enumerate(zip(rows, where)):
+        bad = up[p] & below[i]
         violations += bad.bit_count()
-        first = (bad & -bad).bit_length() - 1 if bad else len(rows)
-        candidates = below_pos[i] & ~up[a]
-        if not changed[i]:
+        first = len(rows)
+        if bad and not first_bad:
+            bits = bin(bad)[:1:-1]  # bit k at index k
+            first = min(row_at[k] for k, bit in enumerate(bits) if bit == "1")
+        candidates = below_pos[i] & ~up[p]
+        if not changed_at[p]:
             candidates &= changed_mask
-        bits = bin(candidates)[:1:-1]  # bit k at index k
+        bits = bin(candidates)[:1:-1]
         k = bits.find("1")
         while k >= 0:
             if (
-                (changed[i] and leq(red[i], rows[k]))
-                or (changed[k] and leq(a, red[k]))
-                or (changed[i] and changed[k] and leq(red[i], red[k]))
+                (changed_at[p] and leq(red_at[p], elements[k]))
+                or (changed_at[k] and leq(a, red_at[k]))
+                or (changed_at[p] and changed_at[k] and leq(red_at[p], red_at[k]))
             ):
                 violations += 1
-                first = min(first, k)
+                first = min(first, row_at[k])
             k = bits.find("1", k + 1)
         if not first_bad and first < len(rows):
             first_bad = f"{a} vs {rows[first]}"
@@ -718,9 +735,9 @@ def validate(
     # V6: term sizes, exact or by interval containment.
     worst_gap = 0.0
     first_bad = ""
-    for a in rows:
+    for a, reduction in zip(rows, reductions):
         total = decomp.term_sum(a)
-        tv = eval_term(table, a, eps=eps)
+        tv = eval_term(table, a, eps=eps, reduction=reduction)
         if tv.is_exact:
             gap = abs(total - tv.value)
         else:
@@ -736,11 +753,10 @@ def validate(
     # V7: reduction-equal terms share rows on positive atoms.
     mismatches = 0
     first_bad = ""
-    for a in rows:
-        ra = reduced[a]
+    for a, x, ra in zip(rows, entries, red):
         if ra is None or ra == a:
             continue
-        x, y = decomp.table.row(a), decomp.table.row(ra)
+        y = decomp.table.row(ra)
         if not (row_leq(x, y, True) and row_leq(y, x, True)):
             mismatches += 1
             if not first_bad:
@@ -865,25 +881,56 @@ def decomposition_to_json(decomp: Decomposition) -> str:
     return json.dumps(obj)
 
 
+def _json_value(value, types, rule: str):
+    """``value`` if it has one of ``types``, else ValueError(rule).  JSON
+    true and false load as bools, which Python counts as ints: refused."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(rule)
+    return value
+
+
+def _json_finite(value, rule: str) -> float:
+    number = float(_json_value(value, (int, float), rule))
+    if not math.isfinite(number):
+        raise ValueError(rule)
+    return number
+
+
 def decomposition_from_json(text: str) -> Decomposition:
-    """Parse and shape-check a serialized decomposition."""
+    """Parse and shape-check a serialized decomposition.
+
+    Fields are checked, not coerced: ``n``, coverings and table entries
+    are JSON integers (entries 0 or 1), sizes finite numbers,
+    ``redundancy_param`` null or a finite number, and labels and rows
+    strings.  ``true`` and ``false`` are none of these."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DecompositionFormatError(f"invalid JSON: {exc}") from exc
     try:
-        n = int(obj["n"])
+        n = _json_value(obj["n"], int, "n must be an integer")
         r = obj.get("redundancy_param")
-        r = None if r is None else float(r)
+        r = None if r is None else _json_finite(r, "redundancy_param must be a finite number")
         atoms = []
         for entry in obj["atoms"]:
             atoms.append(
-                Atom(parse_label(entry["label"]), float(entry["size"]), int(entry["covering"]))
+                Atom(
+                    parse_label(_json_value(entry["label"], str, "labels must be strings")),
+                    _json_finite(entry["size"], "sizes must be finite numbers"),
+                    _json_value(entry["covering"], int, "coverings must be integers"),
+                )
             )
         tbl = obj["table"]
-        rows = tuple(Antichain.parse(t) for t in tbl["rows"])
-        cols = tuple(parse_label(t) for t in tbl["cols"])
-        entries = tuple(tuple(int(v) for v in row) for row in tbl["entries"])
+        rows = tuple(
+            Antichain.parse(_json_value(t, str, "rows must be strings")) for t in tbl["rows"]
+        )
+        cols = tuple(
+            parse_label(_json_value(t, str, "labels must be strings")) for t in tbl["cols"]
+        )
+        entries = tuple(
+            tuple(_json_value(v, int, "entries must be 0 or 1") for v in row)
+            for row in tbl["entries"]
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DecompositionFormatError(f"bad decomposition JSON: {exc}") from exc
     return Decomposition(n, ParthoodTable(rows, cols, entries), AtomSet(tuple(atoms)), r)

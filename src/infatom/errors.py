@@ -69,6 +69,10 @@ class DecompositionFormatError(InfatomError, ValueError):
     """A serialized decomposition does not match the expected schema."""
 
 
+class RedundancyValueError(InfatomError, ValueError):
+    """A redundancy value is not a finite number."""
+
+
 # ---------------------------------------------------------------------------
 # Mathematical outcomes (CLI exit code 1)
 # ---------------------------------------------------------------------------

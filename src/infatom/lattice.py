@@ -220,6 +220,19 @@ class LatticeView:
             )
         return edges
 
+    @cached_property
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """Positions of the upper covers of each element, by position.
+
+        Built once per view from :meth:`hasse_edges`, each tuple ascending.
+        Positions, not up-set masks, are kept: at n = 8 the masks would be
+        about 30 times larger.  Not a dataclass field, so equality, hash
+        and repr see only ``n`` and ``elements``."""
+        up: list[list[int]] = [[] for _ in self.elements]
+        for a, b in self.hasse_edges():
+            up[self._index[a]].append(self._index[b])
+        return tuple(map(tuple, up))
+
 
 def _moves(brackets: tuple[Bracket, ...], n: int) -> list[tuple[Bracket, ...]]:
     """Canonical brackets of every move within ``{1..n}``: drop one bracket

@@ -17,6 +17,7 @@ bracket pairs in position order so reduction traces are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -28,7 +29,7 @@ from .dist import (
     is_deterministic_function,
     mutual_information,
 )
-from .errors import AntichainError, InfeasibleRedundancy, WrongArity
+from .errors import AntichainError, InfeasibleRedundancy, RedundancyValueError, WrongArity
 from .lattice import Antichain
 
 
@@ -103,7 +104,11 @@ def reduce_antichain(
 
 
 def eval_term(
-    table: ProbTable, a: Antichain, *, eps: float = DEFAULT_EPS
+    table: ProbTable,
+    a: Antichain,
+    *,
+    eps: float = DEFAULT_EPS,
+    reduction: tuple[Antichain | None, tuple[str, ...]] | None = None,
 ) -> TermValue:
     """Size of the term labeled by ``a`` on ``table``, in bits.
 
@@ -112,11 +117,16 @@ def eval_term(
     far.  Otherwise an interval: for three surviving brackets the lower
     bound is ``max(0, I_3)`` of the bracket-joints, for more it is 0; the
     upper bound is the smallest pairwise mutual information.
+
+    ``reduction``, if given, must be ``reduce_antichain(table, a, eps=eps)``;
+    a caller that already holds it passes it instead of reducing again.
     """
     brackets = _bracket_sets(table, a)
     if len(brackets) == 1:
         return TermValue.exact(entropy(table, brackets[0]))
-    reduced, trace = reduce_antichain(table, a, eps=eps)
+    if reduction is None:
+        reduction = reduce_antichain(table, a, eps=eps)
+    reduced, trace = reduction
     if reduced is None:
         return TermValue.exact(0.0, trace)
     sets = _bracket_sets(table, reduced)
@@ -152,6 +162,8 @@ def redundancy_bounds(table: ProbTable) -> tuple[float, float]:
 
 
 def _check_feasible(r: float, lo: float, hi: float, eps: float) -> None:
+    if not math.isfinite(r):
+        raise RedundancyValueError(f"redundancy value must be a finite number, got {r!r}")
     if not (lo - eps <= r <= hi + eps):
         raise InfeasibleRedundancy(
             f"r = {r!r} outside feasible interval [{lo!r}, {hi!r}]"

@@ -348,6 +348,30 @@ N_OVERFLOW = XOR_DECOMP.replace('"n": 3', '"n": 1e400', 1)
 COVERING_OVERFLOW = XOR_DECOMP.replace('"covering": 3', '"covering": 1e400', 1)
 
 
+def _xor_decomp_with(old: str, new: str) -> str:
+    assert old in XOR_DECOMP
+    return XOR_DECOMP.replace(old, new, 1)
+
+
+#: Fields that a coercing reader would turn into a valid xor decomposition.
+MISTYPED_FIELDS = {
+    "size-true": ('"size": 1.0', '"size": true'),
+    "size-string": ('"size": 1.0', '"size": "1"'),
+    "size-nan": ('"size": 1.0', '"size": NaN'),
+    "size-infinity": ('"size": 1.0', '"size": Infinity'),
+    "covering-2.5": ('"covering": 2', '"covering": 2.5'),
+    "covering-1.9": ('"covering": 1', '"covering": 1.9'),
+    "covering-true": ('"covering": 1', '"covering": true'),
+    "n-3.5": ('"n": 3', '"n": 3.5'),
+    "n-string": ('"n": 3', '"n": "3"'),
+    "redundancy-string": ('"redundancy_param": 0.0', '"redundancy_param": "0"'),
+    "entry-0.9": ('"entries": [[1', '"entries": [[0.9'),
+    "entry-string": ('"entries": [[1', '"entries": [["1"'),
+    "entry-true": ('"entries": [[1', '"entries": [[true'),
+    "row-number": ('"rows": ["{1}{2}{3}"', '"rows": [123'),
+}
+
+
 @pytest.mark.parametrize(
     "command, decomp, stdin",
     [
@@ -356,6 +380,9 @@ COVERING_OVERFLOW = XOR_DECOMP.replace('"covering": 3', '"covering": 1e400', 1)
         ("lift", N_OVERFLOW, ""),
         ("lift", COVERING_OVERFLOW, ""),
         ("validate", None, "[" * 200000),
+        *[("validate", _xor_decomp_with(*edit), "") for edit in MISTYPED_FIELDS.values()],
+        ("lift", _xor_decomp_with(*MISTYPED_FIELDS["size-true"]), ""),
+        ("lift", _xor_decomp_with(*MISTYPED_FIELDS["entry-0.9"]), ""),
     ],
     ids=[
         "validate-n-overflow",
@@ -363,6 +390,9 @@ COVERING_OVERFLOW = XOR_DECOMP.replace('"covering": 3', '"covering": 1e400', 1)
         "lift-n-overflow",
         "lift-covering-overflow",
         "validate-deep-array-stdin",
+        *[f"validate-{name}" for name in MISTYPED_FIELDS],
+        "lift-size-true",
+        "lift-entry-0.9",
     ],
 )
 def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command, decomp, stdin):
@@ -434,6 +464,17 @@ def test_made_up_decomposition_exits_2(
     assert code == 2
     assert out == ""
     assert "antichains" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_redundancy_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "xor.csv"
+    path.write_text(XOR_CSV)
+    code, out, err = run(capsys, "decompose", str(path), f"--redundancy={value}")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
     assert len(err.splitlines()) == 1
 
 

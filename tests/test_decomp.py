@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -190,6 +191,13 @@ def test_solver_default_redundancy_is_lower_endpoint():
 def test_solver_rejects_infeasible_redundancy(xor):
     with pytest.raises(ia.InfeasibleRedundancy):
         ia.solve_trivariate(xor, 0.25)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_solver_rejects_non_finite_redundancy_as_input_error(xor, r):
+    with pytest.raises(ia.RedundancyValueError, match="finite") as info:
+        ia.solve_trivariate(xor, r)
+    assert isinstance(info.value, ValueError)
 
 
 def test_solver_wrong_arity():
@@ -388,6 +396,56 @@ def test_parity_solutions_validate():
 
 def test_parity7_validates():
     assert ia.validate(ia.solve_n_parity(7), ia.parity_gate(7)).passed
+
+
+def _count_calls(monkeypatch, owner, attr, modules=()) -> list:
+    """Replace ``owner.attr``, and its binding in each of ``modules``, by a
+    wrapper that records the positional arguments of every call."""
+    calls = []
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    for module in modules:
+        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_validate_reduces_each_row_once(monkeypatch):
+    from infatom import terms
+
+    t3 = ia.random_table("reduce-once", [2, 3, 2])
+    cases = [
+        (ia.solve_n_parity(5), ia.parity_gate(5)),
+        (ia.solve_trivariate(t3), t3),
+        (
+            ia.lift_decomposition(ia.solve_n_parity(4), ia.parity_gate(4)),
+            ia.extend_with_joint(ia.parity_gate(4)),
+        ),
+    ]
+    calls = _count_calls(monkeypatch, terms, "reduce_antichain", [decomp])
+    for d, t in cases:
+        calls.clear()
+        assert ia.validate(d, t).passed
+        multi = [a for a in d.table.rows if a.covering >= 2]
+        assert Counter(a for _table, a in calls) == Counter(multi)
+
+
+def test_validate_builds_the_hasse_diagram_once_per_lattice(monkeypatch):
+    from infatom import lattice
+
+    calls = _count_calls(monkeypatch, lattice.LatticeView, "hasse_edges")
+    lattice.enumerate_antichains.cache_clear()
+    d, t = ia.solve_n_parity(4), ia.parity_gate(4)
+    for _ in range(3):
+        assert ia.validate(d, t).passed
+    assert len(calls) == 1
+    lattice.enumerate_antichains.cache_clear()
+    assert ia.validate(d, t).passed
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])

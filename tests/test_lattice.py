@@ -196,6 +196,10 @@ def test_hasse_edges_match_brute_force_covers(n):
     edges = view.hasse_edges()
     assert edges == expected
     assert all(_is_move(a, b) for a, b in edges)
+    cover_pairs = set(expected)
+    assert view.covers == tuple(
+        tuple(view.index(b) for b in ups[a] if (a, b) in cover_pairs) for a in elements
+    )
 
 
 def test_masks_stay_out_of_eq_hash_and_repr():

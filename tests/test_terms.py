@@ -24,6 +24,15 @@ def test_single_bracket_is_joint_entropy(xor):
     assert tv.value == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eval_term_with_given_reduction_matches_its_own(seed):
+    t = ia.random_table(f"given-reduction:{seed}", [2] * 5)
+    elements = ia.enumerate_antichains(5).elements
+    assert len(elements) == 202
+    for a in elements:
+        assert eval_term(t, a, reduction=reduce_antichain(t, a)) == eval_term(t, a), a
+
+
 def test_xor_pair_bracket_reduces_by_function_rule(xor):
     tv = eval_term(xor, Antichain.parse("{1,2}{3}"))
     assert tv.is_exact

@@ -224,8 +224,19 @@ def _cmd_scan(args, eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ParserError(Exception):
+    """A command line argparse rejects; :func:`main` prints it as one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # Subparsers are built with the parent's class, so this covers them too.
+    def error(self, message: str):
+        command = self.prog.partition(" ")[2]
+        raise _ParserError(f"{command}: {message}" if command else message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="infatom",
         description="Non-negative information-atom decompositions of discrete systems.",
     )
@@ -291,7 +302,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage
+    except _ParserError as exc:
+        return _usage_error(str(exc))
+    except SystemExit as exc:  # --help printed the full help
         return int(exc.code or 0)
     eps_text = os.environ.get("INFATOM_EPS")
     if eps_text is not None:

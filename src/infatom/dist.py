@@ -8,8 +8,11 @@ probability exactly zero are dropped at construction time.
 Variable selections ("varsets") are iterables of 0-based positions into
 ``table.variables``.  Text interfaces (CSV headers, CLI flags, antichain
 syntax) are 1-based; the conversion happens at those boundaries only.
-Each function checks a selection once, where it enters, and
-:func:`entropy` checks one only on a memo miss.
+Each function checks a selection once, where it enters.  A frozenset
+that is already a key of the table's entropy memo passed that check when
+it was stored, so it is not checked again; :func:`entropy` checks a
+selection only on a memo miss.  Each marginal pass over the rows keys
+them with one :func:`operator.itemgetter`.
 
 Every quantity below is a signed sum of subset entropies, and
 :func:`entropy` is the one place they are computed.  Tables are
@@ -36,6 +39,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -230,7 +234,16 @@ def dump_json(table: ProbTable) -> str:
 
 
 def _varset(table: ProbTable, s: Iterable[int], *, allow_empty: bool = False) -> VarSet:
-    idx = frozenset(int(i) for i in s)
+    # Memo keys passed this check when entropy() stored them; only the
+    # empty key may be one that this call must still reject.
+    if type(s) is frozenset and s in table._entropies and (s or allow_empty):
+        return s
+    # A frozenset of ints is checked as it is, so a set that many calls
+    # share (a term's bracket) becomes the memo key itself.
+    if type(s) is frozenset and all(type(i) is int for i in s):
+        idx = s
+    else:
+        idx = frozenset(int(i) for i in s)
     if not idx:
         if allow_empty:
             return idx
@@ -244,16 +257,25 @@ def _varset(table: ProbTable, s: Iterable[int], *, allow_empty: bool = False) ->
 
 def _marginal(table: ProbTable, idx: tuple[int, ...]) -> dict[Outcome, float]:
     # idx is sorted and may be empty; the marginal is then the trivial pmf on ().
+    # A run of consecutive positions, the empty one included, is a slice, so
+    # every key is a tuple whatever the length of idx.
+    if idx and idx[-1] - idx[0] + 1 != len(idx):
+        key = itemgetter(*idx)
+    else:
+        start = idx[0] if idx else 0
+        key = itemgetter(slice(start, start + len(idx)))
     acc: dict[Outcome, float] = {}
+    get = acc.get
     for outcome, p in table.rows:
-        key = tuple(outcome[i] for i in idx)
-        acc[key] = acc.get(key, 0.0) + p
+        k = key(outcome)
+        acc[k] = get(k, 0.0) + p
     return acc
 
 
 def marginalize(table: ProbTable, s: Iterable[int]) -> ProbTable:
     """Project the pmf onto the (non-empty) selection ``s``."""
-    idx = tuple(sorted(_varset(table, s)))
+    # int(): a memo key comes back as given, and 1.0 or True equal ints.
+    idx = tuple(sorted(map(int, _varset(table, s))))
     pmf = _marginal(table, idx)
     return ProbTable.from_pmf(
         [table.variables[i] for i in idx], pmf, [table.cards[i] for i in idx]

@@ -189,16 +189,6 @@ class LatticeView:
     def index(self, a: Antichain) -> int:
         return self._index[a]
 
-    def _check(self, a: Antichain) -> None:
-        if a.indices and a.indices[-1] > self.n:
-            raise AntichainError(f"{a} uses indices beyond n = {self.n}")
-
-    def leq(self, a: Antichain, b: Antichain) -> bool:
-        """Order predicate, with an index-range check against ``n``."""
-        self._check(a)
-        self._check(b)
-        return leq(a, b)
-
     def hasse_edges(self) -> list[tuple[Antichain, Antichain]]:
         """Cover pairs (a, b): a < b with nothing strictly between.
 

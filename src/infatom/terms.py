@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .dist import (
@@ -63,13 +64,25 @@ class TermValue:
         return cls(None, (lo, hi), trace)
 
 
+@lru_cache(maxsize=1 << 12)
+def _positions(mask: int) -> frozenset[int]:
+    """The 0-based positions of the bits set in a bracket mask.
+
+    One shared set per mask: a term over n variables uses at most
+    2^n - 1 masks, and a shared set's hash is computed once for every
+    entropy memo lookup made with it."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _bracket_sets(table: ProbTable, a: Antichain) -> list[frozenset[int]]:
-    if a.is_empty:
+    masks = a.masks
+    if not masks:
         raise AntichainError("cannot evaluate the empty antichain directly")
-    if a.indices[-1] > table.n:
+    # Brackets are disjoint, so the largest mask holds the largest index.
+    if max(masks) >> table.n:
         raise AntichainError(f"{a} uses indices beyond the table's {table.n} variables")
-    # Antichain indices are 1-based labels; tables use 0-based positions.
-    return [frozenset(i - 1 for i in b) for b in a.brackets]
+    # Bit i - 1 of a mask is 1-based index i, which is table position i - 1.
+    return list(map(_positions, masks))
 
 
 def _btext(bracket: frozenset[int]) -> str:
@@ -83,6 +96,7 @@ def reduce_antichain(
 
     Returns ``(None, trace)`` when R1 proved the term empty, otherwise
     the reduced antichain (term sizes are equal along the whole trace).
+    When no rule fires that is ``a`` itself, with an empty trace.
     """
     brackets = _bracket_sets(table, a)
     trace: list[str] = []
@@ -99,6 +113,8 @@ def reduce_antichain(
             break
         trace.append(f"R2({_btext(pair[0])}<={_btext(pair[1])})")
         brackets.remove(pair[1])  # brackets are disjoint, so distinct
+    if not trace:
+        return a, ()
     reduced = Antichain.of(*[[i + 1 for i in b] for b in brackets])
     return reduced, tuple(trace)
 

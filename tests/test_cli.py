@@ -422,6 +422,11 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
         (["gate", "xor"], "1", "INFATOM_EPS"),
         (["validate", "tampered.json", "xor.csv"], "inf", "INFATOM_EPS"),
         (["scan", "--samples", "3", "--seed", "1", "--cards", "2,x,2"], None, "--cards"),
+        (["decompose", "--parity", "x"], None, "--parity"),
+        (["lattice", "4", "--dist"], None, "--dist"),
+        (["bogus"], None, "invalid choice"),
+        (["scan", "--samples", "3"], None, "--seed"),
+        (["decompose", "xor.csv", "--redundancy", "-inf"], None, "--redundancy"),
     ],
     ids=[
         "validate-huge-n",
@@ -433,6 +438,11 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
         "eps-one",
         "validate-tampered-eps-inf",
         "scan-bad-cards",
+        "parser-bad-int",
+        "parser-missing-value",
+        "parser-unknown-command",
+        "parser-missing-required",
+        "parser-negative-value",
     ],
 )
 def test_usage_error_echoing_input_is_one_short_line(
@@ -451,6 +461,15 @@ def test_usage_error_echoing_input_is_one_short_line(
     assert fragment in err
     assert len(err.splitlines()) == 1
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decompose", "--help"]])
+def test_help_exits_0_with_full_help_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: infatom")
+    assert "options:" in out and "--help" in out
+    assert err == ""
 
 
 @pytest.mark.parametrize("command", ["validate", "lift"])

@@ -199,11 +199,32 @@ def test_entropy_rejects_out_of_range_after_memo_fills(selection, marginal_passe
     for i in range(3):
         ia.entropy(t, [i])
     ia.entropy(t, [0, 1, 2])
+    ia.entropy(t, [])
     before = dict(t._entropies)
     with pytest.raises(ia.VariableSetError, match="out of range"):
         ia.entropy(t, selection)
+    bad = frozenset(selection)
+    for derived in (
+        lambda: ia.mutual_information(t, bad, [0]),
+        lambda: ia.conditional_mi(t, [0], [1], bad),
+        lambda: ia.is_deterministic_function(t, [0], bad),
+        lambda: ia.is_independent(t, bad, [0]),
+        lambda: ia.interaction_information(t, [[0], bad]),
+        lambda: ia.marginalize(t, bad),
+    ):
+        with pytest.raises(ia.VariableSetError, match="out of range"):
+            derived()
+    # The empty set is a memo key now, yet only conditional_mi may take it.
+    for derived in (
+        lambda: ia.mutual_information(t, frozenset(), [0]),
+        lambda: ia.is_deterministic_function(t, frozenset(), [0]),
+        lambda: ia.interaction_information(t, [frozenset(), [0]]),
+        lambda: ia.marginalize(t, frozenset()),
+    ):
+        with pytest.raises(ia.VariableSetError, match="empty"):
+            derived()
     assert t._entropies == before
-    assert len(marginal_passes) == 4
+    assert len(marginal_passes) == 5
 
 
 def test_entropy_of_empty_selection_is_zero(marginal_passes):
@@ -214,14 +235,19 @@ def test_entropy_of_empty_selection_is_zero(marginal_passes):
 
 
 def test_entropy_memo_hit_is_bit_identical_to_a_fresh_pass():
-    t = ia.random_table("memo-bits", [3, 2, 4, 2])
-    for mask in range(1, 1 << t.n):
-        idx = tuple(i for i in range(t.n) if mask >> i & 1)
-        fresh = -math.fsum(
-            p * math.log2(p) for p in dist._marginal(t, idx).values() if p > 0.0
-        )
-        assert ia.entropy(t, idx) == fresh
-        assert ia.entropy(t, reversed(idx)) == fresh
+    for cards in [(3, 2, 4, 2), (4,) * 6]:
+        t = ia.random_table("memo-bits", cards)
+        pmf = dict(t.rows)
+        for mask in range(1 << t.n):
+            idx = tuple(i for i in range(t.n) if mask >> i & 1)
+            fresh = -math.fsum(
+                p * math.log2(p) for p in oracle_marginal(pmf, idx).values() if p > 0.0
+            )
+            assert ia.entropy(t, idx) == fresh
+            assert ia.entropy(t, reversed(idx)) == fresh
+        single = ia.marginalize(t, [1])
+        assert single.pmf().keys() == oracle_marginal(pmf, (1,)).keys()
+        assert all(type(o) is tuple and len(o) == 1 for o, _ in single.rows)
 
 
 def test_equal_tables_keep_separate_memos(marginal_passes):

@@ -196,6 +196,29 @@ def test_reduction_is_confluent_on_gate_corpus():
             assert _value_of(table, a) == alt_value, str(a)
 
 
+def _no_rule_applies(table, a):
+    sets = [[i - 1 for i in b] for b in a.brackets]
+    return all(
+        ia.mutual_information(table, x, y) > ia.DEFAULT_EPS for x, y in combinations(sets, 2)
+    ) and not any(ia.is_deterministic_function(table, x, y) for x, y in permutations(sets, 2))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        ia.random_table("unreduced", [2] * 5),
+        ia.parity_gate(5),
+        ia.extend_with_joint(ia.parity_gate(4)),
+    ],
+    ids=["random5", "parity5", "parity4-joint"],
+)
+def test_unreduced_antichain_comes_back_as_is(table):
+    for a in ia.enumerate_antichains(table.n).elements:
+        reduced, trace = reduce_antichain(table, a)
+        assert (trace == ()) == _no_rule_applies(table, a), str(a)
+        assert (reduced is a) == (trace == ()), str(a)
+
+
 # ---------------------------------------------------------------------------
 # Distributivity gap and the 3-variable identity
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Subcommands: ``info`` (entropies and informations), ``gate`` (canonical
 distributions), ``decompose``, ``interval``, ``lift``, ``validate``,
 ``lattice`` and ``scan``.  ``-`` means standard input or output.  Exit
 codes: 0 success, 1 a validation or feasibility failure, 2 a usage or
-format error.  Computed quantities print with 9 decimal places; emitted
-files carry shortest round-trip floats so pipelines reproduce exactly.
+format error; each non-zero exit prints one line to stderr.  Computed
+quantities print with 9 decimal places; emitted files carry shortest
+round-trip floats so pipelines reproduce exactly.
 
 The environment variable ``INFATOM_EPS`` overrides the numerical
 tolerance used by every subcommand; it must be a number in ``[0, 1)``.
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from . import decomp as dc
 from . import dist
-from .errors import InfatomError
+from .errors import InfatomError, ValidationFailed
 from .lattice import Antichain, enumerate_antichains
 from .terms import eval_term
 
@@ -173,7 +174,9 @@ def _cmd_validate(args, eps: float) -> int:
     table = dist.load_table(_read(args.dist), eps=eps)
     report = dc.validate(d, table, eps=eps)
     print(report.to_json())
-    return 0 if report.passed else 1
+    if not report.passed:  # the report is on stdout; main names the failures
+        raise ValidationFailed(report)
+    return 0
 
 
 def _node_label(a: Antichain, table, eps: float) -> str:
@@ -324,7 +327,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _usage_error(str(exc))
         print(f"infatom: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
         return _usage_error(str(exc))
 
 

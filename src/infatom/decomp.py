@@ -71,7 +71,13 @@ from .errors import (
     WrongArity,
 )
 from .lattice import Antichain, enumerate_antichains, leq, lift_map, top
-from .terms import _check_feasible, eval_term, reduce_antichain, redundancy_bounds
+from .terms import (
+    _check_feasible,
+    _trivariate_entropies,
+    eval_term,
+    reduce_antichain,
+    redundancy_bounds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +307,7 @@ def feasible_interval(table: ProbTable) -> tuple[float, float]:
 
 
 def _trivariate_sizes(table: ProbTable, r: float, eps: float) -> list[tuple[str, float, int]]:
-    h1 = entropy(table, [0])
-    h2 = entropy(table, [1])
-    h3 = entropy(table, [2])
-    h12 = entropy(table, [0, 1])
-    h13 = entropy(table, [0, 2])
-    h23 = entropy(table, [1, 2])
-    h123 = entropy(table, [0, 1, 2])
+    h1, h2, h3, h12, h13, h23, h123 = _trivariate_entropies(table)
     i12 = h1 + h2 - h12
     i13 = h1 + h3 - h13
     i23 = h2 + h3 - h23

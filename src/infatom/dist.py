@@ -24,8 +24,8 @@ its table and plays no part in equality, hashing or ``repr``.
 File formats
 ------------
 CSV:  header ``p,<v1>,<v2>,...``; one row per outcome; ``p`` is a decimal
-      or a fraction ``a/b``; values are non-negative symbol indices;
-      ``#`` starts a comment line.
+      or a fraction ``a/b``, read as the nearest float; values are
+      non-negative symbol indices; ``#`` starts a comment line.
 JSON: ``{"variables": [...], "outcomes": [{"p": 0.25, "values": [0,0,0]},
       ...]}``.
 """
@@ -148,13 +148,24 @@ class ProbTable:
 
 
 def _parse_prob(token: str | float) -> float:
-    """A probability from text (decimal or ``a/b``) or from a JSON number."""
+    """A probability from text (decimal or ``a/b``) or from a JSON number.
+
+    Either text form is read as the nearest float: ``float`` reads a
+    decimal correctly rounded, as ``Fraction`` then ``float`` would, and
+    only the ``a/b`` form (which ``float`` rejects) goes through
+    ``Fraction``.  A non-finite value is not a probability."""
     if isinstance(token, bool) or not isinstance(token, (str, int, float)):
         raise MalformedRow(f"probability must be a number or a string, got {token!r}")
     try:
-        return float(Fraction(token.strip()) if isinstance(token, str) else token)
+        try:
+            p = float(token)
+        except ValueError:  # text only: an int or a float never raises it
+            p = float(Fraction(token.strip()))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedRow(f"cannot parse probability {token!r}") from exc
+    if not math.isfinite(p):
+        raise MalformedRow(f"cannot parse probability {token!r}")
+    return p
 
 
 def _load_csv(text: str, eps: float) -> ProbTable:

@@ -12,6 +12,9 @@ bottom element and the single full bracket is the unique top.  Each
 antichain carries its brackets as int bitmasks (bit ``i - 1`` for index
 ``i``), built on first use or, for the lattice's elements, at
 enumeration, so ``leq`` is a handful of subset tests on ints.
+:meth:`Antichain.parse` returns one shared immutable object per text,
+from a bounded memo, so labels read again and again (the solvers' atom
+labels) are parsed, and their masks built, once.
 
 Cover moves
 -----------
@@ -76,8 +79,14 @@ class Antichain:
         return cls(canon)
 
     @classmethod
+    @lru_cache(maxsize=1 << MAX_VARIABLES)
     def parse(cls, text: str) -> "Antichain":
-        """Parse the ``{1,2}{3}`` syntax (1-based, comma-separated)."""
+        """Parse the ``{1,2}{3}`` syntax (1-based, comma-separated).
+
+        Memoised by text, bounded so that the 255 set-atom labels over
+        :data:`MAX_VARIABLES` variables fit: every call with the same text
+        returns one shared (immutable) object.  Errors are not cached, so
+        bad text raises on every call."""
         text = text.strip()
         if text in ("", "{}"):
             return cls(())

@@ -3,11 +3,17 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import settings
 
 import infatom as ia
 from infatom import dist
 
 from _oracles import three_pair_pmf
+
+# Every Hypothesis run draws the same examples, with no deadline and no
+# example database, so a tier-1 run is reproducible on any machine.
+settings.register_profile("reproducible", derandomize=True, deadline=None, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

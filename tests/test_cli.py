@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import infatom as ia
 from infatom.cli import _decomposition_text, main
@@ -511,3 +515,107 @@ def test_env_eps_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     monkeypatch.setenv("INFATOM_EPS", "banana")
     assert run(capsys, "interval", str(path))[0] == 2
+
+
+def test_validate_failure_names_the_failed_checks_on_one_stderr_line(tmp_path, capsys):
+    # Rows in a shuffled order with their entries left in place: a complete,
+    # well-formed table that fails validation.
+    obj = json.loads(XOR_DECOMP)
+    rows = obj["table"]["rows"]
+    rows[0], rows[-1] = rows[-1], rows[0]
+    (tmp_path / "xor.csv").write_text(XOR_CSV)
+    (tmp_path / "swapped.json").write_text(json.dumps(obj))
+    code, out, err = run(
+        capsys, "validate", str(tmp_path / "swapped.json"), str(tmp_path / "xor.csv")
+    )
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed and err == f"infatom: failed checks: {', '.join(failed)}\n"
+
+
+@pytest.mark.parametrize("command", ["info", "validate", "lift"])
+def test_undecodable_file_exits_2(tmp_path, capsys, command):
+    (tmp_path / "bad.bin").write_bytes(b"p,a\n\xff\xfe,0\n")
+    (tmp_path / "xor.json").write_text(XOR_DECOMP)
+    argv = [str(tmp_path / "bad.bin")]
+    if command != "info":
+        argv.insert(0, str(tmp_path / "xor.json"))
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert "utf-8" in err and len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any input exits 0, 1 or 2, and a failure is one stderr line
+# ---------------------------------------------------------------------------
+
+XOR_DECOMP_OBJ = json.loads(XOR_DECOMP)
+
+#: Label and row texts of the xor decomposition; drawn too, so that rows
+#: can move and labels can collide.
+XOR_TEXTS = sorted(
+    {a["label"] for a in XOR_DECOMP_OBJ["atoms"]} | set(XOR_DECOMP_OBJ["table"]["rows"])
+)
+
+drawn_texts = st.one_of(
+    st.text("{},0123456789 Pi_gs", max_size=12),
+    st.text(max_size=12),
+    st.sampled_from(XOR_TEXTS),
+)
+
+
+@st.composite
+def relabeled_decompositions(draw):
+    """The xor decomposition's JSON with labels and rows replaced by drawn
+    strings: each label consistently in atoms and columns, rows maybe
+    shuffled first."""
+    obj = json.loads(XOR_DECOMP)
+    relabel = {a["label"]: draw(drawn_texts) for a in obj["atoms"] if draw(st.booleans())}
+    for atom in obj["atoms"]:
+        atom["label"] = relabel.get(atom["label"], atom["label"])
+    table = obj["table"]
+    table["cols"] = [relabel.get(c, c) for c in table["cols"]]
+    rows = draw(st.permutations(table["rows"])) if draw(st.booleans()) else table["rows"]
+    rerow = {r: draw(drawn_texts) for r in rows if draw(st.integers(0, 4)) == 0}
+    table["rows"] = [rerow.get(r, r) for r in rows]
+    return json.dumps(obj).encode()
+
+
+def _run_on_files(command: str, decomp: bytes, table: bytes) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "d.json").write_bytes(decomp)
+        (Path(tmp) / "t.csv").write_bytes(table)
+        argv = ["t.csv"] if command == "info" else ["d.json", "t.csv"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command] + [str(Path(tmp) / a) for a in argv])
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code: int, err: str, inputs: bytes) -> None:
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+    # An input may itself hold the word, and a message may quote it.
+    assert "Traceback" not in err or b"Traceback" in inputs
+
+
+arbitrary_input = st.one_of(st.text().map(str.encode), st.binary())
+
+
+@given(st.sampled_from(["validate", "lift", "info"]), arbitrary_input, st.booleans())
+@settings(max_examples=150)
+def test_fuzz_arbitrary_input_exits_cleanly(command, data, as_table):
+    if as_table or command == "info":
+        decomp, table = XOR_DECOMP.encode(), data
+    else:
+        decomp, table = data, XOR_CSV.encode()
+    code, err = _run_on_files(command, decomp, table)
+    _assert_clean_exit(code, err, data)
+
+
+@given(st.sampled_from(["validate", "lift"]), relabeled_decompositions())
+@settings(max_examples=150)
+def test_fuzz_relabeled_decomposition_exits_cleanly(command, decomp):
+    code, err = _run_on_files(command, decomp, XOR_CSV.encode())
+    _assert_clean_exit(code, err, decomp)

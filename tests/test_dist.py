@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +57,31 @@ def test_load_rejects_malformed_row():
         ia.load_table("p,A\nnot-a-number,0\n")
     with pytest.raises(ia.MalformedRow):
         ia.load_table("q,A\n1.0,0\n")
+
+
+#: Edge tokens: forms that float() and Fraction() might read differently.
+PROB_TOKENS = (
+    "0.1", "2/3", " 1/3 ", " 1 / 3 ", "1_000", "1__0", "_1", ".5", "5.", "1e-400",
+    "-1e-400", "-0", "0x10", "\u0661\u0662", "\u0660.\u0665", "\u0661/\u0662",
+    "\U0001d7cf.5", "nan", "-nan", "inf", "-inf", "infinity", "1e400", "1/0", "", ".",
+)
+
+
+@pytest.mark.parametrize("token", PROB_TOKENS)
+def test_parse_prob_reads_text_as_the_nearest_float_of_its_exact_value(token):
+    try:
+        want = float(Fraction(token.strip()))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        with pytest.raises(ia.MalformedRow, match=re.escape(f"cannot parse probability {token!r}")):
+            dist._parse_prob(token)
+    else:
+        assert dist._parse_prob(token) == want
+
+
+def test_parse_prob_rejects_non_finite_json_numbers():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ia.MalformedRow, match="cannot parse probability"):
+            dist._parse_prob(value)
 
 
 def test_load_rejects_duplicates_and_negatives():

@@ -3,9 +3,18 @@ from __future__ import annotations
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import infatom as ia
-from infatom.lattice import Antichain, bottom, enumerate_antichains, leq, lift_map, top
+from infatom.lattice import (
+    MAX_VARIABLES,
+    Antichain,
+    bottom,
+    enumerate_antichains,
+    leq,
+    lift_map,
+    top,
+)
 
 from _oracles import brute_leq
 
@@ -37,6 +46,33 @@ def test_parse_rejects_garbage():
             continue
         with pytest.raises(ia.AntichainError):
             Antichain.parse(text)
+
+
+@given(st.text("{},0123456789", max_size=16))
+@settings(max_examples=300)
+def test_parse_memo_agrees_with_uncached_parse(text):
+    uncached = Antichain.parse.__wrapped__
+    try:
+        want = uncached(Antichain, text)
+    except ia.AntichainError:
+        for _ in range(2):  # errors are not cached
+            with pytest.raises(ia.AntichainError):
+                Antichain.parse(text)
+        return
+    got = Antichain.parse(text)
+    assert got == want and str(got) == str(want)
+    if got.is_empty or got.indices[-1] <= 64:  # a huge index makes a huge mask
+        assert got.masks == want.masks
+    assert Antichain.parse(text) is got
+
+
+def test_parse_memo_is_bounded():
+    maxsize = Antichain.parse.cache_info().maxsize
+    # Room for every set-atom label over MAX_VARIABLES variables.
+    assert maxsize is not None and maxsize >= 2**MAX_VARIABLES - 1
+    for i in range(1, maxsize + 50):
+        Antichain.parse(f"{{{i}}}")
+    assert Antichain.parse.cache_info().currsize == maxsize
 
 
 def test_overlapping_brackets_rejected():

@@ -55,7 +55,7 @@ def varset_pairs(draw, n=3):
 
 
 @given(prob_tables(), varset_pairs())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_entropy_nonnegative_and_monotone(table, pair):
     small, large = pair
     h_small = ia.entropy(table, small)
@@ -65,7 +65,7 @@ def test_entropy_nonnegative_and_monotone(table, pair):
 
 
 @given(prob_tables(cards=(2, 3, 2)))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_entropy_subadditive(table):
     sets = ([0], [1], [2], [0, 1], [1, 2])
     for s, t in combinations(sets, 2):
@@ -75,7 +75,7 @@ def test_entropy_subadditive(table):
 
 
 @given(prob_tables())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_mutual_information_nonnegative_and_symmetric(table):
     for a, b in (([0], [1]), ([0], [1, 2]), ([0, 1], [2])):
         mi = ia.mutual_information(table, a, b)
@@ -84,7 +84,7 @@ def test_mutual_information_nonnegative_and_symmetric(table):
 
 
 @given(prob_tables())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_two_variable_inclusion_exclusion_is_exact(table):
     for a, b in (([0], [1]), ([0], [1, 2]), ([0, 2], [1])):
         lhs = ia.entropy(table, set(a) | set(b))
@@ -95,7 +95,7 @@ def test_two_variable_inclusion_exclusion_is_exact(table):
 
 
 @given(prob_tables())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_interaction_of_order_two_is_mutual_information(table):
     for a, b in (([0], [1]), ([0], [2]), ([0, 1], [2])):
         assert ia.interaction_information(table, [a, b]) == pytest.approx(
@@ -104,7 +104,7 @@ def test_interaction_of_order_two_is_mutual_information(table):
 
 
 @given(prob_tables())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_conditional_mi_nonnegative(table):
     for a, b, c in (([0], [1], [2]), ([1], [2], [0]), ([0], [2], [1])):
         assert ia.conditional_mi(table, a, b, c) >= -EPS
@@ -116,7 +116,7 @@ def test_conditional_mi_nonnegative(table):
 
 
 @given(prob_tables())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_feasible_interval_never_empty(table):
     lo, hi = ia.feasible_interval(table)
     assert lo >= -EPS
@@ -124,7 +124,7 @@ def test_feasible_interval_never_empty(table):
 
 
 @given(prob_tables())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_distributivity_gap_nonnegative_at_endpoints(table):
     lo, hi = ia.feasible_interval(table)
     assert ia.delta_H(table, lo) >= -EPS
@@ -132,7 +132,7 @@ def test_distributivity_gap_nonnegative_at_endpoints(table):
 
 
 @given(prob_tables(cards=(2, 2, 3)))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_minimal_synergy_solution_validates(table):
     d = ia.solve_trivariate(table)
     report = ia.validate(d, table)
@@ -140,7 +140,7 @@ def test_minimal_synergy_solution_validates(table):
 
 
 @given(prob_tables())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_inclusion_exclusion_residual_vanishes(table):
     lo, hi = ia.feasible_interval(table)
     for r in (lo, hi):

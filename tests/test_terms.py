@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 import infatom as ia
+from infatom import terms
 from infatom.lattice import Antichain
 from infatom.terms import eval_term, reduce_antichain
 
@@ -31,6 +32,23 @@ def test_eval_term_with_given_reduction_matches_its_own(seed):
     assert len(elements) == 202
     for a in elements:
         assert eval_term(t, a, reduction=reduce_antichain(t, a)) == eval_term(t, a), a
+
+
+def test_eval_term_builds_bracket_sets_again_only_for_a_new_reduced_form(monkeypatch):
+    # eval_term builds them once and reduce_antichain once; a third build
+    # is needed only when the reduction returned a different antichain.
+    t = ia.random_table("bracket-sets", [2] * 4)
+    builds = []
+    real = terms._bracket_sets
+    monkeypatch.setattr(terms, "_bracket_sets", lambda *a: builds.append(1) or real(*a))
+    for a in ia.enumerate_antichains(4).elements:
+        reduced, _ = reduce_antichain(t, a)
+        builds.clear()
+        eval_term(t, a)
+        if a.covering == 1:
+            assert len(builds) == 1, a
+        else:
+            assert len(builds) == (2 if reduced is None or reduced is a else 3), a
 
 
 def test_xor_pair_bracket_reduces_by_function_rule(xor):
@@ -266,6 +284,19 @@ def test_delta_h_nonnegative_on_random_tables():
         lo, hi = ia.redundancy_bounds(t)
         assert ia.delta_H(t, lo) >= -1e-9
         assert ia.delta_H(t, hi) >= -1e-9
+
+
+def test_redundancy_bounds_equal_the_mi_and_ii_formula():
+    # Bit for bit, on tables whose memo redundancy_bounds never touched.
+    gates = ("xor", "and", "copy", "two-coins-copy")
+    specs = [f"random({i},[{c},{c},{c}])" for c in (2, 3, 4) for i in range(340)]
+    for spec in specs + list(gates):
+        t, fresh = ia.gen_gate(spec), ia.gen_gate(spec)
+        i12 = ia.mutual_information(fresh, [0], [1])
+        i13 = ia.mutual_information(fresh, [0], [2])
+        i23 = ia.mutual_information(fresh, [1], [2])
+        i3 = ia.interaction_information(fresh, [[0], [1], [2]])
+        assert ia.redundancy_bounds(t) == (max(0.0, i3), min(i12, i13, i23)), spec
 
 
 def test_inclusion_exclusion3_xor(xor):

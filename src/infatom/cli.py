@@ -10,6 +10,10 @@ round-trip floats so pipelines reproduce exactly.
 
 The environment variable ``INFATOM_EPS`` overrides the numerical
 tolerance used by every subcommand; it must be a number in ``[0, 1)``.
+
+Each subcommand imports only the layers it runs: ``decomp`` is loaded by
+the subcommands that solve or check decompositions, ``lattice`` by
+``lattice``, and ``terms`` only when ``lattice`` evaluates ``--dist``.
 """
 
 from __future__ import annotations
@@ -17,13 +21,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
 
-from . import decomp as dc
-from . import dist
-from .errors import InfatomError, ValidationFailed
-from .lattice import Antichain, enumerate_antichains
-from .terms import eval_term
+from .dist import (
+    DEFAULT_EPS,
+    conditional_mi,
+    dump_csv,
+    dump_json,
+    entropy,
+    gen_gate,
+    interaction_information,
+    load_table,
+    mutual_information,
+)
+from .errors import GateSpecError, InfatomError, ValidationFailed, VariableSetError, WrongArity
 
 
 #: Longest usage or format error printed.  Such a message may quote the
@@ -67,7 +77,7 @@ def _parse_varset(text: str) -> list[int]:
     try:
         return [int(tok) - 1 for tok in toks]
     except ValueError as exc:
-        raise dist.VariableSetError(f"bad variable selection {text!r}") from exc
+        raise VariableSetError(f"bad variable selection {text!r}") from exc
 
 
 def _parse_groups(text: str) -> list[list[int]]:
@@ -80,41 +90,41 @@ def _parse_groups(text: str) -> list[list[int]]:
 
 
 def _cmd_info(args, eps: float) -> int:
-    table = dist.load_table(_read(args.dist), eps=eps)
+    table = load_table(_read(args.dist), eps=eps)
     lines: list[str] = []
     for text in args.entropy or []:
-        lines.append(_fnum(dist.entropy(table, _parse_varset(text))))
+        lines.append(_fnum(entropy(table, _parse_varset(text))))
     for text in args.mi or []:
         groups = _parse_groups(text)
         if len(groups) != 2:
-            raise dist.VariableSetError(f"--mi expects 'A;B', got {text!r}")
-        lines.append(_fnum(dist.mutual_information(table, *groups)))
+            raise VariableSetError(f"--mi expects 'A;B', got {text!r}")
+        lines.append(_fnum(mutual_information(table, *groups)))
     for text in args.cmi or []:
         parts = text.split(";")
         if len(parts) != 3:
-            raise dist.VariableSetError(f"--cmi expects 'A;B;C', got {text!r}")
+            raise VariableSetError(f"--cmi expects 'A;B;C', got {text!r}")
         a, b = _parse_varset(parts[0]), _parse_varset(parts[1])
         c = _parse_varset(parts[2]) if parts[2].strip() else []
-        lines.append(_fnum(dist.conditional_mi(table, a, b, c)))
+        lines.append(_fnum(conditional_mi(table, a, b, c)))
     for text in args.interaction or []:
-        lines.append(_fnum(dist.interaction_information(table, _parse_groups(text))))
+        lines.append(_fnum(interaction_information(table, _parse_groups(text))))
     if not lines:
         lines.append("variables: " + ",".join(table.variables))
         for i, name in enumerate(table.variables):
-            lines.append(f"H({name}) = " + _fnum(dist.entropy(table, [i])))
-        lines.append("H(all) = " + _fnum(dist.entropy(table, range(table.n))))
+            lines.append(f"H({name}) = " + _fnum(entropy(table, [i])))
+        lines.append("H(all) = " + _fnum(entropy(table, range(table.n))))
     print("\n".join(lines))
     return 0
 
 
 def _cmd_gate(args, eps: float) -> int:
-    table = dist.gen_gate(args.spec)
-    text = dist.dump_json(table) + "\n" if args.emit == "json" else dist.dump_csv(table)
+    table = gen_gate(args.spec)
+    text = dump_json(table) + "\n" if args.emit == "json" else dump_csv(table)
     _write(args.output, text)
     return 0
 
 
-def _decomposition_text(d: dc.Decomposition, interval: tuple[float, float] | None) -> str:
+def _decomposition_text(d, interval: tuple[float, float] | None) -> str:
     lines = [f"n = {d.n}"]
     if interval is not None:
         lines.append(
@@ -130,59 +140,75 @@ def _decomposition_text(d: dc.Decomposition, interval: tuple[float, float] | Non
 
 
 def _cmd_decompose(args, eps: float) -> int:
+    from .decomp import (
+        decomposition_to_json,
+        feasible_interval,
+        solve_n_parity,
+        solve_set_theoretic,
+        solve_trivariate,
+    )
+
     if args.parity is not None:
         if args.dist is not None or args.set_theoretic or args.redundancy is not None:
-            raise dist.GateSpecError("--parity takes no distribution and no other solver flags")
-        d = dc.solve_n_parity(args.parity)
+            raise GateSpecError("--parity takes no distribution and no other solver flags")
+        d = solve_n_parity(args.parity)
         interval = None
     else:
         if args.set_theoretic and args.redundancy is not None:
-            raise dist.GateSpecError("--redundancy applies to the trivariate solver only")
+            raise GateSpecError("--redundancy applies to the trivariate solver only")
         if args.dist is None:
-            raise dist.VariableSetError("decompose needs a distribution or --parity N")
-        table = dist.load_table(_read(args.dist), eps=eps)
+            raise VariableSetError("decompose needs a distribution or --parity N")
+        table = load_table(_read(args.dist), eps=eps)
         if args.set_theoretic:
-            d = dc.solve_set_theoretic(table, eps=eps)
+            d = solve_set_theoretic(table, eps=eps)
             interval = None
         else:
-            d = dc.solve_trivariate(table, args.redundancy, eps=eps)
-            interval = dc.feasible_interval(table)
+            d = solve_trivariate(table, args.redundancy, eps=eps)
+            interval = feasible_interval(table)
     if args.json:
-        _write(args.output, dc.decomposition_to_json(d) + "\n")
+        _write(args.output, decomposition_to_json(d) + "\n")
     else:
         _write(args.output, _decomposition_text(d, interval))
     return 0
 
 
 def _cmd_interval(args, eps: float) -> int:
-    table = dist.load_table(_read(args.dist), eps=eps)
-    lo, hi = dc.feasible_interval(table)
+    from .decomp import feasible_interval
+
+    table = load_table(_read(args.dist), eps=eps)
+    lo, hi = feasible_interval(table)
     print(f"{_fnum(lo)} {_fnum(hi)}")
     return 0
 
 
 def _cmd_lift(args, eps: float) -> int:
-    d = dc.decomposition_from_json(_read(args.decomp))
-    table = dist.load_table(_read(args.dist), eps=eps)
-    lifted = dc.lift_decomposition(d, table, eps=eps)
-    _write(args.output, dc.decomposition_to_json(lifted) + "\n")
+    from .decomp import decomposition_from_json, decomposition_to_json, lift_decomposition
+
+    d = decomposition_from_json(_read(args.decomp))
+    table = load_table(_read(args.dist), eps=eps)
+    lifted = lift_decomposition(d, table, eps=eps)
+    _write(args.output, decomposition_to_json(lifted) + "\n")
     return 0
 
 
 def _cmd_validate(args, eps: float) -> int:
-    d = dc.decomposition_from_json(_read(args.decomp))
-    table = dist.load_table(_read(args.dist), eps=eps)
-    report = dc.validate(d, table, eps=eps)
+    from .decomp import decomposition_from_json, validate
+
+    d = decomposition_from_json(_read(args.decomp))
+    table = load_table(_read(args.dist), eps=eps)
+    report = validate(d, table, eps=eps)
     print(report.to_json())
     if not report.passed:  # the report is on stdout; main names the failures
         raise ValidationFailed(report)
     return 0
 
 
-def _node_label(a: Antichain, table, eps: float) -> str:
+def _node_label(a, table, eps: float) -> str:
     base = f"{a} [{a.covering}]"
     if table is None:
         return base
+    from .terms import eval_term  # only --dist evaluates terms
+
     tv = eval_term(table, a, eps=eps)
     if tv.is_exact:
         return f"{base} = {_fnum(tv.value)}"
@@ -191,12 +217,14 @@ def _node_label(a: Antichain, table, eps: float) -> str:
 
 
 def _cmd_lattice(args, eps: float) -> int:
+    from .lattice import enumerate_antichains
+
     view = enumerate_antichains(args.n)
     table = None
     if args.dist is not None:
-        table = dist.load_table(_read(args.dist), eps=eps)
+        table = load_table(_read(args.dist), eps=eps)
         if table.n != args.n:
-            raise dc.WrongArity(
+            raise WrongArity(
                 f"lattice over {args.n} variables, table over {table.n}"
             )
     if not args.dot:
@@ -213,11 +241,13 @@ def _cmd_lattice(args, eps: float) -> int:
 
 
 def _cmd_scan(args, eps: float) -> int:
+    from .decomp import scan_random
+
     try:
         cards = [int(tok) for tok in args.cards.split(",") if tok.strip()]
     except ValueError as exc:
-        raise dc.GateSpecError(f"bad --cards value {args.cards!r}") from exc
-    summary = dc.scan_random(args.samples, args.seed, cards, eps=eps)
+        raise GateSpecError(f"bad --cards value {args.cards!r}") from exc
+    summary = scan_random(args.samples, args.seed, cards, eps=eps)
     print(summary.to_json())
     return 0
 
@@ -301,7 +331,7 @@ _DISPATCH = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -318,7 +348,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError:
             return _usage_error(f"bad INFATOM_EPS value {eps_text!r}")
     else:
-        eps = dist.DEFAULT_EPS
+        eps = DEFAULT_EPS
     try:
         return _DISPATCH[args.command](args, eps)
     except InfatomError as exc:

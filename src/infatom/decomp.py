@@ -579,8 +579,11 @@ def validate(
     """Run every structural and numerical check; failures are reported,
     never raised.  Shape errors raise: :class:`WrongArity` if the variable
     counts differ, :class:`DecompositionFormatError` unless the parthood
-    table has exactly one row per antichain over ``{1..n}`` and its
-    columns are the decomposition's atoms, in order.
+    table has exactly one row per antichain over ``{1..n}``, its
+    columns are the decomposition's atoms, in order, and every set atom's
+    label names variables in ``1..n`` only.  (Whether a set atom's column
+    follows the Venn rule for its label is not checked: lifted tables keep
+    their pre-lift rows.)
 
     Checks: atom non-negativity; row monotonicity along the antichain
     order (extended by reduction-proven term equalities, which compare
@@ -614,6 +617,12 @@ def validate(
         )
     if decomp.table.cols != decomp.atoms.labels():
         raise DecompositionFormatError("table columns do not match atom list")
+    for label in decomp.table.cols:
+        # Brackets are sorted, so each one's last index is its largest.
+        if label.kind == "set" and max(b[-1] for b in label.antichain.brackets) > decomp.n:
+            raise DecompositionFormatError(
+                f"set atom {label.text} names a variable outside 1..{decomp.n}"
+            )
     checks: list[CheckResult] = []
     atoms = decomp.atoms.atoms
     entries = decomp.table.entries

@@ -32,12 +32,10 @@ JSON: ``{"variables": [...], "outcomes": [{"p": 0.25, "values": [0,0,0]},
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -160,6 +158,8 @@ def _parse_prob(token: str | float) -> float:
         try:
             p = float(token)
         except ValueError:  # text only: an int or a float never raises it
+            from fractions import Fraction
+
             p = float(Fraction(token.strip()))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedRow(f"cannot parse probability {token!r}") from exc
@@ -194,6 +194,8 @@ def _load_csv(text: str, eps: float) -> ProbTable:
 
 
 def _load_json(text: str, eps: float) -> ProbTable:
+    import json
+
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -232,6 +234,8 @@ def dump_csv(table: ProbTable) -> str:
 
 def dump_json(table: ProbTable) -> str:
     """Emit the JSON form.  Key order and row order are deterministic."""
+    import json
+
     obj = {
         "variables": list(table.variables),
         "outcomes": [{"p": p, "values": list(o)} for o, p in table.rows],

@@ -236,6 +236,21 @@ def test_lift_rejects_nonvalidating_input(tmp_path, capsys):
     assert "failed checks" in err
 
 
+@pytest.mark.parametrize("label", ["{4}", "{1000000000}"])
+@pytest.mark.parametrize("command", ["validate", "lift"])
+def test_set_atom_outside_the_variables_exits_2(tmp_path, capsys, command, label):
+    decomp, dist = _decomp_json(tmp_path, capsys)
+    obj = json.loads(decomp.read_text())
+    for atom in obj["atoms"]:
+        if atom["label"] == "{1}":
+            atom["label"] = label
+    obj["table"]["cols"] = [label if c == "{1}" else c for c in obj["table"]["cols"]]
+    decomp.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(decomp), str(dist))
+    assert code == 2 and out == ""
+    assert err == f"infatom: set atom {label} names a variable outside 1..3\n"
+
+
 # ---------------------------------------------------------------------------
 # lattice
 # ---------------------------------------------------------------------------
@@ -581,15 +596,20 @@ def relabeled_decompositions(draw):
     return json.dumps(obj).encode()
 
 
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and standard error of ``main(argv)``; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 def _run_on_files(command: str, decomp: bytes, table: bytes) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "d.json").write_bytes(decomp)
         (Path(tmp) / "t.csv").write_bytes(table)
         argv = ["t.csv"] if command == "info" else ["d.json", "t.csv"]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command] + [str(Path(tmp) / a) for a in argv])
-    return code, err.getvalue()
+        return _run_quietly([command] + [str(Path(tmp) / a) for a in argv])
 
 
 def _assert_clean_exit(code: int, err: str, inputs: bytes) -> None:
@@ -619,3 +639,47 @@ def test_fuzz_arbitrary_input_exits_cleanly(command, data, as_table):
 def test_fuzz_relabeled_decomposition_exits_cleanly(command, decomp):
     code, err = _run_on_files(command, decomp, XOR_CSV.encode())
     _assert_clean_exit(code, err, decomp)
+
+
+#: Gate specs: the fixed names, parity up to 12 bits (2048 rows), random
+#: specs of at most 6^4 = 1296 rows, and free text.  Free text has no room
+#: for a valid ``random(S,[C])`` spec (13 characters at least) and no
+#: two-digit run, so every spec it spells builds at most 256 rows.
+gate_specs = st.one_of(
+    st.sampled_from(["xor", "and", "copy", "two-coins-copy", " xor ", "nand", "parity()", "-1"]),
+    st.integers(-3, 12).map(lambda n: f"parity({n})"),
+    st.builds(
+        lambda seed, cards: f"random({seed},[{','.join(map(str, cards))}])",
+        st.integers(-5, 5),
+        st.lists(st.integers(0, 6), max_size=4),
+    ),
+    st.one_of(st.text("parityrandom(),[]- 0123456789", max_size=12), st.text(max_size=12))
+    .filter(lambda text: not re.search(r"\d\d", text)),
+)
+
+
+@given(gate_specs, st.sampled_from([[], ["--emit", "json"]]))
+@settings(max_examples=100)
+def test_fuzz_gate_exits_cleanly(spec, emit):
+    code, err = _run_quietly(["gate", spec, *emit])
+    _assert_clean_exit(code, err, spec.encode())
+
+
+#: ``--dist`` files: random tables over 1 to 5 variables (so the arity
+#: matches the lattice's or not) and arbitrary bytes.
+lattice_tables = st.one_of(
+    st.integers(1, 5).map(lambda k: ia.dump_csv(ia.random_table(k, (2,) * k)).encode()),
+    arbitrary_input,
+)
+
+
+@given(st.integers(-2, 5), st.booleans(), st.none() | lattice_tables)
+@settings(max_examples=100)
+def test_fuzz_lattice_exits_cleanly(n, dot, table):
+    argv = ["lattice", str(n)] + (["--dot"] if dot else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        if table is not None:
+            (Path(tmp) / "t.csv").write_bytes(table)
+            argv += ["--dist", str(Path(tmp) / "t.csv")]
+        code, err = _run_quietly(argv)
+    _assert_clean_exit(code, err, table or b"")

@@ -640,6 +640,24 @@ def test_validator_rejects_columns_that_are_not_the_atoms(xor):
         ia.validate(Decomposition(3, d.table, swapped, d.redundancy_param), xor)
 
 
+@pytest.mark.parametrize("brackets", [[[4]], [[10**9]], [[2], [4]]], ids=["4", "1e9", "2-4"])
+def test_validator_rejects_set_atoms_outside_the_variables(xor, brackets):
+    # Relabelled consistently in atoms and columns, so only the label is wrong.
+    # A fresh antichain, not a shared parsed one, so its masks are its own.
+    d = ia.solve_trivariate(xor)
+    old, new = parse_label("{1}"), ia.AtomLabel.set_theoretic(Antichain.of(*brackets))
+    atoms = AtomSet(
+        tuple(Atom(new if a.label == old else a.label, a.size, a.covering) for a in d.atoms)
+    )
+    bad = Decomposition(3, ParthoodTable(d.table.rows, atoms.labels(), d.table.entries), atoms)
+    with pytest.raises(ia.DecompositionFormatError, match=r"outside 1\.\.3"):
+        ia.validate(bad, xor)
+    with pytest.raises(ia.DecompositionFormatError, match=r"outside 1\.\.3"):
+        ia.lift_decomposition(bad, xor)
+    # The check reads bracket indices; it never builds a label's bitmasks.
+    assert "masks" not in vars(new.antichain)
+
+
 def test_validator_rejects_made_up_xor_decomposition(xor, made_up_xor_json):
     d = ia.decomposition_from_json(made_up_xor_json)
     with pytest.raises(ia.DecompositionFormatError):

@@ -1,0 +1,89 @@
+"""The package surface: the exported names and how they resolve."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import infatom
+from infatom import decomp, dist
+
+EXPORTS = [
+    "Antichain", "AntichainError", "Atom", "AtomLabel", "AtomSet", "CheckResult",
+    "DEFAULT_EPS", "Decomposition", "DecompositionFormatError", "DuplicateOutcome",
+    "GateSpecError", "InfatomError", "InfeasibleRedundancy", "LabelError",
+    "LatticeRangeError", "LatticeView", "MalformedRow", "NegativeAtomSize",
+    "NegativeProbability", "NotSetTheoretic", "ParthoodTable", "PidView", "ProbTable",
+    "RedundancyValueError", "ScanSummary", "TableError", "TermValue", "TotalMassInvalid",
+    "ValidationFailed", "ValidationReport", "VariableSetError", "WrongArity",
+    "XorUniqueness", "and_gate", "bottom", "check_inclusion_exclusion3", "conditional_mi",
+    "copy_gate", "covering", "decomp", "decomposition_from_json", "decomposition_to_json",
+    "delta_H", "dist", "dump_csv", "dump_json", "entropy", "enumerate_antichains",
+    "errors", "eval_term", "extend_with_joint", "feasible_interval", "gen_gate",
+    "interaction_information", "is_deterministic_function", "is_independent", "lattice",
+    "leq", "lift_decomposition", "lift_map", "load_table", "marginalize",
+    "mutual_information", "parity_gate", "parse_label", "pid_view", "random_table",
+    "reduce_antichain", "redundancy_bounds", "sample_table", "scan_random",
+    "solve_n_parity", "solve_set_theoretic", "solve_trivariate", "terms", "top",
+    "two_coins_copy_gate", "validate", "verify_xor_uniqueness", "xor_gate",
+]
+
+SUBMODULES = ("decomp", "dist", "errors", "lattice", "terms")
+
+
+def test_all_is_the_fixed_export_list():
+    assert len(EXPORTS) == 80
+    assert sorted(infatom.__all__) == EXPORTS
+
+
+def test_every_name_is_its_submodules_binding():
+    for name in infatom.__all__:
+        value = getattr(infatom, name)
+        if name in SUBMODULES:
+            assert value is importlib.import_module(f"infatom.{name}")
+        elif name == "DEFAULT_EPS":
+            assert value is dist.DEFAULT_EPS
+        else:
+            assert value.__module__.split(".")[0] == "infatom", name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_and_dir():
+    namespace: dict = {}
+    exec("from infatom import *", namespace)
+    assert set(infatom.__all__) <= set(namespace)
+    assert namespace["validate"] is decomp.validate
+    assert set(infatom.__all__) <= set(dir(infatom))
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        infatom.no_such_name
+    with pytest.raises(ImportError):
+        exec("from infatom import no_such_name", {})
+
+
+def test_names_are_read_through_not_cached(monkeypatch):
+    # A name read once must not stay in the package: code that rebinds a
+    # submodule attribute (a tracer, a test double) is seen on every read.
+    original = infatom.validate
+    assert "validate" not in vars(infatom)
+    monkeypatch.setattr(decomp, "validate", lambda *args, **kwargs: None)
+    assert infatom.validate is decomp.validate is not original
+    monkeypatch.undo()
+    assert infatom.validate is original
+
+
+def test_import_loads_no_submodule():
+    src = str(Path(infatom.__file__).resolve().parents[1])
+    code = "import sys, infatom; print(sorted(m for m in sys.modules if m.startswith('infatom')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out == "['infatom']\n"

@@ -48,7 +48,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from .dist import (
     DEFAULT_EPS,
@@ -231,21 +230,19 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
     table = _PARTHOOD_TABLES.get((n, labels))
     if table is not None:
         return table
-    # Built by the rule in the module docstring, one column at a time.
-    brackets = [a.brackets for a in rows]
+    # Built by the rule in the module docstring, one column at a time, on masks.
+    masks = [a.masks for a in rows]
+    full = (1 << n) - 1
     columns = []
     for lab in labels:
         if lab.kind == "set":
-            support = frozenset(lab.antichain.indices)
-            col = [all(not support.isdisjoint(b) for b in bs) for bs in brackets]
+            support = sum(lab.antichain.masks)
+            col = [all(m & support for m in ms) for ms in masks]
         elif lab.kind == "synergy":
-            col = [
-                len(bs) == 1 or (len(bs) == 2 and len(bs[0]) + len(bs[1]) == n)
-                for bs in brackets
-            ]
+            col = [len(ms) == 1 or (len(ms) == 2 and ms[0] | ms[1] == full) for ms in masks]
         elif lab.kind == "ghost":
             k = lab.index
-            col = [len(bs) == 1 and k < min(len(bs[0]), n - 1) for bs in brackets]
+            col = [len(ms) == 1 and k < min(ms[0].bit_count(), n - 1) for ms in masks]
         else:
             raise LabelError(f"no parthood rule for named atom {lab.text!r}")
         columns.append([int(v) for v in col])
@@ -384,32 +381,26 @@ def pid_view(decomp: Decomposition, target: int) -> PidView:
 # Distributive (set-theoretic) solution via subset-order inversion
 # ---------------------------------------------------------------------------
 
-#: Arity cap for the distributive solver: interaction informations are
-#: summed over all supersets of every index set.
+#: Arity cap for the distributive solver.  The inversion is cheap at any
+#: n; the cap bounds the parthood table, one row per antichain and one
+#: column per atom, which ``_parthood`` keeps for the process's life.
 MAX_SET_THEORETIC = 5
 
 
 def _mobius_atoms(table: ProbTable) -> dict[tuple[int, ...], float]:
     """Atom size for every non-empty 1-based index set, by inversion of
-    the superset sums of interaction informations."""
+    the superset sums of interaction informations: the fast Möbius
+    transform over subset masks (bit i for index i + 1), O(n 2^n) steps."""
     n = table.n
-    idx = list(range(n))
-    inter: dict[tuple[int, ...], float] = {}
-    for m in range(1, n + 1):
-        for subset in combinations(idx, m):
-            inter[subset] = interaction_information(table, [[i] for i in subset])
-    atoms: dict[tuple[int, ...], float] = {}
-    for m in range(1, n + 1):
-        for base in combinations(idx, m):
-            acc = 0.0
-            rest = [i for i in idx if i not in base]
-            for extra in range(0, len(rest) + 1):
-                sign = 1.0 if extra % 2 == 0 else -1.0
-                for added in combinations(rest, extra):
-                    key = tuple(sorted(base + added))
-                    acc += sign * inter[key]
-            atoms[tuple(i + 1 for i in base)] = acc
-    return atoms
+    f = [0.0] * (1 << n)
+    for m in range(1, 1 << n):
+        f[m] = interaction_information(table, [[i] for i in range(n) if m >> i & 1])
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1, 1 << n):
+            if not m & bit:
+                f[m] -= f[m | bit]
+    return {tuple(i + 1 for i in range(n) if m >> i & 1): f[m] for m in range(1, 1 << n)}
 
 
 def solve_set_theoretic(table: ProbTable, *, eps: float = DEFAULT_EPS) -> Decomposition:
@@ -592,17 +583,24 @@ def validate(
     term sizes (equality where the term evaluates exactly, interval
     containment otherwise); and equal rows for reduction-equal terms.
 
+    The table is read once into int bitsets: ``held[i]``, the atoms row i
+    holds (bit j for atom j); ``positive``, the atoms of size above
+    ``eps``; and per atom, the lattice positions whose rows hold it.
     Monotonicity counts violating ordered pairs of rows without testing
     every pair.  Each row's strict up-set is a bitmask over lattice
     positions, OR-ed together in one backward pass over the view's cached
     :attr:`~LatticeView.covers`, and is intersected with the mask of rows
-    lacking one of the row's atoms.  Reduction-extended pairs are tested
-    one by one with :func:`leq`, but only unordered pairs where one side's
-    reduced form differs from itself and the first row holds a positive
-    atom the second lacks.  The detail names the first violating pair in
-    row order, whatever the row order.  Each row with two or more brackets
-    is reduced once; monotonicity, term sizes and equal rows share that
-    reduction (a single bracket is its own reduced form).
+    lacking one of the row's atoms, built once per distinct ``held``
+    pattern.  Reduction-extended pairs are tested one by one with
+    :func:`leq`, but only unordered pairs where one side's reduced form
+    differs from itself and the first row holds a positive atom the second
+    lacks.  The detail names the first violating pair in row order,
+    whatever the row order.  The covering rule reads each atom's lowest
+    position: the listing is graded by covering, most brackets first.
+    Equal rows test ``(held[i] ^ held[k]) & positive`` for k the row of
+    i's reduced form.  Each row with two or more brackets is reduced once;
+    monotonicity, term sizes and equal rows share that reduction (a single
+    bracket is its own reduced form).
     """
     if table.n != decomp.n:
         raise WrongArity(
@@ -625,8 +623,7 @@ def validate(
             )
     checks: list[CheckResult] = []
     atoms = decomp.atoms.atoms
-    entries = decomp.table.entries
-    positive = [a.size > eps for a in atoms]
+    positive = sum(1 << j for j, a in enumerate(atoms) if a.size > eps)
 
     # V1: non-negative atoms.
     worst = min((a.size for a in atoms), default=0.0)
@@ -641,26 +638,27 @@ def validate(
     ]
     red = [a if r is None else r[0] for a, r in zip(rows, reductions)]
 
-    def row_leq(x: tuple[int, ...], y: tuple[int, ...], positive_only: bool) -> bool:
-        for i, (xv, yv) in enumerate(zip(x, y)):
-            if positive_only and not positive[i]:
-                continue
-            if xv > yv:
-                return False
-        return True
-
-    # V2: monotonicity along the order, extended by reduction equalities.
-    # Masks run over lattice positions; ``where[i]`` is row i's position and
-    # ``row_at`` inverts it.  ``up[p]`` is the strict up-set of position p:
-    # covers lie later in the listing, a linear extension, so read
-    # backwards each up-set is complete before it is used.  ``below[i]``
-    # marks the rows lacking an atom that row ``i`` holds, and
-    # ``below_pos[i]`` only counts positive atoms.
+    # ``where[i]`` is row i's lattice position, ``row_at`` inverts it, and
+    # ``at[j]`` marks the positions whose rows hold atom j.
     elements = view.elements
     where = [view.index(a) for a in rows]
     row_at = [0] * len(rows)
-    for i, p in enumerate(where):
+    held = []
+    at = [0] * len(atoms)
+    for i, (p, x) in enumerate(zip(where, decomp.table.entries)):
         row_at[p] = i
+        h = 0
+        for j, v in enumerate(x):
+            if v:
+                h |= 1 << j
+                at[j] |= 1 << p
+        held.append(h)
+
+    # V2: monotonicity along the order, extended by reduction equalities.
+    # Masks run over lattice positions.  ``up[p]`` is the strict up-set of
+    # position p: covers lie later in the listing, a linear extension, so
+    # read backwards each up-set is complete before it is used.
+    # ``lacking[h]`` marks the rows lacking an atom of pattern ``h``.
     covers = view.covers
     up = [0] * len(rows)
     for p in range(len(rows) - 1, -1, -1):
@@ -668,39 +666,32 @@ def validate(
         for c in covers[p]:
             m |= up[c] | 1 << c
         up[p] = m
-    zero = [0] * len(atoms)
-    for p, x in zip(where, entries):
-        for j, v in enumerate(x):
-            if not v:
-                zero[j] |= 1 << p
-    below, below_pos = [], []
-    for x in entries:
-        m = mp = 0
-        for j, v in enumerate(x):
-            if v:
-                m |= zero[j]
-                if positive[j]:
-                    mp |= zero[j]
-        below.append(m)
-        below_pos.append(mp)
+    everywhere = (1 << len(rows)) - 1
+    lacking = {}
+    for h in {*held, *(h & positive for h in held)}:
+        common = everywhere
+        for j in range(len(atoms)):
+            if h >> j & 1:
+                common &= at[j]
+        lacking[h] = everywhere ^ common
     # A reduction-extended pair is unordered, has a side whose reduced
     # form differs from itself, and orders once reduced forms replace a,
     # b or both; where a side is unchanged, the "both" clause repeats one
     # of the others.  Only pairs that would violate are tested; a row
-    # never lacks its own atoms, so ``below_pos[i]`` leaves out row i.
+    # never lacks its own atoms, so its ``lacking`` mask leaves out row i.
     red_at = [red[i] for i in row_at]
     changed_at = [r is not None and r != a for r, a in zip(red_at, elements)]
     changed_mask = sum(1 << p for p, flag in enumerate(changed_at) if flag)
     violations = 0
     first_bad = ""
     for i, (a, p) in enumerate(zip(rows, where)):
-        bad = up[p] & below[i]
+        bad = up[p] & lacking[held[i]]
         violations += bad.bit_count()
         first = len(rows)
         if bad and not first_bad:
             bits = bin(bad)[:1:-1]  # bit k at index k
             first = min(row_at[k] for k, bit in enumerate(bits) if bit == "1")
-        candidates = below_pos[i] & ~up[p]
+        candidates = lacking[held[i] & positive] & ~up[p]
         if not changed_at[p]:
             candidates &= changed_mask
         bits = bin(candidates)[:1:-1]
@@ -718,14 +709,11 @@ def validate(
             first_bad = f"{a} vs {rows[first]}"
     checks.append(CheckResult("monotonicity", violations == 0, float(violations), first_bad))
 
-    # V3: covering rule.
+    # V3: covering rule, read at the lowest position holding each atom.
     mismatches = 0
     first_bad = ""
-    for j, atom in enumerate(atoms):
-        observed = max(
-            (a.covering for a, row in zip(rows, entries) if row[j]),
-            default=0,
-        )
+    for atom, m in zip(atoms, at):
+        observed = elements[(m & -m).bit_length() - 1].covering if m else 0
         if observed != atom.covering:
             mismatches += 1
             if not first_bad:
@@ -762,11 +750,10 @@ def validate(
     # V7: reduction-equal terms share rows on positive atoms.
     mismatches = 0
     first_bad = ""
-    for a, x, ra in zip(rows, entries, red):
+    for a, h, ra in zip(rows, held, red):
         if ra is None or ra == a:
             continue
-        y = decomp.table.row(ra)
-        if not (row_leq(x, y, True) and row_leq(y, x, True)):
+        if (h ^ held[row_at[view.index(ra)]]) & positive:
             mismatches += 1
             if not first_bad:
                 first_bad = f"{a} ~ {ra}"

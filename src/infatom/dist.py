@@ -36,7 +36,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -453,14 +453,10 @@ def random_table(seed: int | str, cards: Sequence[int]) -> ProbTable:
     rng = random.Random(seed)
     weights = [-math.log(1.0 - rng.random()) for _ in range(size)]
     total = math.fsum(weights)
-    pmf = {}
-    outcome = [0] * len(cards_t)
-    for flat in range(size):
-        rem = flat
-        for i in range(len(cards_t) - 1, -1, -1):
-            outcome[i] = rem % cards_t[i]
-            rem //= cards_t[i]
-        pmf[tuple(outcome)] = weights[flat] / total
+    # product() runs the last variable fastest: weight k goes to the k-th
+    # outcome in mixed radix, last variable least significant.
+    outcomes = product(*map(range, cards_t))
+    pmf = {outcome: w / total for outcome, w in zip(outcomes, weights)}
     names = tuple(f"X{i}" for i in range(1, len(cards_t) + 1))
     return ProbTable.from_pmf(names, pmf, cards_t)
 

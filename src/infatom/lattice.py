@@ -18,16 +18,18 @@ labels) are parsed, and their masks built, once.
 
 Cover moves
 -----------
-A *move* of ``a`` drops one of its brackets (when it has at least two)
-or adds one index that ``a`` does not use to one of its brackets.  Every
-move ``c`` of ``a`` has ``a < c``, and every ``a < b`` passes through a
-move: some ``c`` with ``a < c <= b``.  (If ``b`` uses an index ``i`` that
-``a`` does not, the bracket of ``b`` holding ``i`` contains a bracket of
-``a``: add ``i`` to it.  Else, if some bracket of ``a`` lies in no bracket
-of ``b``, drop it.  Else some bracket of ``b`` holds two brackets of ``a``:
-drop either.)  Hence the covers of ``a`` are exactly its moves ``b`` such
-that no other move ``c`` of ``a`` has ``leq(c, b)``, which is how
-:meth:`LatticeView.hasse_edges` finds them without comparing all pairs.
+Read ``a`` as the set of its disjoint bracket masks.  A *move* of ``a``
+drops one mask (when there are at least two) or ORs one bit that no mask
+of ``a`` holds into one mask; the result is again a set of disjoint
+masks, that is, an antichain.  Every move ``c`` of ``a`` has ``a < c``,
+and every ``a < b`` passes through a move: some ``c`` with
+``a < c <= b``.  (If ``b`` uses a bit ``i`` that ``a`` does not, the mask
+of ``b`` holding ``i`` contains a mask of ``a``: OR ``i`` into it.  Else,
+if some mask of ``a`` lies in no mask of ``b``, drop it.  Else some mask
+of ``b`` holds two masks of ``a``: drop either.)  Hence the covers of
+``a`` are exactly its moves ``b`` such that no other move ``c`` of ``a``
+has ``leq(c, b)``, which is how :meth:`LatticeView.hasse_edges` finds
+them without comparing all pairs.
 Every move raises :meth:`Antichain.sort_key`, so the listing order of
 :func:`enumerate_antichains` is a linear extension of the order.
 """
@@ -192,9 +194,6 @@ class LatticeView:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, a: Antichain) -> bool:
-        return a in self._index
-
     def index(self, a: Antichain) -> int:
         return self._index[a]
 
@@ -205,13 +204,16 @@ class LatticeView:
         (see the module docstring).  :attr:`elements` is a linear extension
         of the order, so only moves earlier in it can lie below a move.
         Edges are sorted by the positions of ``a``, then ``b``."""
-        position = {a.brackets: i for i, a in enumerate(self.elements)}
+        position = {frozenset(a.masks): i for i, a in enumerate(self.elements)}
+        full = (1 << self.n) - 1
         edges = []
         for a in self.elements:
-            moves = [
-                self.elements[i]
-                for i in sorted(position[m] for m in _moves(a.brackets, self.n))
-            ]
+            masks = frozenset(a.masks)
+            free = full ^ sum(masks)  # disjoint masks: the sum is their OR
+            bits = [1 << i for i in range(self.n) if free >> i & 1]
+            moves = [masks - {x} for x in masks] if len(masks) > 1 else []
+            moves += [masks - {x} | {x | bit} for x in masks for bit in bits]
+            moves = [self.elements[i] for i in sorted(position[m] for m in moves)]
             edges.extend(
                 (a, b)
                 for k, b in enumerate(moves)
@@ -231,21 +233,6 @@ class LatticeView:
         for a, b in self.hasse_edges():
             up[self._index[a]].append(self._index[b])
         return tuple(map(tuple, up))
-
-
-def _moves(brackets: tuple[Bracket, ...], n: int) -> list[tuple[Bracket, ...]]:
-    """Canonical brackets of every move within ``{1..n}``: drop one bracket
-    (if there are two or more), or add one unused index to one bracket."""
-    out = []
-    if len(brackets) > 1:
-        out += [brackets[:k] + brackets[k + 1 :] for k in range(len(brackets))]
-    used = {i for b in brackets for i in b}
-    unused = [i for i in range(1, n + 1) if i not in used]
-    for k, bracket in enumerate(brackets):
-        rest = brackets[:k] + brackets[k + 1 :]
-        for i in unused:
-            out.append(tuple(sorted(rest + (tuple(sorted(bracket + (i,))),))))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,10 @@
 
 Everything here works on plain dicts and loops, deliberately avoiding
 the package's own data structures, so that a test comparing the two is
-a genuine cross-check rather than a tautology.  The one exception is
-:func:`oracle_monotonicity`, which reads a decomposition and takes its
-reduced terms from the package; its order test is :func:`brute_leq`.
+a genuine cross-check rather than a tautology.  The exceptions are the
+validator oracles (:func:`oracle_monotonicity`, :func:`oracle_covering_rule`
+and :func:`oracle_equal_rows`), which read a decomposition and take reduced
+terms from the package; their order test is :func:`brute_leq`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,23 @@ def oracle_interaction(pmf: dict, groups) -> float:
             union = tuple(sorted({i for g in chosen for i in g}))
             total += (-1.0) ** (k - 1) * oracle_entropy(pmf, union)
     return total
+
+
+def oracle_set_atoms(pmf: dict, n: int) -> dict[tuple[int, ...], float]:
+    """Distributive atom size for every non-empty 1-based index set T,
+    straight from joint entropies: ``-sum (-1)^|V - C| H(V)`` over the
+    index sets V that contain the complement C of T."""
+    atoms = {}
+    for m in range(1, n + 1):
+        for t in combinations(range(n), m):
+            complement = [i for i in range(n) if i not in t]
+            total = 0.0
+            for k in range(m + 1):
+                for added in combinations(t, k):
+                    v = tuple(sorted(complement + list(added)))
+                    total -= (-1.0) ** k * oracle_entropy(pmf, v)
+            atoms[tuple(i + 1 for i in t)] = total
+    return atoms
 
 
 def oracle_interval(pmf: dict) -> tuple[float, float]:
@@ -177,3 +195,49 @@ def oracle_monotonicity(decomp, table, eps) -> tuple[bool, float, str]:
                 if not first_bad:
                     first_bad = f"{a} vs {b}"
     return violations == 0, float(violations), first_bad
+
+
+def oracle_covering_rule(decomp) -> tuple[bool, float, str]:
+    """``(passed, residual, detail)`` of the validator's covering rule,
+    row by row: an atom's covering must equal the largest bracket count
+    among the rows that hold it (0 when no row does)."""
+    atoms = decomp.atoms.atoms
+    observed = [0] * len(atoms)
+    for a, x in zip(decomp.table.rows, decomp.table.entries):
+        for j in range(len(atoms)):
+            if x[j] and len(a.brackets) > observed[j]:
+                observed[j] = len(a.brackets)
+    mismatches = 0
+    first_bad = ""
+    for j, atom in enumerate(atoms):
+        if observed[j] != atom.covering:
+            mismatches += 1
+            if not first_bad:
+                first_bad = f"{atom.label}: {atom.covering} != {observed[j]}"
+    return mismatches == 0, float(mismatches), first_bad
+
+
+def oracle_equal_rows(decomp, table, eps) -> tuple[bool, float, str]:
+    """``(passed, residual, detail)`` of the validator's equal-rows check,
+    row by row: a row whose reduced form is another term must agree with
+    that term's row on every atom of positive size."""
+    rows = decomp.table.rows
+    entries = decomp.table.entries
+    positive = [a.size > eps for a in decomp.atoms.atoms]
+    row_of = dict(zip(rows, entries))
+    mismatches = 0
+    first_bad = ""
+    for a, x in zip(rows, entries):
+        ra = reduce_antichain(table, a, eps=eps)[0]
+        if ra is None or ra == a:
+            continue
+        y = row_of[ra]
+        differs = False
+        for j in range(len(x)):
+            if positive[j] and x[j] != y[j]:
+                differs = True
+        if differs:
+            mismatches += 1
+            if not first_bad:
+                first_bad = f"{a} ~ {ra}"
+    return mismatches == 0, float(mismatches), first_bad

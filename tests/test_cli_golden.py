@@ -40,6 +40,8 @@ def _cases() -> list[tuple[str, str | None, tuple[str, ...]]]:
     for n in range(3, 9):
         cases.append((f"decompose-parity:{n}", None, ("decompose", "--parity", str(n))))
     cases.append(("scan:50:3", None, ("scan", "--samples", "50", "--seed", "3")))
+    for n in (6, 7):
+        cases.append((f"lattice-dot:{n}", None, ("lattice", str(n), "--dot")))
     lattice_argv = ("lattice", "4", "--dot", "--dist", "{}")
     cases.append((f"lattice-dot-dist:{LATTICE_GATE}", LATTICE_GATE, lattice_argv))
     return cases
@@ -79,6 +81,8 @@ DIGESTS = {
     'decompose-parity:7': 'd2aa23497b9f4aa60e0b0e18fd339ca2ed44de7e4b73c8e5a3140314f02512d3',
     'decompose-parity:8': 'ca8ab098f9a65c164558e29b715120a14d4307ab1b93805c8c79050016fc4f1f',
     'scan:50:3': '3f2e4908d52615220b51d8660896c628b40ac88a21f15ef804f179aacb414f43',
+    'lattice-dot:6': 'c537feb317015cdea2c6ccf01d62fcadbe980f08aa89e94be4dabd1e8fa76cf0',
+    'lattice-dot:7': 'a157682b7826f1aabed351468ec2353241fc64a633da44fb81ff8897ca9efd6d',
     'lattice-dot-dist:random(11,[2,2,2,2])': '7ef04d5ba40f9e69b83fc17f0bbcc3eb804627a124aa28f21025c26401be61df',
 }
 

@@ -13,12 +13,15 @@ from infatom.lattice import Antichain
 
 from _oracles import (
     AND_PMF,
+    oracle_covering_rule,
     oracle_entropy,
+    oracle_equal_rows,
     oracle_interaction,
     oracle_interval,
     oracle_mi,
     oracle_monotonicity,
     oracle_parity_row,
+    oracle_set_atoms,
     oracle_set_row,
     oracle_supports,
 )
@@ -351,6 +354,18 @@ def test_distributive_table_matches_venn_oracle(n):
     assert [c.antichain.indices for c in d.table.cols] == supports
     for a, row in zip(d.table.rows, d.table.entries):
         assert row == oracle_set_row(a.brackets, supports), str(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_distributive_inversion_matches_entropy_oracle(n):
+    for seed in range(40):
+        cards = random.Random(seed).choices([2, 3], k=n)
+        t = ia.random_table(f"mobius:{n}:{seed}", cards)
+        expected = oracle_set_atoms(t.pmf(), n)
+        got = decomp._mobius_atoms(t)
+        assert sorted(got) == sorted(expected)
+        for key, size in expected.items():
+            assert got[key] == pytest.approx(size, abs=1e-12), (seed, key)
 
 
 def test_distributive_solver_arity_cap():
@@ -706,18 +721,37 @@ def _mutate(d: Decomposition, rng: random.Random) -> Decomposition:
     return Decomposition(d.n, table, AtomSet(tuple(atoms)), d.redundancy_param)
 
 
-def test_monotonicity_matches_all_pairs_oracle():
+def _mutated_cases():
+    """Each of :func:`_monotonicity_cases` as solved, then mutated copies."""
     rng = random.Random(5)
-    failing = 0
     for d, t in _monotonicity_cases():
         for trial in range(8 if d.n < 5 else 3):
-            m = d if trial == 0 else _mutate(d, rng)
-            check = ia.validate(m, t).check("monotonicity")
-            assert (check.passed, check.residual, check.detail) == oracle_monotonicity(
-                m, t, ia.DEFAULT_EPS
-            ), (d.n, trial)
-            failing += not check.passed
+            yield (d.n, trial), (d if trial == 0 else _mutate(d, rng)), t
+
+
+def test_monotonicity_matches_all_pairs_oracle():
+    failing = 0
+    for case, m, t in _mutated_cases():
+        check = ia.validate(m, t).check("monotonicity")
+        assert (check.passed, check.residual, check.detail) == oracle_monotonicity(
+            m, t, ia.DEFAULT_EPS
+        ), case
+        failing += not check.passed
     assert failing >= 30
+
+
+def test_covering_rule_and_equal_rows_match_row_oracles():
+    failing = Counter()
+    for case, m, t in _mutated_cases():
+        report = ia.validate(m, t)
+        for name, expected in (
+            ("covering_rule", oracle_covering_rule(m)),
+            ("equal_rows", oracle_equal_rows(m, t, ia.DEFAULT_EPS)),
+        ):
+            check = report.check(name)
+            assert (check.passed, check.residual, check.detail) == expected, (name, case)
+            failing[name] += not check.passed
+    assert failing["covering_rule"] >= 12 and failing["equal_rows"] >= 18, failing
 
 
 # ---------------------------------------------------------------------------

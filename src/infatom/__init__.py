@@ -64,7 +64,6 @@ _EXPORTS = {
         "Antichain",
         "LatticeView",
         "bottom",
-        "covering",
         "enumerate_antichains",
         "leq",
         "lift_map",

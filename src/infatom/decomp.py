@@ -69,7 +69,7 @@ from .errors import (
     VariableSetError,
     WrongArity,
 )
-from .lattice import Antichain, enumerate_antichains, leq, lift_map, top
+from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains, leq, lift_map, top
 from .terms import (
     _check_feasible,
     _trivariate_entropies,
@@ -87,12 +87,11 @@ from .terms import (
 @dataclass(frozen=True)
 class AtomLabel:
     """Name of one atom: a singleton-bracket antichain, the synergistic
-    atom ``Pi_s``, a ghost atom ``Pi_g`` / ``Pi_g_k``, or a free name."""
+    atom ``Pi_s``, or a ghost atom ``Pi_g`` / ``Pi_g_k``."""
 
-    kind: str  # "set" | "synergy" | "ghost" | "named"
+    kind: str  # "set" | "synergy" | "ghost"
     antichain: Antichain | None = None
     index: int = 0
-    name: str = ""
 
     @classmethod
     def set_theoretic(cls, a: Antichain) -> "AtomLabel":
@@ -110,21 +109,13 @@ class AtomLabel:
             raise LabelError(f"ghost index must be >= 1, got {k}")
         return cls("ghost", index=k)
 
-    @classmethod
-    def named(cls, name: str) -> "AtomLabel":
-        if not name:
-            raise LabelError("empty atom name")
-        return cls("named", name=name)
-
     @property
     def text(self) -> str:
         if self.kind == "set":
             return str(self.antichain)
         if self.kind == "synergy":
             return "Pi_s"
-        if self.kind == "ghost":
-            return "Pi_g" if self.index == 1 else f"Pi_g_{self.index}"
-        return self.name
+        return "Pi_g" if self.index == 1 else f"Pi_g_{self.index}"
 
     def __str__(self) -> str:
         return self.text
@@ -134,7 +125,8 @@ _GHOST_RE = re.compile(r"^Pi_g(?:_(\d+))?$")
 
 
 def parse_label(text: str) -> AtomLabel:
-    """Inverse of :attr:`AtomLabel.text`."""
+    """Inverse of :attr:`AtomLabel.text`; any other text raises
+    :class:`LabelError`."""
     text = text.strip()
     if text == "Pi_s":
         return AtomLabel.synergy()
@@ -143,7 +135,7 @@ def parse_label(text: str) -> AtomLabel:
         return AtomLabel.ghost(int(m.group(1)) if m.group(1) else 1)
     if text.startswith("{"):
         return AtomLabel.set_theoretic(Antichain.parse(text))
-    return AtomLabel.named(text)
+    raise LabelError(f"atom label {text!r} is not a set label, Pi_s or Pi_g_k")
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +232,9 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
             col = [all(m & support for m in ms) for ms in masks]
         elif lab.kind == "synergy":
             col = [len(ms) == 1 or (len(ms) == 2 and ms[0] | ms[1] == full) for ms in masks]
-        elif lab.kind == "ghost":
+        else:
             k = lab.index
             col = [len(ms) == 1 and k < min(ms[0].bit_count(), n - 1) for ms in masks]
-        else:
-            raise LabelError(f"no parthood rule for named atom {lab.text!r}")
         columns.append([int(v) for v in col])
     table = _PARTHOOD_TABLES[n, labels] = ParthoodTable(rows, labels, tuple(zip(*columns)))
     return table
@@ -334,9 +324,7 @@ def solve_trivariate(
     atoms both measure ``r - I_3``; pairwise atoms are ``I(Xi;Xj) - r``;
     per-variable atoms are the conditional entropies given the rest.
     """
-    if table.n != 3:
-        raise WrongArity(f"expected 3 variables, got {table.n}")
-    lo, hi = feasible_interval(table)
+    lo, hi = feasible_interval(table)  # raises WrongArity unless n = 3
     if r is None:
         r = lo
     _check_feasible(r, lo, hi, eps)
@@ -443,8 +431,8 @@ def solve_n_parity(n: int) -> Decomposition:
     size ``min(k, n-1)``, a term over two complementary brackets has size
     1, and every other term is empty.
     """
-    if not isinstance(n, int) or not 3 <= n <= 8:
-        raise LatticeRangeError(f"n-parity solver supports n in [3, 8], got {n!r}")
+    if not isinstance(n, int) or not 3 <= n <= MAX_VARIABLES:
+        raise LatticeRangeError(f"n-parity solver supports n in [3, {MAX_VARIABLES}], got {n!r}")
     labels = [AtomLabel.synergy()] + [AtomLabel.ghost(k) for k in range(1, n - 1)]
     atoms = AtomSet(
         tuple(
@@ -571,10 +559,10 @@ def validate(
     never raised.  Shape errors raise: :class:`WrongArity` if the variable
     counts differ, :class:`DecompositionFormatError` unless the parthood
     table has exactly one row per antichain over ``{1..n}``, its
-    columns are the decomposition's atoms, in order, and every set atom's
-    label names variables in ``1..n`` only.  (Whether a set atom's column
-    follows the Venn rule for its label is not checked: lifted tables keep
-    their pre-lift rows.)
+    columns are the decomposition's atoms, in order, every set atom's
+    label names variables in ``1..n`` only, and every ghost ``Pi_g_k`` has
+    ``k <= n - 2``.  (Whether a set atom's column follows the Venn rule for
+    its label is not checked: lifted tables keep their pre-lift rows.)
 
     Checks: atom non-negativity; row monotonicity along the antichain
     order (extended by reduction-proven term equalities, which compare
@@ -620,6 +608,11 @@ def validate(
         if label.kind == "set" and max(b[-1] for b in label.antichain.brackets) > decomp.n:
             raise DecompositionFormatError(
                 f"set atom {label.text} names a variable outside 1..{decomp.n}"
+            )
+        # The parthood rule puts Pi_g_k in no term unless k <= n - 2.
+        if label.kind == "ghost" and label.index > decomp.n - 2:
+            raise DecompositionFormatError(
+                f"ghost atom {label.text} needs k <= {decomp.n - 2} over {decomp.n} variables"
             )
     checks: list[CheckResult] = []
     atoms = decomp.atoms.atoms

@@ -28,8 +28,9 @@ of ``b`` holding ``i`` contains a mask of ``a``: OR ``i`` into it.  Else,
 if some mask of ``a`` lies in no mask of ``b``, drop it.  Else some mask
 of ``b`` holds two masks of ``a``: drop either.)  Hence the covers of
 ``a`` are exactly its moves ``b`` such that no other move ``c`` of ``a``
-has ``leq(c, b)``, which is how :meth:`LatticeView.hasse_edges` finds
-them without comparing all pairs.
+has ``leq(c, b)``, which is how :class:`LatticeView` finds them (for
+:attr:`~LatticeView.covers` and :meth:`~LatticeView.hasse_edges`)
+without comparing all pairs.
 Every move raises :meth:`Antichain.sort_key`, so the listing order of
 :func:`enumerate_antichains` is a linear extension of the order.
 """
@@ -39,7 +40,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AntichainError, LatticeRangeError
@@ -139,11 +139,6 @@ class Antichain:
         return (-len(self.brackets), len(self.indices), self.brackets)
 
 
-def covering(a: Antichain) -> int:
-    """Covering number of the term labeled by ``a`` (bracket count)."""
-    return a.covering
-
-
 def leq(a: Antichain, b: Antichain) -> bool:
     """Order test: every bracket of ``b`` contains some bracket of ``a``."""
     am = a.masks
@@ -197,58 +192,60 @@ class LatticeView:
     def index(self, a: Antichain) -> int:
         return self._index[a]
 
-    def hasse_edges(self) -> list[tuple[Antichain, Antichain]]:
-        """Cover pairs (a, b): a < b with nothing strictly between.
-
-        The covers of ``a`` are its moves that lie above no other move
-        (see the module docstring).  :attr:`elements` is a linear extension
-        of the order, so only moves earlier in it can lie below a move.
-        Edges are sorted by the positions of ``a``, then ``b``."""
-        position = {frozenset(a.masks): i for i, a in enumerate(self.elements)}
+    def _cover_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Positions of each element's upper covers, ascending, by position:
+        its moves that lie above no other move (see the module docstring).
+        :attr:`elements` is a linear extension of the order, so only moves
+        earlier in it can lie below a move."""
+        elements = self.elements
+        position = {frozenset(a.masks): i for i, a in enumerate(elements)}
         full = (1 << self.n) - 1
-        edges = []
-        for a in self.elements:
+        covers = []
+        for a in elements:
             masks = frozenset(a.masks)
             free = full ^ sum(masks)  # disjoint masks: the sum is their OR
             bits = [1 << i for i in range(self.n) if free >> i & 1]
             moves = [masks - {x} for x in masks] if len(masks) > 1 else []
             moves += [masks - {x} | {x | bit} for x in masks for bit in bits]
-            moves = [self.elements[i] for i in sorted(position[m] for m in moves)]
-            edges.extend(
-                (a, b)
-                for k, b in enumerate(moves)
-                if not any(leq(c, b) for c in moves[:k])
-            )
-        return edges
+            ups = sorted(position[m] for m in moves)
+            above = [elements[p] for p in ups]
+            covers.append(tuple(
+                p for k, (p, b) in enumerate(zip(ups, above))
+                if not any(leq(c, b) for c in above[:k])
+            ))
+        return tuple(covers)
+
+    def hasse_edges(self) -> list[tuple[Antichain, Antichain]]:
+        """Cover pairs (a, b), a < b with nothing strictly between, sorted by
+        the positions of a, then b; rebuilt on every call."""
+        elements = self.elements
+        return [(a, elements[p]) for a, ups in zip(elements, self._cover_positions()) for p in ups]
 
     @cached_property
     def covers(self) -> tuple[tuple[int, ...], ...]:
-        """Positions of the upper covers of each element, by position.
-
-        Built once per view from :meth:`hasse_edges`, each tuple ascending.
-        Positions, not up-set masks, are kept: at n = 8 the masks would be
-        about 30 times larger.  Not a dataclass field, so equality, hash
-        and repr see only ``n`` and ``elements``."""
-        up: list[list[int]] = [[] for _ in self.elements]
-        for a, b in self.hasse_edges():
-            up[self._index[a]].append(self._index[b])
-        return tuple(map(tuple, up))
+        """:meth:`_cover_positions`, built once per view.  Positions, not
+        up-set masks, are kept: at n = 8 the masks would be about 30 times
+        larger.  Not a dataclass field, so equality, hash and repr see only
+        ``n`` and ``elements``."""
+        return self._cover_positions()
 
 
 @lru_cache(maxsize=None)
 def enumerate_antichains(n: int) -> LatticeView:
-    """Every antichain over ``{1..n}``: a partition of each non-empty subset.
+    """Every antichain over ``{1..n}``, from the partitions of ``{1..n+1}``.
 
-    Counts run 1, 4, 14, 51, 202, ... for n = 1, 2, 3, 4, 5.
+    Dropping the block that holds ``n + 1`` (the cut of :func:`lift_map`)
+    maps the partitions one to one onto the antichains over ``{1..n}``;
+    the one-block partition gives the empty antichain, which is left out.
+    Counts run Bell(n+1) - 1 = 1, 4, 14, 51, 202, ... for n = 1, 2, 3, 4, 5.
     """
     if not isinstance(n, int) or n < 1 or n > MAX_VARIABLES:
         raise LatticeRangeError(f"n must be an integer in [1, {MAX_VARIABLES}], got {n!r}")
     found = []
-    universe = list(range(1, n + 1))
-    for k in range(1, n + 1):
-        for subset in combinations(universe, k):
-            for blocks in _set_partitions(subset):
-                found.append(Antichain.of(*blocks))
+    for blocks in _set_partitions(range(1, n + 2)):
+        kept = [b for b in blocks if n + 1 not in b]
+        if kept:
+            found.append(Antichain.of(*kept))
     found.sort(key=Antichain.sort_key)
     # Every order test on the lattice reads these masks.  Built here, next
     # to the elements, they do not pin heap pages among the temporaries of
@@ -267,7 +264,8 @@ def lift_map(a: Antichain, extended_n: int) -> Antichain:
     image may be the empty antichain, which denotes the whole-system
     term (the top antichain's row in any parthood table).
     """
-    if a.indices and a.indices[-1] > extended_n:
+    # Brackets are sorted, so each one's last index is its largest.
+    if any(b[-1] > extended_n for b in a.brackets):
         raise AntichainError(f"{a} uses indices beyond n+1 = {extended_n}")
     kept = [b for b in a.brackets if extended_n not in b]
     return Antichain.of(*kept)

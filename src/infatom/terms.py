@@ -13,6 +13,8 @@ undetermined is reported as an interval:
 
 Rules are applied R1 first, then R2, iterated to a fixpoint, scanning
 bracket pairs in position order so reduction traces are deterministic.
+R1 needs one pass over the pairs: R2 only drops brackets, so every pair
+left after it was already tested and found dependent.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ def _bracket_sets(table: ProbTable, a: Antichain) -> list[frozenset[int]]:
     return list(map(_positions, masks))
 
 
-def _btext(bracket: frozenset[int]) -> str:
-    return "{" + ",".join(str(i + 1) for i in sorted(bracket)) + "}"
+def _btext(bracket: tuple[int, ...]) -> str:
+    return "{" + ",".join(map(str, bracket)) + "}"
 
 
 def reduce_antichain(
@@ -98,25 +100,23 @@ def reduce_antichain(
     the reduced antichain (term sizes are equal along the whole trace).
     When no rule fires that is ``a`` itself, with an empty trace.
     """
-    brackets = _bracket_sets(table, a)
+    # Each bracket's table positions, mapped to the bracket itself.
+    brackets = dict(zip(_bracket_sets(table, a), a.brackets))
+    for x, y in combinations(brackets, 2):
+        if mutual_information(table, x, y) <= eps:
+            return None, (f"R1({_btext(brackets[x])},{_btext(brackets[y])})",)
     trace: list[str] = []
     while len(brackets) >= 2:
-        for x, y in combinations(brackets, 2):
-            if mutual_information(table, x, y) <= eps:
-                trace.append(f"R1({_btext(x)},{_btext(y)})")
-                return None, tuple(trace)
-        pair = next(
-            (p for p in permutations(brackets, 2) if is_deterministic_function(table, *p, eps=eps)),
-            None,
-        )
-        if pair is None:
+        for x, y in permutations(brackets, 2):
+            if is_deterministic_function(table, x, y, eps=eps):
+                trace.append(f"R2({_btext(brackets[x])}<={_btext(brackets[y])})")
+                del brackets[y]
+                break
+        else:
             break
-        trace.append(f"R2({_btext(pair[0])}<={_btext(pair[1])})")
-        brackets.remove(pair[1])  # brackets are disjoint, so distinct
     if not trace:
         return a, ()
-    reduced = Antichain.of(*[[i + 1 for i in b] for b in brackets])
-    return reduced, tuple(trace)
+    return Antichain.of(*brackets.values()), tuple(trace)
 
 
 def eval_term(

@@ -6,6 +6,7 @@ a genuine cross-check rather than a tautology.  The exceptions are the
 validator oracles (:func:`oracle_monotonicity`, :func:`oracle_covering_rule`
 and :func:`oracle_equal_rows`), which read a decomposition and take reduced
 terms from the package; their order test is :func:`brute_leq`.
+:func:`oracle_reduce` reads only a table's pmf and an antichain's brackets.
 """
 
 from __future__ import annotations
@@ -83,6 +84,44 @@ def oracle_interval(pmf: dict) -> tuple[float, float]:
     i23 = oracle_mi(pmf, (1,), (2,))
     i3 = oracle_interaction(pmf, [(0,), (1,), (2,)])
     return max(0.0, i3), min(i12, i13, i23)
+
+
+def oracle_reduce(table, a, eps) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[str, ...]]:
+    """``(brackets, trace)`` of the reduction rules as the ``terms`` module
+    states them, on raw entropies: R1 over every pair of brackets, then R2
+    over ordered pairs in position order, the whole round repeated until
+    no rule fires.  ``brackets`` is None when R1 fired."""
+    pmf = table.pmf()
+
+    def text(b) -> str:
+        return "{" + ",".join(str(i) for i in b) + "}"
+
+    def positions(b) -> tuple[int, ...]:
+        return tuple(i - 1 for i in b)
+
+    brackets = [tuple(sorted(b)) for b in a.brackets]
+    trace = []
+    while len(brackets) >= 2:
+        for x, y in combinations(brackets, 2):
+            if oracle_mi(pmf, positions(x), positions(y)) <= eps:
+                trace.append(f"R1({text(x)},{text(y)})")
+                return None, tuple(trace)
+        dropped = None
+        for x in brackets:
+            for y in brackets:
+                if x == y:
+                    continue
+                union = tuple(sorted(positions(x) + positions(y)))
+                if oracle_entropy(pmf, union) - oracle_entropy(pmf, positions(y)) <= eps:
+                    trace.append(f"R2({text(x)}<={text(y)})")
+                    dropped = y
+                    break
+            if dropped is not None:
+                break
+        if dropped is None:
+            break
+        brackets.remove(dropped)
+    return tuple(sorted(brackets)), tuple(trace)
 
 
 def brute_leq(a_brackets, b_brackets) -> bool:

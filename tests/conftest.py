@@ -57,7 +57,7 @@ def marginal_passes(monkeypatch):
 
 @pytest.fixture
 def made_up_xor_json():
-    """A 3-row "decomposition" of xor with two made-up atoms.
+    """A 3-row "decomposition" of xor with its synergistic and ghost atoms.
 
     Its rows ``{1}``, ``{1,2}`` and ``{1,2}{3}`` are not the 14 antichains
     over three variables, yet every one of the seven checks passes on them.
@@ -67,12 +67,12 @@ def made_up_xor_json():
             "n": 3,
             "redundancy_param": None,
             "atoms": [
-                {"label": "a", "size": 1.0, "covering": 2},
-                {"label": "b", "size": 1.0, "covering": 1},
+                {"label": "Pi_s", "size": 1.0, "covering": 2},
+                {"label": "Pi_g", "size": 1.0, "covering": 1},
             ],
             "table": {
                 "rows": ["{1}", "{1,2}", "{1,2}{3}"],
-                "cols": ["a", "b"],
+                "cols": ["Pi_s", "Pi_g"],
                 "entries": [[1, 0], [1, 1], [1, 0]],
             },
         }

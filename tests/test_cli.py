@@ -251,6 +251,35 @@ def test_set_atom_outside_the_variables_exits_2(tmp_path, capsys, command, label
     assert err == f"infatom: set atom {label} names a variable outside 1..3\n"
 
 
+def _relabel(decomp, renames: dict[str, str]) -> None:
+    """Rename atoms the same way in ``atoms`` and ``table.cols``."""
+    obj = json.loads(decomp.read_text())
+    for atom in obj["atoms"]:
+        atom["label"] = renames.get(atom["label"], atom["label"])
+    obj["table"]["cols"] = [renames.get(c, c) for c in obj["table"]["cols"]]
+    decomp.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("command", ["validate", "lift"])
+def test_atom_labels_without_a_parthood_rule_exit_2(tmp_path, capsys, command):
+    decomp, dist = _decomp_json(tmp_path, capsys)
+    _relabel(decomp, {"Pi_s": "synergy", "Pi_g": "ghost"})
+    code, out, err = run(capsys, command, str(decomp), str(dist))
+    assert code == 2 and out == ""
+    assert "JSON" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "lift"])
+def test_ghost_index_beyond_the_variables_exits_2(tmp_path, capsys, command):
+    decomp, dist = _decomp_json(tmp_path, capsys)
+    _relabel(decomp, {"Pi_g": "Pi_g_2"})
+    code, out, err = run(capsys, command, str(decomp), str(dist))
+    assert code == 2 and out == ""
+    assert "Pi_g_2" in err
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # lattice
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ SET_THEORETIC_GATES = ("copy", "two-coins-copy")
 
 LATTICE_GATE = "random(11,[2,2,2,2])"
 
+#: A gate whose terms reduce, so the printed term values go through R1/R2.
+REDUCING_GATE = "parity(5)"
+
 
 def _cases() -> list[tuple[str, str | None, tuple[str, ...]]]:
     """(case id, gate spec written to a file or None, argv after the file)."""
@@ -44,6 +47,9 @@ def _cases() -> list[tuple[str, str | None, tuple[str, ...]]]:
         cases.append((f"lattice-dot:{n}", None, ("lattice", str(n), "--dot")))
     lattice_argv = ("lattice", "4", "--dot", "--dist", "{}")
     cases.append((f"lattice-dot-dist:{LATTICE_GATE}", LATTICE_GATE, lattice_argv))
+    cases.append(("lattice:8", None, ("lattice", "8")))
+    reducing_argv = ("lattice", "5", "--dot", "--dist", "{}")
+    cases.append((f"lattice-dot-dist:{REDUCING_GATE}", REDUCING_GATE, reducing_argv))
     return cases
 
 
@@ -84,6 +90,8 @@ DIGESTS = {
     'lattice-dot:6': 'c537feb317015cdea2c6ccf01d62fcadbe980f08aa89e94be4dabd1e8fa76cf0',
     'lattice-dot:7': 'a157682b7826f1aabed351468ec2353241fc64a633da44fb81ff8897ca9efd6d',
     'lattice-dot-dist:random(11,[2,2,2,2])': '7ef04d5ba40f9e69b83fc17f0bbcc3eb804627a124aa28f21025c26401be61df',
+    'lattice:8': 'beae82188dcd0ce212611fe7a23cc07ac85e29ffb16b2db288022545f093578f',
+    'lattice-dot-dist:parity(5)': '332c2ecaf49e972120f055f88988c722421553ca072fa849687726eda55028de',
 }
 
 

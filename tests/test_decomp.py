@@ -452,7 +452,7 @@ def test_validate_reduces_each_row_once(monkeypatch):
 def test_validate_builds_the_hasse_diagram_once_per_lattice(monkeypatch):
     from infatom import lattice
 
-    calls = _count_calls(monkeypatch, lattice.LatticeView, "hasse_edges")
+    calls = _count_calls(monkeypatch, lattice.LatticeView, "_cover_positions")
     lattice.enumerate_antichains.cache_clear()
     d, t = ia.solve_n_parity(4), ia.parity_gate(4)
     for _ in range(3):
@@ -805,9 +805,9 @@ def test_parse_label_forms():
     assert parse_label("Pi_g").index == 1
     assert parse_label("Pi_g_4").index == 4
     assert parse_label("{1}{3}").antichain == Antichain.of([1], [3])
-    assert parse_label("x").kind == "named"
-    with pytest.raises(ia.LabelError):
-        parse_label("{1,2}{3}")
+    for text in ("x", "{1,2}{3}", "synergy", "Pi_g_x"):
+        with pytest.raises(ia.LabelError):
+            parse_label(text)
 
 
 def test_validation_report_json_shape(xor):

@@ -83,9 +83,9 @@ def test_overlapping_brackets_rejected():
 
 
 def test_covering_examples():
-    assert ia.covering(Antichain.of([1, 2], [3])) == 2
-    assert ia.covering(Antichain.of([1, 2, 3])) == 1
-    assert ia.covering(Antichain.of([1], [2], [3])) == 3
+    assert Antichain.of([1, 2], [3]).covering == 2
+    assert Antichain.of([1, 2, 3]).covering == 1
+    assert Antichain.of([1], [2], [3]).covering == 3
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ EXPORTS = [
     "RedundancyValueError", "ScanSummary", "TableError", "TermValue", "TotalMassInvalid",
     "ValidationFailed", "ValidationReport", "VariableSetError", "WrongArity",
     "XorUniqueness", "and_gate", "bottom", "check_inclusion_exclusion3", "conditional_mi",
-    "copy_gate", "covering", "decomp", "decomposition_from_json", "decomposition_to_json",
+    "copy_gate", "decomp", "decomposition_from_json", "decomposition_to_json",
     "delta_H", "dist", "dump_csv", "dump_json", "entropy", "enumerate_antichains",
     "errors", "eval_term", "extend_with_joint", "feasible_interval", "gen_gate",
     "interaction_information", "is_deterministic_function", "is_independent", "lattice",
@@ -37,7 +37,7 @@ SUBMODULES = ("decomp", "dist", "errors", "lattice", "terms")
 
 
 def test_all_is_the_fixed_export_list():
-    assert len(EXPORTS) == 80
+    assert len(EXPORTS) == 79
     assert sorted(infatom.__all__) == EXPORTS
 
 

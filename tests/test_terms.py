@@ -10,7 +10,7 @@ from infatom import terms
 from infatom.lattice import Antichain
 from infatom.terms import eval_term, reduce_antichain
 
-from _oracles import oracle_interval, oracle_entropy, oracle_mi, oracle_interaction
+from _oracles import oracle_interval, oracle_entropy, oracle_mi, oracle_interaction, oracle_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +235,31 @@ def test_unreduced_antichain_comes_back_as_is(table):
         reduced, trace = reduce_antichain(table, a)
         assert (trace == ()) == _no_rule_applies(table, a), str(a)
         assert (reduced is a) == (trace == ()), str(a)
+
+
+REDUCTION_CORPUS = {
+    "xor": ia.xor_gate(),
+    "and": ia.and_gate(),
+    "copy": ia.copy_gate(),
+    "two-coins-copy": ia.two_coins_copy_gate(),
+    "parity4": ia.parity_gate(4),
+    "parity5": ia.parity_gate(5),
+    "parity4-joint": ia.extend_with_joint(ia.parity_gate(4)),
+    "xor-joint": ia.extend_with_joint(ia.xor_gate()),
+    **{f"random{n}:{seed}": ia.random_table(f"reduce:{n}:{seed}", [2] * n)
+       for n in (4, 5) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", list(REDUCTION_CORPUS))
+def test_reduction_matches_the_stated_rules(name):
+    table = REDUCTION_CORPUS[name]
+    for a in ia.enumerate_antichains(table.n).elements:
+        if a.covering == 1:
+            continue
+        reduced, trace = reduce_antichain(table, a)
+        brackets = None if reduced is None else reduced.brackets
+        assert (brackets, trace) == oracle_reduce(table, a, ia.DEFAULT_EPS), str(a)
 
 
 # ---------------------------------------------------------------------------

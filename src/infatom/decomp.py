@@ -69,7 +69,7 @@ from .errors import (
     VariableSetError,
     WrongArity,
 )
-from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains, leq, lift_map, top
+from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains, lift_map, top
 from .terms import (
     _check_feasible,
     _trivariate_entropies,
@@ -232,9 +232,11 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
             col = [all(m & support for m in ms) for ms in masks]
         elif lab.kind == "synergy":
             col = [len(ms) == 1 or (len(ms) == 2 and ms[0] | ms[1] == full) for ms in masks]
-        else:
+        elif lab.kind == "ghost":
             k = lab.index
             col = [len(ms) == 1 and k < min(ms[0].bit_count(), n - 1) for ms in masks]
+        else:
+            raise LabelError(f"atom label kind {lab.kind!r} has no parthood rule")
         columns.append([int(v) for v in col])
     table = _PARTHOOD_TABLES[n, labels] = ParthoodTable(rows, labels, tuple(zip(*columns)))
     return table
@@ -559,10 +561,11 @@ def validate(
     never raised.  Shape errors raise: :class:`WrongArity` if the variable
     counts differ, :class:`DecompositionFormatError` unless the parthood
     table has exactly one row per antichain over ``{1..n}``, its
-    columns are the decomposition's atoms, in order, every set atom's
-    label names variables in ``1..n`` only, and every ghost ``Pi_g_k`` has
-    ``k <= n - 2``.  (Whether a set atom's column follows the Venn rule for
-    its label is not checked: lifted tables keep their pre-lift rows.)
+    columns are the decomposition's atoms, in order, every label is a set,
+    synergistic or ghost label, every set atom's label names variables in
+    ``1..n`` only, and every ghost ``Pi_g_k`` has ``1 <= k <= n - 2``.
+    (Whether a set atom's column follows the Venn rule for its label is
+    not checked: lifted tables keep their pre-lift rows.)
 
     Checks: atom non-negativity; row monotonicity along the antichain
     order (extended by reduction-proven term equalities, which compare
@@ -575,20 +578,31 @@ def validate(
     holds (bit j for atom j); ``positive``, the atoms of size above
     ``eps``; and per atom, the lattice positions whose rows hold it.
     Monotonicity counts violating ordered pairs of rows without testing
-    every pair.  Each row's strict up-set is a bitmask over lattice
+    any pair.  Each row's strict up-set ``up[p]`` is a bitmask over lattice
     positions, OR-ed together in one backward pass over the view's cached
     :attr:`~LatticeView.covers`, and is intersected with the mask of rows
     lacking one of the row's atoms, built once per distinct ``held``
-    pattern.  Reduction-extended pairs are tested one by one with
-    :func:`leq`, but only unordered pairs where one side's reduced form
-    differs from itself and the first row holds a positive atom the second
-    lacks.  The detail names the first violating pair in row order,
-    whatever the row order.  The covering rule reads each atom's lowest
-    position: the listing is graded by covering, most brackets first.
-    Equal rows test ``(held[i] ^ held[k]) & positive`` for k the row of
-    i's reduced form.  Each row with two or more brackets is reduced once;
-    monotonicity, term sizes and equal rows share that reduction (a single
-    bracket is its own reduced form).
+    pattern.  The reduction-extended pairs come from the same pass.  Write
+    ``r(k)`` for k's reduced form where that differs from k (a row reduced
+    to None or to itself has none), and let ``up_pre[p]`` mark the
+    positions k with ``p <= r(k)``.  In a finite order ``p <= x`` iff
+    ``x = p`` or ``c <= x`` for an upper cover c of p, so ``up_pre[p]`` is
+    the positions k with ``r(k) = p`` OR-ed with ``up_pre[c]`` over p's
+    covers, complete when the backward pass reaches p.  For the row at p,
+    with ``r(p)`` at q, a row k extends the order with it iff
+    ``r(p) <= k`` (k is q or in ``up[q]``), ``p <= r(k)`` (k in
+    ``up_pre[p]``) or ``r(p) <= r(k)`` (k in ``up_pre[q]``); where p is
+    unchanged only the middle clause exists.  That mask, the positions
+    outside ``up[p]`` (pairs already ordered are counted once, as such)
+    and the rows lacking a positive atom of row p are AND-ed, and the
+    violations are popcounts.  The detail names the first violating pair
+    in row order, whatever the row order.  The covering rule reads each
+    atom's lowest position: the listing is graded by covering, most
+    brackets first.  Equal rows test ``(held[i] ^ held[k]) & positive``
+    for k the row of i's reduced form, read from the same positions.  Each
+    row with two or more brackets is reduced once; monotonicity, term
+    sizes and equal rows share that reduction (a single bracket is its own
+    reduced form).
     """
     if table.n != decomp.n:
         raise WrongArity(
@@ -604,11 +618,15 @@ def validate(
     if decomp.table.cols != decomp.atoms.labels():
         raise DecompositionFormatError("table columns do not match atom list")
     for label in decomp.table.cols:
+        if label.kind not in ("set", "synergy", "ghost"):
+            raise DecompositionFormatError(f"atom label kind {label.kind!r} has no parthood rule")
         # Brackets are sorted, so each one's last index is its largest.
         if label.kind == "set" and max(b[-1] for b in label.antichain.brackets) > decomp.n:
             raise DecompositionFormatError(
                 f"set atom {label.text} names a variable outside 1..{decomp.n}"
             )
+        if label.kind == "ghost" and label.index < 1:
+            raise DecompositionFormatError(f"ghost atom {label.text} needs k >= 1")
         # The parthood rule puts Pi_g_k in no term unless k <= n - 2.
         if label.kind == "ghost" and label.index > decomp.n - 2:
             raise DecompositionFormatError(
@@ -629,7 +647,6 @@ def validate(
     reductions = [
         None if a.covering == 1 else reduce_antichain(table, a, eps=eps) for a in rows
     ]
-    red = [a if r is None else r[0] for a, r in zip(rows, reductions)]
 
     # ``where[i]`` is row i's lattice position, ``row_at`` inverts it, and
     # ``at[j]`` marks the positions whose rows hold atom j.
@@ -648,17 +665,28 @@ def validate(
         held.append(h)
 
     # V2: monotonicity along the order, extended by reduction equalities.
-    # Masks run over lattice positions.  ``up[p]`` is the strict up-set of
-    # position p: covers lie later in the listing, a linear extension, so
-    # read backwards each up-set is complete before it is used.
-    # ``lacking[h]`` marks the rows lacking an atom of pattern ``h``.
+    # Masks run over lattice positions.  ``red_pos[p]`` is the position of
+    # p's reduced form, or -1 where that is p itself or None; ``up_pre[q]``
+    # starts as the positions reduced to q.  Covers lie later in the
+    # listing, a linear extension, so read backwards each ``up`` and
+    # ``up_pre`` mask is complete before it is used.  ``lacking[h]`` marks
+    # the rows lacking an atom of pattern ``h``.
+    red_pos = [-1] * len(rows)
+    up_pre = [0] * len(rows)
+    for a, p, r in zip(rows, where, reductions):
+        if r is not None and r[0] is not None and r[0] != a:
+            q = red_pos[p] = view.index(r[0])
+            up_pre[q] |= 1 << p
     covers = view.covers
     up = [0] * len(rows)
     for p in range(len(rows) - 1, -1, -1):
         m = 0
+        u = up_pre[p]
         for c in covers[p]:
             m |= up[c] | 1 << c
+            u |= up_pre[c]
         up[p] = m
+        up_pre[p] = u
     everywhere = (1 << len(rows)) - 1
     lacking = {}
     for h in {*held, *(h & positive for h in held)}:
@@ -667,38 +695,19 @@ def validate(
             if h >> j & 1:
                 common &= at[j]
         lacking[h] = everywhere ^ common
-    # A reduction-extended pair is unordered, has a side whose reduced
-    # form differs from itself, and orders once reduced forms replace a,
-    # b or both; where a side is unchanged, the "both" clause repeats one
-    # of the others.  Only pairs that would violate are tested; a row
-    # never lacks its own atoms, so its ``lacking`` mask leaves out row i.
-    red_at = [red[i] for i in row_at]
-    changed_at = [r is not None and r != a for r, a in zip(red_at, elements)]
-    changed_mask = sum(1 << p for p, flag in enumerate(changed_at) if flag)
+    # ``reach`` marks the rows that order with row i once reduced forms
+    # replace one side or both (see the docstring).  A row never lacks its
+    # own atoms, so its ``lacking`` masks leave it out.
     violations = 0
     first_bad = ""
     for i, (a, p) in enumerate(zip(rows, where)):
-        bad = up[p] & lacking[held[i]]
+        q = red_pos[p]
+        reach = up_pre[p] if q < 0 else up[q] | 1 << q | up_pre[p] | up_pre[q]
+        bad = (up[p] & lacking[held[i]]) | (lacking[held[i] & positive] & reach & ~up[p])
         violations += bad.bit_count()
-        first = len(rows)
         if bad and not first_bad:
             bits = bin(bad)[:1:-1]  # bit k at index k
             first = min(row_at[k] for k, bit in enumerate(bits) if bit == "1")
-        candidates = lacking[held[i] & positive] & ~up[p]
-        if not changed_at[p]:
-            candidates &= changed_mask
-        bits = bin(candidates)[:1:-1]
-        k = bits.find("1")
-        while k >= 0:
-            if (
-                (changed_at[p] and leq(red_at[p], elements[k]))
-                or (changed_at[k] and leq(a, red_at[k]))
-                or (changed_at[p] and changed_at[k] and leq(red_at[p], red_at[k]))
-            ):
-                violations += 1
-                first = min(first, row_at[k])
-            k = bits.find("1", k + 1)
-        if not first_bad and first < len(rows):
             first_bad = f"{a} vs {rows[first]}"
     checks.append(CheckResult("monotonicity", violations == 0, float(violations), first_bad))
 
@@ -743,13 +752,12 @@ def validate(
     # V7: reduction-equal terms share rows on positive atoms.
     mismatches = 0
     first_bad = ""
-    for a, h, ra in zip(rows, held, red):
-        if ra is None or ra == a:
-            continue
-        if (h ^ held[row_at[view.index(ra)]]) & positive:
+    for a, h, p in zip(rows, held, where):
+        q = red_pos[p]
+        if q >= 0 and (h ^ held[row_at[q]]) & positive:
             mismatches += 1
             if not first_bad:
-                first_bad = f"{a} ~ {ra}"
+                first_bad = f"{a} ~ {elements[q]}"
     checks.append(CheckResult("equal_rows", mismatches == 0, float(mismatches), first_bad))
 
     return ValidationReport(tuple(checks))

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import infatom as ia
-from infatom import decomp
+from infatom import decomp, lattice
 from infatom.decomp import Atom, AtomSet, Decomposition, ParthoodTable, parse_label
 from infatom.lattice import Antichain
 
@@ -20,6 +20,7 @@ from _oracles import (
     oracle_interval,
     oracle_mi,
     oracle_monotonicity,
+    oracle_monotonicity_pairs,
     oracle_parity_row,
     oracle_set_atoms,
     oracle_set_row,
@@ -673,6 +674,29 @@ def test_validator_rejects_set_atoms_outside_the_variables(xor, brackets):
     assert "masks" not in vars(new.antichain)
 
 
+@pytest.mark.parametrize(
+    "label", [ia.AtomLabel("x"), ia.AtomLabel("ghost", index=0)], ids=["kind-x", "Pi_g_0"]
+)
+def test_validator_rejects_labels_built_outside_the_rules(xor, label):
+    # Built directly, so no classmethod or parse_label checked them.
+    d = ia.solve_trivariate(xor)
+    old = parse_label("Pi_g")
+    atoms = AtomSet(
+        tuple(Atom(label if a.label == old else a.label, a.size, a.covering) for a in d.atoms)
+    )
+    bad = Decomposition(3, ParthoodTable(d.table.rows, atoms.labels(), d.table.entries), atoms)
+    with pytest.raises(ia.DecompositionFormatError):
+        ia.validate(bad, xor)
+    with pytest.raises(ia.DecompositionFormatError):
+        ia.lift_decomposition(bad, xor)
+
+
+def test_parthood_rejects_a_label_kind_without_a_rule():
+    with pytest.raises(ia.LabelError, match="'x'"):
+        decomp._parthood(3, (ia.AtomLabel("x"),))
+    assert (3, (ia.AtomLabel("x"),)) not in decomp._PARTHOOD_TABLES
+
+
 def test_validator_rejects_made_up_xor_decomposition(xor, made_up_xor_json):
     d = ia.decomposition_from_json(made_up_xor_json)
     with pytest.raises(ia.DecompositionFormatError):
@@ -681,9 +705,15 @@ def test_validator_rejects_made_up_xor_decomposition(xor, made_up_xor_json):
         ia.lift_decomposition(d, xor)
 
 
+def _lifted(d: Decomposition, t):
+    """``d`` lifted once, with the table it decomposes."""
+    return ia.lift_decomposition(d, t), ia.extend_with_joint(t)
+
+
 def _monotonicity_cases():
     """Solved decompositions with their tables: parity 3..5, random
-    trivariate solutions at random redundancy values, and lifts."""
+    trivariate solutions at random redundancy values, lifts, and one
+    random trivariate solution lifted twice."""
     cases = [(ia.solve_n_parity(n), ia.parity_gate(n)) for n in (3, 4, 5)]
     lifts = [(ia.solve_n_parity(n), ia.parity_gate(n)) for n in (3, 4)]
     for seed in range(3):
@@ -692,8 +722,8 @@ def _monotonicity_cases():
         r = lo + random.Random(seed).random() * (hi - lo)
         cases.append((ia.solve_trivariate(t, r), t))
         lifts.append((ia.solve_trivariate(t), t))
-    for d, t in lifts:
-        cases.append((ia.lift_decomposition(d, t), ia.extend_with_joint(t)))
+    cases += [_lifted(d, t) for d, t in lifts]
+    cases.append(_lifted(*cases[-1]))  # the last trivariate lift, lifted again
     return cases
 
 
@@ -731,13 +761,70 @@ def _mutated_cases():
 
 def test_monotonicity_matches_all_pairs_oracle():
     failing = 0
+    extended_only = 0
     for case, m, t in _mutated_cases():
         check = ia.validate(m, t).check("monotonicity")
         assert (check.passed, check.residual, check.detail) == oracle_monotonicity(
             m, t, ia.DEFAULT_EPS
         ), case
         failing += not check.passed
+        # Violations beyond those of the plain order: only the
+        # reduction-extended pairs find them.
+        plain = oracle_monotonicity(m, t, ia.DEFAULT_EPS, extended=False)[1]
+        extended_only += check.residual > plain
     assert failing >= 30
+    assert extended_only >= 15
+
+
+def _shuffled(d: Decomposition, rng: random.Random) -> Decomposition:
+    """``d`` with its rows, and their entries, in a random order."""
+    order = list(range(len(d.table.rows)))
+    rng.shuffle(order)
+    table = ParthoodTable(
+        tuple(d.table.rows[i] for i in order),
+        d.table.cols,
+        tuple(d.table.entries[i] for i in order),
+    )
+    return Decomposition(d.n, table, d.atoms, d.redundancy_param)
+
+
+def test_monotonicity_matches_pairwise_oracle_beyond_five():
+    # Lifts of parity 5 -> 6 and 6 -> 7 and a trivariate solution lifted
+    # twice, each as solved, shuffled and mutated.
+    t = ia.random_table("mono:0", [2, 2, 2])
+    bases = [
+        _lifted(ia.solve_n_parity(5), ia.parity_gate(5)),
+        _lifted(ia.solve_n_parity(6), ia.parity_gate(6)),
+        _lifted(*_lifted(ia.solve_trivariate(t), t)),
+    ]
+    rng = random.Random(12)
+    failing = 0
+    for d, t in bases:
+        mutants = [_mutate(d, rng) for _ in range(3 if d.n < 7 else 1)]
+        for m in [d, _shuffled(d, rng), *mutants]:
+            check = ia.validate(m, t).check("monotonicity")
+            expected = oracle_monotonicity_pairs(m, t, ia.DEFAULT_EPS)
+            assert (check.passed, check.residual, check.detail) == expected, m.n
+            failing += not check.passed
+    assert failing >= 4
+
+
+def test_validate_makes_no_order_tests_on_a_warm_view(monkeypatch):
+    d, t = _lifted(ia.solve_n_parity(4), ia.parity_gate(4))
+    ia.validate(d, t)  # builds the n = 5 view's covers
+    calls = []
+    real = lattice.leq
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    # Every module binding of ``leq``, as a ``from .lattice import leq`` copies it.
+    for module in (lattice, decomp):
+        if getattr(module, "leq", None) is real:
+            monkeypatch.setattr(module, "leq", counting)
+    assert ia.validate(d, t).passed
+    assert calls == []
 
 
 def test_covering_rule_and_equal_rows_match_row_oracles():

@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 
 from .dist import (
     DEFAULT_EPS,
@@ -68,6 +67,7 @@ from .errors import (
     ValidationFailed,
     VariableSetError,
     WrongArity,
+    _Record,
 )
 from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains, lift_map, top
 from .terms import (
@@ -84,14 +84,14 @@ from .terms import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtomLabel:
+class AtomLabel(_Record):
     """Name of one atom: a singleton-bracket antichain, the synergistic
     atom ``Pi_s``, or a ghost atom ``Pi_g`` / ``Pi_g_k``."""
 
-    kind: str  # "set" | "synergy" | "ghost"
-    antichain: Antichain | None = None
-    index: int = 0
+    def __init__(self, kind: str, antichain: Antichain | None = None, index: int = 0) -> None:
+        # kind: "set" | "synergy" | "ghost"
+        self.__dict__.update(kind=kind, antichain=antichain, index=index,
+                             _key=(kind, antichain, index))
 
     @classmethod
     def set_theoretic(cls, a: Antichain) -> "AtomLabel":
@@ -143,26 +143,22 @@ def parse_label(text: str) -> AtomLabel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    label: AtomLabel
-    size: float
-    covering: int
+class Atom(_Record):
+    def __init__(self, label: AtomLabel, size: float, covering: int) -> None:
+        self.__dict__.update(label=label, size=size, covering=covering,
+                             _key=(label, size, covering))
 
 
-@dataclass(frozen=True)
-class AtomSet:
+class AtomSet(_Record):
     """Atoms with sizes (bits) and covering numbers, in a fixed order."""
 
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        labels = [a.label for a in self.atoms]
-        if len(set(labels)) != len(labels):
+    def __init__(self, atoms: tuple[Atom, ...]) -> None:
+        by_label = {a.label: a for a in atoms}
+        if len(by_label) != len(atoms):
             raise LabelError("duplicate atom labels")
-        if any(a.covering < 1 for a in self.atoms):
+        if any(a.covering < 1 for a in atoms):
             raise LabelError("coverings must be >= 1")
-        object.__setattr__(self, "_by_label", {a.label: a for a in self.atoms})
+        self.__dict__.update(atoms=atoms, _key=(atoms,), _by_label=by_label)
 
     def __iter__(self):
         return iter(self.atoms)
@@ -186,22 +182,17 @@ class AtomSet:
         return math.fsum(a.covering * a.size for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class ParthoodTable:
+class ParthoodTable(_Record):
     """0/1 matrix: which atoms (columns) compose which terms (rows)."""
 
-    rows: tuple[Antichain, ...]
-    cols: tuple[AtomLabel, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != len(self.rows) or any(
-            len(r) != len(self.cols) for r in self.entries
-        ):
+    def __init__(self, rows: tuple[Antichain, ...], cols: tuple[AtomLabel, ...],
+                 entries: tuple[tuple[int, ...], ...]) -> None:
+        if len(entries) != len(rows) or any(len(r) != len(cols) for r in entries):
             raise DecompositionFormatError("parthood table shape mismatch")
-        if any(v not in (0, 1) for row in self.entries for v in row):
+        if any(v not in (0, 1) for row in entries for v in row):
             raise DecompositionFormatError("parthood entries must be 0 or 1")
-        object.__setattr__(self, "_row_index", {a: i for i, a in enumerate(self.rows)})
+        self.__dict__.update(rows=rows, cols=cols, entries=entries, _key=(rows, cols, entries),
+                             _row_index={a: i for i, a in enumerate(rows)})
 
     def row(self, a: Antichain) -> tuple[int, ...]:
         return self.entries[self._row_index[a]]
@@ -242,18 +233,17 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
     return table
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """A parthood table plus solved atom sizes and coverings.
 
     ``redundancy_param`` records the free triple-intersection value when
     one exists (trivariate and 3-variable distributive solutions).
     """
 
-    n: int
-    table: ParthoodTable
-    atoms: AtomSet
-    redundancy_param: float | None = None
+    def __init__(self, n: int, table: ParthoodTable, atoms: AtomSet,
+                 redundancy_param: float | None = None) -> None:
+        self.__dict__.update(n=n, table=table, atoms=atoms, redundancy_param=redundancy_param,
+                             _key=(n, table, atoms, redundancy_param))
 
     def atom_size(self, label: AtomLabel | str) -> float:
         return self.atoms.size(parse_label(label) if isinstance(label, str) else label)
@@ -335,17 +325,15 @@ def solve_trivariate(
     return Decomposition(3, _parthood(3, atoms.labels()), atoms, r)
 
 
-@dataclass(frozen=True)
-class PidView:
+class PidView(_Record):
     """Redundancy / unique / synergy split of what two sources say about
     a target, read off a trivariate decomposition."""
 
-    redundancy: float
-    unique_a: float
-    unique_b: float
-    synergy: float
-    sources: tuple[int, int]
-    target: int
+    def __init__(self, redundancy: float, unique_a: float, unique_b: float, synergy: float,
+                 sources: tuple[int, int], target: int) -> None:
+        self.__dict__.update(redundancy=redundancy, unique_a=unique_a, unique_b=unique_b,
+                             synergy=synergy, sources=sources, target=target,
+                             _key=(redundancy, unique_a, unique_b, synergy, sources, target))
 
 
 def pid_view(decomp: Decomposition, target: int) -> PidView:
@@ -449,8 +437,7 @@ def solve_n_parity(n: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XorUniqueness:
+class XorUniqueness(_Record):
     """Closed-form solution of the symmetric 3-bit parity ansatz.
 
     Unknowns: ``x`` the synergistic atom and ``y`` the per-pair atoms.
@@ -460,11 +447,11 @@ class XorUniqueness:
     ``y = 0`` and ``x = 1``.
     """
 
-    x: float
-    y: float
-    pi_variable: float
-    pi_ghost: float
-    conservation: float
+    def __init__(self, x: float, y: float, pi_variable: float, pi_ghost: float,
+                 conservation: float) -> None:
+        self.__dict__.update(x=x, y=y, pi_variable=pi_variable, pi_ghost=pi_ghost,
+                             conservation=conservation,
+                             _key=(x, y, pi_variable, pi_ghost, conservation))
 
 
 def verify_xor_uniqueness() -> XorUniqueness:
@@ -518,17 +505,15 @@ def lift_decomposition(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    detail: str = ""
+class CheckResult(_Record):
+    def __init__(self, name: str, passed: bool, residual: float, detail: str = "") -> None:
+        self.__dict__.update(name=name, passed=passed, residual=residual, detail=detail,
+                             _key=(name, passed, residual, detail))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
+class ValidationReport(_Record):
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        self.__dict__.update(checks=checks, _key=(checks,))
 
     @property
     def passed(self) -> bool:
@@ -768,19 +753,21 @@ def validate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(_Record):
     """Aggregate statistics of a seeded random-distribution scan."""
 
-    n_samples: int
-    seed: int
-    cards: tuple[int, ...]
-    min_interval_width: float
-    min_atom_size: float
-    pi_s_min: float
-    pi_s_max: float
-    set_theoretic_successes: int
-    max_subadditivity_gap: float | None
+    def __init__(self, n_samples: int, seed: int, cards: tuple[int, ...],
+                 min_interval_width: float, min_atom_size: float, pi_s_min: float,
+                 pi_s_max: float, set_theoretic_successes: int,
+                 max_subadditivity_gap: float | None) -> None:
+        self.__dict__.update(n_samples=n_samples, seed=seed, cards=cards,
+                             min_interval_width=min_interval_width, min_atom_size=min_atom_size,
+                             pi_s_min=pi_s_min, pi_s_max=pi_s_max,
+                             set_theoretic_successes=set_theoretic_successes,
+                             max_subadditivity_gap=max_subadditivity_gap,
+                             _key=(n_samples, seed, cards, min_interval_width, min_atom_size,
+                                   pi_s_min, pi_s_max, set_theoretic_successes,
+                                   max_subadditivity_gap))
 
     def to_json(self) -> str:
         return json.dumps(

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -47,6 +46,7 @@ from .errors import (
     NegativeProbability,
     TotalMassInvalid,
     VariableSetError,
+    _Record,
 )
 
 #: Default tolerance, in bits, for equality and non-negativity assertions
@@ -63,8 +63,7 @@ VarSet = frozenset[int]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbTable:
+class ProbTable(_Record):
     """An immutable joint pmf over named discrete variables.
 
     ``rows`` is sorted by outcome, contains no zero-probability entries,
@@ -72,13 +71,11 @@ class ProbTable:
     Build instances through :meth:`from_pmf` or :func:`load_table`.
     """
 
-    variables: tuple[str, ...]
-    cards: tuple[int, ...]
-    rows: tuple[tuple[Outcome, float], ...]
-
-    def __post_init__(self) -> None:
-        # Subset entropies by selection (a frozenset); filled by entropy().
-        object.__setattr__(self, "_entropies", {})
+    def __init__(self, variables: tuple[str, ...], cards: tuple[int, ...],
+                 rows: tuple[tuple[Outcome, float], ...]) -> None:
+        # _entropies: subset entropies by selection (a frozenset), filled by entropy().
+        self.__dict__.update(variables=variables, cards=cards, rows=rows,
+                             _key=(variables, cards, rows), _entropies={})
 
     @property
     def n(self) -> int:

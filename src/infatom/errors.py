@@ -7,6 +7,12 @@ Errors fall into two families that the CLI maps onto exit codes:
 * mathematical outcomes (an infeasible redundancy value, a distribution
   that admits no distributive decomposition, a failed validation) are
   plain ``InfatomError`` subclasses and exit with status 1.
+
+It also holds :class:`_Record`, the immutable value base of the package's
+record classes (``ProbTable``, ``Antichain``, ``Decomposition`` and the
+rest): every layer imports this module already, and the base spares each
+CLI process the ``dataclasses`` import (with ``inspect``) and the class
+builds that ``@dataclass`` costs.
 """
 
 from __future__ import annotations
@@ -105,3 +111,37 @@ class ValidationFailed(InfatomError):
         self.report = report
         failed = [c.name for c in report.checks if not c.passed]
         super().__init__("failed checks: " + ", ".join(failed))
+
+
+# ---------------------------------------------------------------------------
+# Record base
+# ---------------------------------------------------------------------------
+
+
+class _Record:
+    """Immutable value with equality, hash and repr read from ``_key``.
+
+    A subclass's ``__init__`` declares the fields as its parameters and
+    stores them, with ``_key`` (the tuple of their values in that order)
+    and any memos, straight into ``__dict__`` in one statement.  Only
+    instances of the same class compare equal, ``hash(x)`` is
+    ``hash(x._key)``, and memos stay out of all three."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        code = type(self).__init__.__code__
+        fields = zip(code.co_varnames[1 : code.co_argcount], self._key)
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

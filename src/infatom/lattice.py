@@ -38,11 +38,10 @@ Every move raises :meth:`Antichain.sort_key`, so the listing order of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AntichainError, LatticeRangeError
+from .errors import AntichainError, LatticeRangeError, _Record
 
 #: Enumeration is capped here; the element count is Bell(n+1) - 1 and
 #: explodes quickly (21146 already at n = 8).
@@ -51,8 +50,7 @@ MAX_VARIABLES = 8
 Bracket = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Antichain:
+class Antichain(_Record):
     """Pairwise-disjoint non-empty index brackets in canonical form.
 
     Canonical form sorts indices inside each bracket and brackets by
@@ -61,18 +59,17 @@ class Antichain:
     denotes the whole-system term.
     """
 
-    brackets: tuple[Bracket, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, brackets: tuple[Bracket, ...]) -> None:
         seen: set[int] = set()
-        for bracket in self.brackets:
+        for bracket in brackets:
             if not bracket:
                 raise AntichainError("empty bracket")
             if not all(isinstance(i, int) and i >= 1 for i in bracket):
                 raise AntichainError(f"indices must be integers >= 1: {bracket!r}")
             if len(set(bracket)) != len(bracket) or seen & set(bracket):
-                raise AntichainError(f"indices repeat across brackets: {self.brackets!r}")
+                raise AntichainError(f"indices repeat across brackets: {brackets!r}")
             seen |= set(bracket)
+        self.__dict__.update(brackets=brackets, _key=(brackets,))
 
     @classmethod
     def of(cls, *brackets: Iterable[int]) -> "Antichain":
@@ -124,8 +121,8 @@ class Antichain:
     def masks(self) -> tuple[int, ...]:
         """One int per bracket with bit ``i - 1`` set for each index ``i``.
 
-        Built on first use and kept outside the dataclass fields, so
-        equality, hash and repr see only ``brackets``."""
+        Built on first use and kept outside the fields, so equality,
+        hash and repr see only ``brackets``."""
         return tuple(sum(1 << (i - 1) for i in b) for b in self.brackets)
 
     @property
@@ -172,19 +169,16 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
         yield [[first]] + partial
 
 
-@dataclass(frozen=True)
-class LatticeView:
+class LatticeView(_Record):
     """All antichains over ``{1..n}`` with their order.
 
     ``elements`` is graded by covering (descending) then lexicographic,
     so the bottom element comes first and the top element last.
     """
 
-    n: int
-    elements: tuple[Antichain, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.elements)})
+    def __init__(self, n: int, elements: tuple[Antichain, ...]) -> None:
+        self.__dict__.update(n=n, elements=elements, _key=(n, elements),
+                             _index={a: i for i, a in enumerate(elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -225,8 +219,8 @@ class LatticeView:
     def covers(self) -> tuple[tuple[int, ...], ...]:
         """:meth:`_cover_positions`, built once per view.  Positions, not
         up-set masks, are kept: at n = 8 the masks would be about 30 times
-        larger.  Not a dataclass field, so equality, hash and repr see only
-        ``n`` and ``elements``."""
+        larger.  Not a field, so equality, hash and repr see only ``n``
+        and ``elements``."""
         return self._cover_positions()
 
 

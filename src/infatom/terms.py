@@ -20,7 +20,6 @@ left after it was already tested and found dependent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -32,12 +31,11 @@ from .dist import (
     is_deterministic_function,
     mutual_information,
 )
-from .errors import AntichainError, InfeasibleRedundancy, RedundancyValueError, WrongArity
+from .errors import AntichainError, InfeasibleRedundancy, RedundancyValueError, WrongArity, _Record
 from .lattice import Antichain
 
 
-@dataclass(frozen=True)
-class TermValue:
+class TermValue(_Record):
     """Size of a term in bits: exact, or an undetermined interval.
 
     ``value`` is None for intervals; ``bounds`` always brackets the true
@@ -45,9 +43,9 @@ class TermValue:
     reduction rules applied, in order.
     """
 
-    value: float | None
-    bounds: tuple[float, float]
-    trace: tuple[str, ...] = ()
+    def __init__(self, value: float | None, bounds: tuple[float, float],
+                 trace: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(value=value, bounds=bounds, trace=trace, _key=(value, bounds, trace))
 
     @property
     def is_exact(self) -> bool:

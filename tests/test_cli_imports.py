@@ -68,8 +68,11 @@ def files(tmp_path):
         (["lattice", "4", "--dot"], BASE | {"infatom.lattice"}),
         (["lattice", "4", "--dot", "--dist", "@t4.csv"], BASE | {"infatom.lattice", "infatom.terms"}),
         (["validate", "@xor.json", "@xor.csv"], SOLVING),
+        (["decompose", "@xor.csv", "--json"], SOLVING),
+        (["lift", "@xor.json", "@xor.csv"], SOLVING),
+        (["scan", "--samples", "5", "--seed", "1"], SOLVING),
     ],
-    ids=["gate", "info", "lattice", "lattice-dist", "validate"],
+    ids=["gate", "info", "lattice", "lattice-dist", "validate", "decompose-json", "lift", "scan"],
 )
 def test_subcommand_loads_only_its_layers(files, argv, expected):
     argv = [str(files / arg[1:]) if arg.startswith("@") else arg for arg in argv]
@@ -77,6 +80,8 @@ def test_subcommand_loads_only_its_layers(files, argv, expected):
     assert {m for m in loaded if m.split(".")[0] == "infatom"} == expected
     # Every table here is decimal: only an ``a/b`` probability needs Fraction.
     assert "fractions" not in loaded
+    # The record classes are built without ``dataclasses``, which imports ``inspect``.
+    assert not loaded & {"dataclasses", "inspect"}
     assert out == _in_process(argv)
 
 

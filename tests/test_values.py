@@ -1,0 +1,194 @@
+"""Value semantics of the package's record classes.
+
+One instance of each record class, built from keyword arguments.  Its
+fields are the argument values in declaration order; the ``repr`` strings
+were recorded when these classes were frozen dataclasses, and every check
+here held for those too.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from infatom import decomp as d
+from infatom.dist import ProbTable, entropy
+from infatom.lattice import Antichain, LatticeView
+from infatom.terms import TermValue
+
+A1 = Antichain(((1,),))
+SYN = d.AtomLabel("synergy")
+ATOM = d.Atom(SYN, 1.0, 2)
+ATOMS = d.AtomSet((ATOM,))
+TABLE = d.ParthoodTable((A1,), (SYN,), ((1,),))
+CHECK = d.CheckResult("conservation", True, 0.0, "")
+
+SYN_R = "AtomLabel(kind='synergy', antichain=None, index=0)"
+ATOM_R = f"Atom(label={SYN_R}, size=1.0, covering=2)"
+TABLE_R = f"ParthoodTable(rows=(Antichain(brackets=((1,),)),), cols=({SYN_R},), entries=((1,),))"
+CHECK_R = "CheckResult(name='conservation', passed=True, residual=0.0, detail='')"
+
+# (class, keyword arguments, repr, memo attributes)
+CASES = [
+    (
+        ProbTable,
+        {"variables": ("A", "B"), "cards": (2, 2), "rows": (((0, 0), 0.5), ((1, 1), 0.5))},
+        "ProbTable(variables=('A', 'B'), cards=(2, 2), rows=(((0, 0), 0.5), ((1, 1), 0.5)))",
+        ("_entropies",),
+    ),
+    (Antichain, {"brackets": ((1, 2), (3,))}, "Antichain(brackets=((1, 2), (3,)))", ("masks",)),
+    (
+        LatticeView,
+        {"n": 1, "elements": (A1,)},
+        "LatticeView(n=1, elements=(Antichain(brackets=((1,),)),))",
+        ("_index", "covers"),
+    ),
+    (
+        TermValue,
+        {"value": None, "bounds": (0.25, 1.5), "trace": ("R1: {1}{2} -> {1}",)},
+        "TermValue(value=None, bounds=(0.25, 1.5), trace=('R1: {1}{2} -> {1}',))",
+        (),
+    ),
+    (
+        d.AtomLabel,
+        {"kind": "set", "antichain": Antichain(((1,), (2,))), "index": 0},
+        "AtomLabel(kind='set', antichain=Antichain(brackets=((1,), (2,))), index=0)",
+        (),
+    ),
+    (d.Atom, {"label": SYN, "size": 1.0, "covering": 2}, ATOM_R, ()),
+    (d.AtomSet, {"atoms": (ATOM,)}, f"AtomSet(atoms=({ATOM_R},))", ("_by_label",)),
+    (
+        d.ParthoodTable,
+        {"rows": (A1,), "cols": (SYN,), "entries": ((1,),)},
+        TABLE_R,
+        ("_row_index",),
+    ),
+    (
+        d.Decomposition,
+        {"n": 1, "table": TABLE, "atoms": ATOMS, "redundancy_param": None},
+        f"Decomposition(n=1, table={TABLE_R}, atoms=AtomSet(atoms=({ATOM_R},)), redundancy_param=None)",
+        (),
+    ),
+    (
+        d.PidView,
+        {"redundancy": 0.0, "unique_a": 0.5, "unique_b": 0.25, "synergy": 1.0,
+         "sources": (1, 2), "target": 3},
+        "PidView(redundancy=0.0, unique_a=0.5, unique_b=0.25, synergy=1.0, sources=(1, 2), target=3)",
+        (),
+    ),
+    (
+        d.XorUniqueness,
+        {"x": 1.0, "y": 0.0, "pi_variable": 0.0, "pi_ghost": 1.0, "conservation": 2.0},
+        "XorUniqueness(x=1.0, y=0.0, pi_variable=0.0, pi_ghost=1.0, conservation=2.0)",
+        (),
+    ),
+    (d.CheckResult, {"name": "conservation", "passed": True, "residual": 0.0, "detail": ""}, CHECK_R, ()),
+    (d.ValidationReport, {"checks": (CHECK,)}, f"ValidationReport(checks=({CHECK_R},))", ()),
+    (
+        d.ScanSummary,
+        {"n_samples": 50, "seed": 3, "cards": (2, 3, 2), "min_interval_width": 0.125,
+         "min_atom_size": 0.0, "pi_s_min": 0.5, "pi_s_max": 1.25,
+         "set_theoretic_successes": 7, "max_subadditivity_gap": -0.03125},
+        "ScanSummary(n_samples=50, seed=3, cards=(2, 3, 2), min_interval_width=0.125, "
+        "min_atom_size=0.0, pi_s_min=0.5, pi_s_max=1.25, set_theoretic_successes=7, "
+        "max_subadditivity_gap=-0.03125)",
+        (),
+    ),
+]
+
+IDS = [case[0].__name__ for case in CASES]
+
+
+def _fill_memos(x) -> None:
+    """Use each memoised attribute once, so the memos hold entries."""
+    if isinstance(x, ProbTable):
+        entropy(x, [0])
+    elif isinstance(x, Antichain):
+        _ = x.masks
+    elif isinstance(x, LatticeView):
+        _ = x.covers, x.index(A1)
+    elif isinstance(x, d.AtomSet):
+        x.size(SYN)
+    elif isinstance(x, d.ParthoodTable):
+        x.row(A1)
+
+
+@pytest.mark.parametrize("cls, kw, text, memos", CASES, ids=IDS)
+def test_repr_is_unchanged(cls, kw, text, memos):
+    assert repr(cls(**kw)) == text
+
+
+@pytest.mark.parametrize("cls, kw, text, memos", CASES, ids=IDS)
+def test_equal_fields_give_equal_values_and_hashes(cls, kw, text, memos):
+    x, y, z = cls(**kw), cls(**kw), cls(*kw.values())
+    assert x is not y and x == y == z and not x != y
+    assert hash(x) == hash(y) == hash(z) == hash(tuple(kw.values()))
+    assert {x, y, z} == {x} and {x: 1}[z] == 1
+    assert [getattr(x, name) for name in kw] == list(kw.values())
+
+
+@pytest.mark.parametrize("cls, kw, text, memos", CASES, ids=IDS)
+def test_other_classes_with_the_same_fields_are_unequal(cls, kw, text, memos):
+    x = cls(**kw)
+    sub = type("Sub", (cls,), {})(**kw)
+    assert x != sub and sub != x and not x == sub
+    fields = tuple(kw.values())
+    assert x != fields and fields != x
+    assert x.__eq__(fields) is NotImplemented
+
+
+def test_two_record_classes_with_equal_fields_are_unequal():
+    # Both hold the one field ((1,),) and so hash alike.
+    a, r = Antichain(((1,),)), d.ValidationReport(((1,),))
+    assert hash(a) == hash(r)
+    assert a != r and r != a and len({a, r}) == 2
+
+
+@pytest.mark.parametrize("cls, kw, text, memos", CASES, ids=IDS)
+def test_fields_are_read_only(cls, kw, text, memos):
+    x = cls(**kw)
+    for name in (*kw, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == cls(**kw) and repr(x) == text and not hasattr(x, "extra")
+
+
+@pytest.mark.parametrize("cls, kw, text, memos", CASES, ids=IDS)
+def test_memos_stay_out_of_eq_hash_and_repr(cls, kw, text, memos):
+    x, fresh = cls(**kw), cls(**kw)
+    _fill_memos(x)
+    for name in memos:
+        assert name in vars(x) and vars(x)[name]
+    assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh) == text
+
+
+@pytest.mark.parametrize("cls, kw, text, memos", CASES, ids=IDS)
+def test_missing_or_unknown_arguments_raise_type_error(cls, kw, text, memos):
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(**kw, extra=1)
+    with pytest.raises(TypeError):
+        cls(*kw.values(), 1)
+
+
+def test_defaults_and_keyword_arguments():
+    assert repr(d.AtomLabel("ghost", index=0)) == "AtomLabel(kind='ghost', antichain=None, index=0)"
+    assert d.AtomLabel("synergy") == d.AtomLabel("synergy", None, 0) == SYN
+    assert TermValue(1.0, (1.0, 1.0)).trace == ()
+    assert d.CheckResult("x", True, 0.0).detail == ""
+    assert d.Decomposition(1, TABLE, ATOMS).redundancy_param is None
+
+
+@pytest.mark.parametrize("cls, kw, text, memos", CASES, ids=IDS)
+def test_pickle_and_copy_round_trips(cls, kw, text, memos):
+    x = cls(**kw)
+    _fill_memos(x)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == text
+        with pytest.raises(AttributeError):
+            setattr(y, next(iter(kw)), 0)

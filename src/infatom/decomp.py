@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from functools import lru_cache
 
 from .dist import (
     DEFAULT_EPS,
@@ -94,7 +95,15 @@ class AtomLabel(_Record):
                              _key=(kind, antichain, index))
 
     @classmethod
+    @lru_cache(maxsize=1 << MAX_VARIABLES)
     def set_theoretic(cls, a: Antichain) -> "AtomLabel":
+        """The label of the set atom over ``a``'s indices.
+
+        Memoised by antichain value, bounded so that the 255 set labels
+        over :data:`MAX_VARIABLES` variables fit: equal antichains get one
+        shared (immutable) label, holding the antichain it was first
+        built from.  Errors are not cached, so a bad antichain raises on
+        every call."""
         if any(len(b) != 1 for b in a.brackets) or a.is_empty:
             raise LabelError(f"set-theoretic labels use singleton brackets: {a}")
         return cls("set", antichain=a)
@@ -126,15 +135,17 @@ _GHOST_RE = re.compile(r"^Pi_g(?:_(\d+))?$")
 
 def parse_label(text: str) -> AtomLabel:
     """Inverse of :attr:`AtomLabel.text`; any other text raises
-    :class:`LabelError`."""
+    :class:`LabelError`.  Set labels, the solvers' most common, are tried
+    first; both of their steps are memoised, so a set label read again
+    is the shared object of :meth:`AtomLabel.set_theoretic`."""
     text = text.strip()
+    if text.startswith("{"):
+        return AtomLabel.set_theoretic(Antichain.parse(text))
     if text == "Pi_s":
         return AtomLabel.synergy()
     m = _GHOST_RE.match(text)
     if m:
         return AtomLabel.ghost(int(m.group(1)) if m.group(1) else 1)
-    if text.startswith("{"):
-        return AtomLabel.set_theoretic(Antichain.parse(text))
     raise LabelError(f"atom label {text!r} is not a set label, Pi_s or Pi_g_k")
 
 
@@ -364,6 +375,9 @@ def pid_view(decomp: Decomposition, target: int) -> PidView:
 #: column per atom, which ``_parthood`` keeps for the process's life.
 MAX_SET_THEORETIC = 5
 
+#: ``{i}`` for each 0-based position: shared, so each is an entropy memo key.
+_SINGLETONS = tuple(frozenset((i,)) for i in range(MAX_VARIABLES))
+
 
 def _mobius_atoms(table: ProbTable) -> dict[tuple[int, ...], float]:
     """Atom size for every non-empty 1-based index set, by inversion of
@@ -372,13 +386,23 @@ def _mobius_atoms(table: ProbTable) -> dict[tuple[int, ...], float]:
     n = table.n
     f = [0.0] * (1 << n)
     for m in range(1, 1 << n):
-        f[m] = interaction_information(table, [[i] for i in range(n) if m >> i & 1])
+        f[m] = interaction_information(table, [_SINGLETONS[i] for i in range(n) if m >> i & 1])
     for i in range(n):
         bit = 1 << i
         for m in range(1, 1 << n):
             if not m & bit:
                 f[m] -= f[m | bit]
     return {tuple(i + 1 for i in range(n) if m >> i & 1): f[m] for m in range(1, 1 << n)}
+
+
+@lru_cache(maxsize=MAX_SET_THEORETIC)
+def _set_labels(n: int) -> dict[tuple[int, ...], AtomLabel]:
+    """The set-atom label of every non-empty index set over ``{1..n}``, by
+    its index tuple, in column order: larger sets first, then
+    lexicographic.  Built once per arity."""
+    subsets = (tuple(i + 1 for i in range(n) if m >> i & 1) for m in range(1, 1 << n))
+    order = sorted(subsets, key=lambda t: (-len(t), t))
+    return {t: AtomLabel.set_theoretic(Antichain.of(*[[i] for i in t])) for t in order}
 
 
 def solve_set_theoretic(table: ProbTable, *, eps: float = DEFAULT_EPS) -> Decomposition:
@@ -393,17 +417,13 @@ def solve_set_theoretic(table: ProbTable, *, eps: float = DEFAULT_EPS) -> Decomp
     if n < 1 or n > MAX_SET_THEORETIC:
         raise WrongArity(f"distributive solver supports 1..{MAX_SET_THEORETIC} variables")
     raw = _mobius_atoms(table)
-    order = sorted(raw, key=lambda t: (-len(t), t))
-    negatives = [
-        (str(Antichain.of(*[[i] for i in t])), v) for t, v in raw.items() if v < -eps
-    ]
+    labels = _set_labels(n)
+    negatives = [(labels[t].text, v) for t, v in raw.items() if v < -eps]
     if negatives:
         raise NotSetTheoretic(sorted(negatives))
-    atoms = []
-    for t in order:
-        label = AtomLabel.set_theoretic(Antichain.of(*[[i] for i in t]))
-        atoms.append(Atom(label, _clip(raw[t], eps, label.text), len(t)))
-    atom_set = AtomSet(tuple(atoms))
+    atom_set = AtomSet(tuple(
+        Atom(label, _clip(raw[t], eps, label.text), len(t)) for t, label in labels.items()
+    ))
     r = raw[tuple(range(1, n + 1))] if n == 3 else None
     return Decomposition(n, _parthood(n, atom_set.labels()), atom_set, r)
 

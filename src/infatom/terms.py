@@ -167,26 +167,36 @@ _TRIVARIATE_SUBSETS = tuple(
 
 def _trivariate_entropies(table: ProbTable) -> list[float]:
     """``H1, H2, H3, H12, H13, H23, H123`` of a 3-variable table, read from
-    its entropy memo after the first call."""
+    its entropy memo after the first call.  Raises :class:`WrongArity`
+    for any other table."""
+    if table.n != 3:
+        raise WrongArity(f"expected 3 variables, got {table.n}")
     return [entropy(table, s) for s in _TRIVARIATE_SUBSETS]
+
+
+def _co_information(h: list[float]) -> float:
+    """``I_3`` from the entropies of :func:`_trivariate_entropies`, summed
+    in the order ``interaction_information`` sums them, so bit-identical
+    to its value."""
+    h1, h2, h3, h12, h13, h23, h123 = h
+    return h1 + h2 + h3 - h12 - h13 - h23 + h123
+
+
+def _bounds(h: list[float]) -> tuple[float, float]:
+    # Mutual informations are summed as mutual_information sums them.
+    h1, h2, h3, h12, h13, h23, _ = h
+    return max(0.0, _co_information(h)), min(h1 + h2 - h12, h1 + h3 - h13, h2 + h3 - h23)
 
 
 def redundancy_bounds(table: ProbTable) -> tuple[float, float]:
     """Feasible range of the triple-intersection size for 3 variables.
 
     ``lo = max(0, I_3)`` and ``hi = min`` of the pairwise mutual
-    informations; ``lo <= hi`` holds for every distribution.
+    informations; ``lo <= hi`` holds for every distribution.  Both are
+    bit-identical to the values of ``interaction_information`` and
+    ``mutual_information``.
     """
-    if table.n != 3:
-        raise WrongArity(f"expected 3 variables, got {table.n}")
-    h1, h2, h3, h12, h13, h23, h123 = _trivariate_entropies(table)
-    # Summed in the order mutual_information and interaction_information
-    # sum them, so both bounds are bit-identical to those functions' values.
-    i12 = h1 + h2 - h12
-    i13 = h1 + h3 - h13
-    i23 = h2 + h3 - h23
-    i3 = h1 + h2 + h3 - h12 - h13 - h23 + h123
-    return max(0.0, i3), min(i12, i13, i23)
+    return _bounds(_trivariate_entropies(table))
 
 
 def _check_feasible(r: float, lo: float, hi: float, eps: float) -> None:
@@ -198,6 +208,14 @@ def _check_feasible(r: float, lo: float, hi: float, eps: float) -> None:
         )
 
 
+def _feasible_entropies(table: ProbTable, r: float, eps: float) -> list[float]:
+    """:func:`_trivariate_entropies`, once ``r`` is checked against the
+    bounds they give."""
+    h = _trivariate_entropies(table)
+    _check_feasible(r, *_bounds(h), eps)
+    return h
+
+
 def delta_H(table: ProbTable, r: float, *, eps: float = DEFAULT_EPS) -> float:
     """Distributivity gap for a 3-variable system, given the triple size.
 
@@ -206,8 +224,7 @@ def delta_H(table: ProbTable, r: float, *, eps: float = DEFAULT_EPS) -> float:
     non-negative for feasible ``r`` and invariant under variable
     permutations.
     """
-    _check_feasible(r, *redundancy_bounds(table), eps)
-    return r - interaction_information(table, [[0], [1], [2]])
+    return r - _co_information(_feasible_entropies(table, r, eps))
 
 
 def check_inclusion_exclusion3(
@@ -217,14 +234,14 @@ def check_inclusion_exclusion3(
 
     ``H(X1 u X2 u X3) - [sum H(Xi) - sum I(Xi;Xj) + r - delta_H(r)]``.
     The ``r``-dependence cancels, so the residual is zero (to floating
-    point) for every distribution and every feasible ``r``.
+    point) for every distribution and every feasible ``r``.  The seven
+    subset entropies are read once, and every partial sum is the one
+    ``delta_H`` and ``mutual_information`` compute.
     """
-    gap = delta_H(table, r, eps=eps)
-    h1 = entropy(table, [0])
-    h2 = entropy(table, [1])
-    h3 = entropy(table, [2])
-    i12 = mutual_information(table, [0], [1])
-    i13 = mutual_information(table, [0], [2])
-    i23 = mutual_information(table, [1], [2])
-    lhs = entropy(table, [0, 1, 2])
-    return lhs - (h1 + h2 + h3 - i12 - i13 - i23 + r - gap)
+    h = _feasible_entropies(table, r, eps)
+    h1, h2, h3, h12, h13, h23, h123 = h
+    gap = r - _co_information(h)
+    i12 = h1 + h2 - h12
+    i13 = h1 + h3 - h13
+    i23 = h2 + h3 - h23
+    return h123 - (h1 + h2 + h3 - i12 - i13 - i23 + r - gap)

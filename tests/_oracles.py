@@ -10,6 +10,10 @@ terms from the package; their order test is :func:`brute_leq`.
 the reduction-extended pairs one by one with ``lattice.leq``, fast enough
 to check the validator's mask closure beyond n = 5.
 :func:`oracle_reduce` reads only a table's pmf and an antichain's brackets.
+:func:`oracle_delta_H` and :func:`oracle_inclusion_exclusion3` spell out the
+gap and the 3-variable identity through the public entropy, mutual- and
+interaction-information functions of :mod:`infatom.dist`, one call per
+quantity, so the package's seven-entropy path is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from infatom.dist import entropy, interaction_information, mutual_information
 from infatom.lattice import enumerate_antichains, leq
 from infatom.terms import reduce_antichain
 
@@ -88,6 +93,24 @@ def oracle_interval(pmf: dict) -> tuple[float, float]:
     i23 = oracle_mi(pmf, (1,), (2,))
     i3 = oracle_interaction(pmf, [(0,), (1,), (2,)])
     return max(0.0, i3), min(i12, i13, i23)
+
+
+def oracle_delta_H(table, r) -> float:
+    """``r - I_3`` of a 3-variable table (no feasibility check)."""
+    return r - interaction_information(table, [[0], [1], [2]])
+
+
+def oracle_inclusion_exclusion3(table, r) -> float:
+    """Residual of the 3-variable identity, every term read on its own."""
+    gap = oracle_delta_H(table, r)
+    h1 = entropy(table, [0])
+    h2 = entropy(table, [1])
+    h3 = entropy(table, [2])
+    i12 = mutual_information(table, [0], [1])
+    i13 = mutual_information(table, [0], [2])
+    i23 = mutual_information(table, [1], [2])
+    lhs = entropy(table, [0, 1, 2])
+    return lhs - (h1 + h2 + h3 - i12 - i13 - i23 + r - gap)
 
 
 def oracle_reduce(table, a, eps) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[str, ...]]:

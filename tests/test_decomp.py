@@ -321,6 +321,22 @@ def test_xor_is_not_distributive(xor):
         ia.solve_set_theoretic(xor)
     negatives = dict(err.value.negatives)
     assert negatives["{1}{2}{3}"] == pytest.approx(-1.0, abs=1e-9)
+    # The listing reads the labels' text: pinned byte for byte.
+    assert str(err.value) == "negative atoms: {1}{2}{3} = -1.000000000"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_distributive_solver_reuses_its_labels(n):
+    names = [f"X{i}" for i in range(1, n + 1)]
+    copies = ia.ProbTable.from_pmf(names, {(0,) * n: 0.5, (1,) * n: 0.5})
+    first = ia.solve_set_theoretic(copies).table.cols
+    again = ia.solve_set_theoretic(ia.ProbTable.from_pmf(names, {(0,) * n: 0.5, (1,) * n: 0.5}))
+    assert len(first) == 2**n - 1
+    assert all(x is y for x, y in zip(first, again.table.cols, strict=True))
+    assert all(x is y for x, y in zip(first, again.atoms.labels(), strict=True))
+    # Column order: larger index sets first, then lexicographic.
+    supports = [c.antichain.indices for c in first]
+    assert supports == sorted(supports, key=lambda t: (-len(t), t))
 
 
 def test_single_variable_distributive_solution():
@@ -659,9 +675,11 @@ def test_validator_rejects_columns_that_are_not_the_atoms(xor):
 @pytest.mark.parametrize("brackets", [[[4]], [[10**9]], [[2], [4]]], ids=["4", "1e9", "2-4"])
 def test_validator_rejects_set_atoms_outside_the_variables(xor, brackets):
     # Relabelled consistently in atoms and columns, so only the label is wrong.
-    # A fresh antichain, not a shared parsed one, so its masks are its own.
+    # A fresh antichain, not a shared parsed one, so its masks are its own;
+    # built directly, as set_theoretic may hand back an equal label built
+    # earlier from an antichain that already has masks.
     d = ia.solve_trivariate(xor)
-    old, new = parse_label("{1}"), ia.AtomLabel.set_theoretic(Antichain.of(*brackets))
+    old, new = parse_label("{1}"), ia.AtomLabel("set", antichain=Antichain.of(*brackets))
     atoms = AtomSet(
         tuple(Atom(new if a.label == old else a.label, a.size, a.covering) for a in d.atoms)
     )
@@ -895,6 +913,26 @@ def test_parse_label_forms():
     for text in ("x", "{1,2}{3}", "synergy", "Pi_g_x"):
         with pytest.raises(ia.LabelError):
             parse_label(text)
+
+
+def test_set_labels_are_shared_per_antichain():
+    built = ia.AtomLabel.set_theoretic(Antichain.of([1], [2]))
+    assert built is parse_label(" {1}{2} ")
+    assert built is ia.AtomLabel.set_theoretic(Antichain.parse("{2}{1}"))
+    assert built is not parse_label("{1}{3}")
+
+
+@pytest.mark.parametrize(
+    "text, error", [("{1,2}", ia.LabelError), ("{0}", ia.AntichainError), ("{1}{1}", ia.AntichainError)]
+)
+def test_bad_set_labels_raise_on_every_call(text, error):
+    # Errors are never cached: the second and third calls raise as the first.
+    for _ in range(3):
+        with pytest.raises(error):
+            parse_label(text)
+    for _ in range(3):
+        with pytest.raises(ia.LabelError):
+            ia.AtomLabel.set_theoretic(Antichain.of([1, 2]))
 
 
 def test_validation_report_json_shape(xor):

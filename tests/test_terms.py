@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -10,7 +11,15 @@ from infatom import terms
 from infatom.lattice import Antichain
 from infatom.terms import eval_term, reduce_antichain
 
-from _oracles import oracle_interval, oracle_entropy, oracle_mi, oracle_interaction, oracle_reduce
+from _oracles import (
+    oracle_delta_H,
+    oracle_entropy,
+    oracle_inclusion_exclusion3,
+    oracle_interaction,
+    oracle_interval,
+    oracle_mi,
+    oracle_reduce,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +361,44 @@ def test_inclusion_exclusion3_residual_vanishes_on_random_tables():
         )
         assert residual == pytest.approx(direct, abs=1e-12)
     assert worst < 1e-9
+
+
+def test_gap_and_identity_equal_the_oracle_bit_for_bit():
+    # Criterion-5 tables and the gates, at both endpoints and a random r;
+    # the oracle reads a fresh copy, whose memo the package never touched.
+    makers = [
+        (ia.sample_table, (seed, i, cards))
+        for seed, cards in ((550, (2, 2, 2)), (551, (3, 3, 3)))
+        for i in range(150)
+    ]
+    makers += [(ia.gen_gate, (g,)) for g in ("xor", "and", "copy", "two-coins-copy")]
+    rng = random.Random(5)
+    for make, args in makers:
+        t, fresh = make(*args), make(*args)
+        lo, hi = ia.redundancy_bounds(t)
+        for r in (lo, hi, lo + rng.random() * (hi - lo)):
+            assert ia.delta_H(t, r) == oracle_delta_H(fresh, r)
+            assert ia.check_inclusion_exclusion3(t, r) == oracle_inclusion_exclusion3(fresh, r)
+
+
+@pytest.mark.parametrize("check", [ia.delta_H, ia.check_inclusion_exclusion3])
+def test_gap_and_identity_raise_in_order(check):
+    # Arity first, then a non-finite r, then an r outside [lo - eps, hi + eps].
+    for bad_arity in (ia.random_table("order", [2, 2]), ia.parity_gate(4)):
+        for r in (0.0, math.nan, math.inf, 10.0):
+            with pytest.raises(ia.WrongArity):
+                check(bad_arity, r)
+    t = ia.random_table("order", [2, 3, 2])
+    lo, hi = ia.redundancy_bounds(t)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ia.RedundancyValueError):
+            check(t, r)
+    eps = 1e-6
+    for r in (lo - 2 * eps, hi + 2 * eps):
+        with pytest.raises(ia.InfeasibleRedundancy):
+            check(t, r, eps=eps)
+    for r in (lo - eps / 2, hi + eps / 2):
+        check(t, r, eps=eps)
 
 
 def test_term_value_shape():

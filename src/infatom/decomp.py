@@ -70,7 +70,7 @@ from .errors import (
     WrongArity,
     _Record,
 )
-from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains, lift_map, top
+from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains
 from .terms import (
     _check_feasible,
     _trivariate_entropies,
@@ -87,7 +87,12 @@ from .terms import (
 
 class AtomLabel(_Record):
     """Name of one atom: a singleton-bracket antichain, the synergistic
-    atom ``Pi_s``, or a ghost atom ``Pi_g`` / ``Pi_g_k``."""
+    atom ``Pi_s``, or a ghost atom ``Pi_g`` / ``Pi_g_k``.
+
+    The classmethods return shared (immutable) labels from memos bounded
+    to fit every label over :data:`MAX_VARIABLES` variables (255 set
+    labels): equal arguments get the label first built from them.  Errors
+    are not cached, so bad arguments raise on every call."""
 
     def __init__(self, kind: str, antichain: Antichain | None = None, index: int = 0) -> None:
         # kind: "set" | "synergy" | "ghost"
@@ -97,23 +102,23 @@ class AtomLabel(_Record):
     @classmethod
     @lru_cache(maxsize=1 << MAX_VARIABLES)
     def set_theoretic(cls, a: Antichain) -> "AtomLabel":
-        """The label of the set atom over ``a``'s indices.
-
-        Memoised by antichain value, bounded so that the 255 set labels
-        over :data:`MAX_VARIABLES` variables fit: equal antichains get one
-        shared (immutable) label, holding the antichain it was first
-        built from.  Errors are not cached, so a bad antichain raises on
-        every call."""
+        """The label of the set atom over ``a``'s indices."""
         if any(len(b) != 1 for b in a.brackets) or a.is_empty:
             raise LabelError(f"set-theoretic labels use singleton brackets: {a}")
         return cls("set", antichain=a)
 
     @classmethod
+    @lru_cache(maxsize=1)
     def synergy(cls) -> "AtomLabel":
         return cls("synergy")
 
     @classmethod
     def ghost(cls, k: int = 1) -> "AtomLabel":
+        return cls._ghost(k)  # one memo key per k, however k is passed
+
+    @classmethod
+    @lru_cache(maxsize=MAX_VARIABLES, typed=True)
+    def _ghost(cls, k: int) -> "AtomLabel":
         if k < 1:
             raise LabelError(f"ghost index must be >= 1, got {k}")
         return cls("ghost", index=k)
@@ -136,8 +141,8 @@ _GHOST_RE = re.compile(r"^Pi_g(?:_(\d+))?$")
 def parse_label(text: str) -> AtomLabel:
     """Inverse of :attr:`AtomLabel.text`; any other text raises
     :class:`LabelError`.  Set labels, the solvers' most common, are tried
-    first; both of their steps are memoised, so a set label read again
-    is the shared object of :meth:`AtomLabel.set_theoretic`."""
+    first.  Every label read again is the shared object of its
+    :class:`AtomLabel` classmethod, and set texts hit the parse memo too."""
     text = text.strip()
     if text.startswith("{"):
         return AtomLabel.set_theoretic(Antichain.parse(text))
@@ -443,12 +448,8 @@ def solve_n_parity(n: int) -> Decomposition:
     """
     if not isinstance(n, int) or not 3 <= n <= MAX_VARIABLES:
         raise LatticeRangeError(f"n-parity solver supports n in [3, {MAX_VARIABLES}], got {n!r}")
-    labels = [AtomLabel.synergy()] + [AtomLabel.ghost(k) for k in range(1, n - 1)]
-    atoms = AtomSet(
-        tuple(
-            Atom(lab, 1.0, 2 if lab.kind == "synergy" else 1) for lab in labels
-        )
-    )
+    ghosts = tuple(Atom(AtomLabel.ghost(k), 1.0, 1) for k in range(1, n - 1))
+    atoms = AtomSet((Atom(AtomLabel.synergy(), 1.0, 2),) + ghosts)
     return Decomposition(n, _parthood(n, atoms.labels()), atoms, None)
 
 
@@ -499,25 +500,24 @@ def lift_decomposition(
     the added variable is the joint of the originals.
 
     Atoms keep their sizes and every covering grows by one.  A lifted
-    term's row is the row of its image under :func:`lift_map`; terms
-    whose brackets all contain the new index collapse onto the
-    whole-system row.  The input must validate against ``table``.
+    term's row is the row of its image under :func:`lift_map`, the
+    whole-system row when the image is empty: each row of the smaller
+    lattice is read once and placed by the lifted view's cached
+    :attr:`~LatticeView.lifts` positions.  The input must validate
+    against ``table``; one over :data:`MAX_VARIABLES` variables is refused
+    first, as its lift has no lattice.
     """
+    if decomp.n >= MAX_VARIABLES:
+        raise LatticeRangeError(f"cannot lift a decomposition over {decomp.n} variables: "
+                                f"lattices stop at {MAX_VARIABLES} variables")
     report = validate(decomp, table, eps=eps)
     if not report.passed:
         raise ValidationFailed(report)
-    n1 = decomp.n + 1
-    lifted_atoms = AtomSet(
-        tuple(Atom(a.label, a.size, a.covering + 1) for a in decomp.atoms)
-    )
-    whole = top(decomp.n)
-    view = enumerate_antichains(n1)
-    entries = []
-    for a in view.elements:
-        image = lift_map(a, n1)
-        entries.append(decomp.table.row(whole if image.is_empty else image))
-    tab = ParthoodTable(view.elements, decomp.table.cols, tuple(entries))
-    return Decomposition(n1, tab, lifted_atoms, decomp.redundancy_param)
+    atoms = AtomSet(tuple(Atom(a.label, a.size, a.covering + 1) for a in decomp.atoms))
+    base = [decomp.table.row(a) for a in enumerate_antichains(decomp.n).elements]
+    view = enumerate_antichains(decomp.n + 1)
+    tab = ParthoodTable(view.elements, decomp.table.cols, tuple(base[q] for q in view.lifts))
+    return Decomposition(decomp.n + 1, tab, atoms, decomp.redundancy_param)
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +546,8 @@ class ValidationReport(_Record):
         raise KeyError(name)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "checks": [
-                    {"name": c.name, "pass": c.passed, "residual": c.residual}
-                    for c in self.checks
-                ]
-            }
-        )
+        checks = [{"name": c.name, "pass": c.passed, "residual": c.residual} for c in self.checks]
+        return json.dumps({"checks": checks})
 
 
 def validate(
@@ -581,7 +575,9 @@ def validate(
 
     The table is read once into int bitsets: ``held[i]``, the atoms row i
     holds (bit j for atom j); ``positive``, the atoms of size above
-    ``eps``; and per atom, the lattice positions whose rows hold it.
+    ``eps``; and per atom, the lattice positions whose rows hold it.  Rows
+    already in lattice order (every solver's and lift's, and canonical
+    JSON) are their own positions, so only other orders are looked up.
     Monotonicity counts violating ordered pairs of rows without testing
     any pair.  Each row's strict up-set ``up[p]`` is a bitmask over lattice
     positions, OR-ed together in one backward pass over the view's cached
@@ -603,19 +599,19 @@ def validate(
     violations are popcounts.  The detail names the first violating pair
     in row order, whatever the row order.  The covering rule reads each
     atom's lowest position: the listing is graded by covering, most
-    brackets first.  Equal rows test ``(held[i] ^ held[k]) & positive``
-    for k the row of i's reduced form, read from the same positions.  Each
-    row with two or more brackets is reduced once; monotonicity, term
-    sizes and equal rows share that reduction (a single bracket is its own
-    reduced form).
+    brackets first.  Term sizes sum each distinct ``held`` pattern once
+    with ``fsum``, correctly rounded, so as :meth:`Decomposition.term_sum`
+    would.  Equal rows test ``(held[i] ^ held[k]) & positive`` for k the
+    row of i's reduced form.  Each row with two or more brackets is
+    reduced once; monotonicity, term sizes and equal rows share that
+    reduction (a single bracket is its own reduced form).
     """
     if table.n != decomp.n:
-        raise WrongArity(
-            f"decomposition over {decomp.n} variables, table over {table.n}"
-        )
+        raise WrongArity(f"decomposition over {decomp.n} variables, table over {table.n}")
     rows = decomp.table.rows
     view = enumerate_antichains(decomp.n)
-    if len(rows) != len(view) or set(rows) != set(view.elements):
+    in_order = rows == view.elements
+    if not in_order and (len(rows) != len(view) or set(rows) != set(view.elements)):
         raise DecompositionFormatError(
             f"parthood table rows are not the {len(view)} antichains over "
             f"{decomp.n} variables"
@@ -643,9 +639,7 @@ def validate(
 
     # V1: non-negative atoms.
     worst = min((a.size for a in atoms), default=0.0)
-    checks.append(
-        CheckResult("atom_nonnegativity", worst >= -eps, max(0.0, -worst))
-    )
+    checks.append(CheckResult("atom_nonnegativity", worst >= -eps, max(0.0, -worst)))
 
     # The reduction of every row term, for V2, V6 and V7; None for a
     # single bracket, which is its own reduced form.
@@ -656,12 +650,13 @@ def validate(
     # ``where[i]`` is row i's lattice position, ``row_at`` inverts it, and
     # ``at[j]`` marks the positions whose rows hold atom j.
     elements = view.elements
-    where = [view.index(a) for a in rows]
-    row_at = [0] * len(rows)
+    where = row_at = range(len(rows))
+    if not in_order:
+        where = [view.index(a) for a in rows]
+        row_at = sorted(row_at, key=where.__getitem__)
     held = []
     at = [0] * len(atoms)
-    for i, (p, x) in enumerate(zip(where, decomp.table.entries)):
-        row_at[p] = i
+    for p, x in zip(where, decomp.table.entries):
         h = 0
         for j, v in enumerate(x):
             if v:
@@ -737,10 +732,12 @@ def validate(
     checks.append(CheckResult("total_law", residual <= eps, residual))
 
     # V6: term sizes, exact or by interval containment.
+    sizes = [a.size for a in atoms]
+    sums = {h: math.fsum(s for j, s in enumerate(sizes) if h >> j & 1) for h in set(held)}
     worst_gap = 0.0
     first_bad = ""
-    for a, reduction in zip(rows, reductions):
-        total = decomp.term_sum(a)
+    for a, h, reduction in zip(rows, held, reductions):
+        total = sums[h]
         tv = eval_term(table, a, eps=eps, reduction=reduction)
         if tv.is_exact:
             gap = abs(total - tv.value)
@@ -790,19 +787,10 @@ class ScanSummary(_Record):
                                    max_subadditivity_gap))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "samples": self.n_samples,
-                "seed": self.seed,
-                "cards": list(self.cards),
-                "min_interval_width": self.min_interval_width,
-                "min_atom_size": self.min_atom_size,
-                "pi_s_min": self.pi_s_min,
-                "pi_s_max": self.pi_s_max,
-                "set_theoretic_successes": self.set_theoretic_successes,
-                "max_subadditivity_gap": self.max_subadditivity_gap,
-            }
-        )
+        # The fields in order, ``n_samples`` written as "samples".
+        keys = ("samples", "seed", "cards", "min_interval_width", "min_atom_size", "pi_s_min",
+                "pi_s_max", "set_theoretic_successes", "max_subadditivity_gap")
+        return json.dumps(dict(zip(keys, self._key)))
 
 
 def sample_table(seed: int, index: int, cards) -> ProbTable:

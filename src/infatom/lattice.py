@@ -223,6 +223,18 @@ class LatticeView(_Record):
         and ``elements``."""
         return self._cover_positions()
 
+    @cached_property
+    def lifts(self) -> tuple[int, ...]:
+        """Position of each element's :func:`lift_map` image in the view over
+        ``n - 1``, the top's (the last) for the empty image; built once per
+        view, like :attr:`covers`, for ``n >= 2``.  The masks not holding bit
+        ``n - 1`` are the image's, in canonical order, so no image is built."""
+        below = enumerate_antichains(self.n - 1).elements
+        position = {a.masks: i for i, a in enumerate(below)}
+        position[()] = len(below) - 1
+        bit = 1 << (self.n - 1)
+        return tuple(position[tuple(m for m in a.masks if not m & bit)] for a in self.elements)
+
 
 @lru_cache(maxsize=None)
 def enumerate_antichains(n: int) -> LatticeView:

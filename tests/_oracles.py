@@ -8,7 +8,9 @@ and :func:`oracle_equal_rows`), which read a decomposition and take reduced
 terms from the package; their order test is :func:`brute_leq`.
 :func:`oracle_monotonicity_pairs` reads the package's lattice too: it tests
 the reduction-extended pairs one by one with ``lattice.leq``, fast enough
-to check the validator's mask closure beyond n = 5.
+to check the validator's mask closure beyond n = 5.  :func:`oracle_lift_entries`
+is the lift's row loop through ``lattice.lift_map``, one image per term,
+the reference for the lift's position table.
 :func:`oracle_reduce` reads only a table's pmf and an antichain's brackets.
 :func:`oracle_delta_H` and :func:`oracle_inclusion_exclusion3` spell out the
 gap and the 3-variable identity through the public entropy, mutual- and
@@ -22,7 +24,7 @@ import math
 from itertools import combinations
 
 from infatom.dist import entropy, interaction_information, mutual_information
-from infatom.lattice import enumerate_antichains, leq
+from infatom.lattice import enumerate_antichains, leq, lift_map, top
 from infatom.terms import reduce_antichain
 
 # Literal gate pmfs, written out by hand.
@@ -379,3 +381,15 @@ def oracle_equal_rows(decomp, table, eps) -> tuple[bool, float, str]:
             if not first_bad:
                 first_bad = f"{a} ~ {ra}"
     return mismatches == 0, float(mismatches), first_bad
+
+
+def oracle_lift_entries(decomp) -> tuple[tuple[int, ...], ...]:
+    """Entries of the lifted table, one per antichain over ``n + 1``: the
+    row of the term's :func:`lift_map` image, the top's for the empty one."""
+    n1 = decomp.n + 1
+    whole = top(decomp.n)
+    entries = []
+    for a in enumerate_antichains(n1).elements:
+        image = lift_map(a, n1)
+        entries.append(decomp.table.row(whole if image.is_empty else image))
+    return tuple(entries)

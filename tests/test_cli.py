@@ -251,6 +251,17 @@ def test_set_atom_outside_the_variables_exits_2(tmp_path, capsys, command, label
     assert err == f"infatom: set atom {label} names a variable outside 1..3\n"
 
 
+def test_lift_of_eight_variables_exits_2_before_validating(tmp_path, capsys):
+    decomp, dist = tmp_path / "parity8.json", tmp_path / "parity8.csv"
+    assert run(capsys, "decompose", "--parity", "8", "--json", "-o", str(decomp))[0] == 0
+    assert run(capsys, "gate", "parity(8)", "-o", str(dist))[0] == 0
+    code, out, err = run(capsys, "lift", str(decomp), str(dist))
+    assert code == 2 and out == ""
+    assert err == (
+        "infatom: cannot lift a decomposition over 8 variables: lattices stop at 8 variables\n"
+    )
+
+
 def _relabel(decomp, renames: dict[str, str]) -> None:
     """Rename atoms the same way in ``atoms`` and ``table.cols``."""
     obj = json.loads(decomp.read_text())

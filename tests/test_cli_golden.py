@@ -12,12 +12,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from infatom.cli import main
+from infatom.dist import dump_csv, extend_with_joint, gen_gate
 
 GATES = ("xor", "and", "copy", "two-coins-copy", "random(0,[3,3,3])", "random(7,[2,3,4])")
 
@@ -53,16 +56,69 @@ def _cases() -> list[tuple[str, str | None, tuple[str, ...]]]:
     return cases
 
 
+#: Lift cases: (case id, gate spec, ``decompose`` options with ``{}`` for
+#: the gate file, number of lifts in a row, rows shuffled before lifting).
+#: Each records the stdout of ``validate`` of the input decomposition, of
+#: the last ``lift``, and of ``validate`` of its result against the gate
+#: extended by the joint as many times as it was lifted.
+LIFTS = (
+    ("xor", "xor", ("{}",), 1, False),
+    ("random(0,[3,3,3])", "random(0,[3,3,3])", ("{}",), 1, False),
+    ("parity(4)", "parity(4)", ("--parity", "4"), 1, False),
+    ("xor-twice", "xor", ("{}",), 2, False),
+    ("random(0,[3,3,3])-shuffled", "random(0,[3,3,3])", ("{}",), 1, True),
+)
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(a) for a in argv])
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _stdout_digest(tmp: Path, spec: str | None, argv: tuple[str, ...]) -> str:
     if spec is not None:
         path = tmp / "gate.csv"
         assert main(["gate", spec, "-o", str(path)]) == 0
         argv = tuple(str(path) if a == "{}" else a for a in argv)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    assert code == 0, argv
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return _digest(_stdout(argv))
+
+
+def _shuffle_rows(path: Path) -> None:
+    """Rewrite a decomposition JSON with its table rows in a seeded order."""
+    obj = json.loads(path.read_text())
+    tbl = obj["table"]
+    order = list(range(len(tbl["rows"])))
+    random.Random(0).shuffle(order)
+    tbl["rows"] = [tbl["rows"][i] for i in order]
+    tbl["entries"] = [tbl["entries"][i] for i in order]
+    path.write_text(json.dumps(obj))
+
+
+def _lift_digests(tmp: Path, spec: str, options, lifts: int, shuffle: bool) -> dict[str, str]:
+    table = gen_gate(spec)
+    dists = [tmp / f"gate{k}.csv" for k in range(lifts + 1)]
+    for path in dists:
+        path.write_text(dump_csv(table))
+        table = extend_with_joint(table)
+    decomps = [tmp / f"decomp{k}.json" for k in range(lifts + 1)]
+    options = [dists[0] if a == "{}" else a for a in options]
+    _stdout(["decompose", *options, "--json", "-o", decomps[0]])
+    if shuffle:
+        _shuffle_rows(decomps[0])
+    digests = {"validate-input": _digest(_stdout(["validate", decomps[0], dists[0]]))}
+    for k in range(lifts):
+        lifted = _stdout(["lift", decomps[k], dists[k]])
+        decomps[k + 1].write_text(lifted)
+    digests["lift"] = _digest(lifted)
+    digests["validate"] = _digest(_stdout(["validate", decomps[-1], dists[-1]]))
+    return digests
 
 
 DIGESTS = {
@@ -92,6 +148,21 @@ DIGESTS = {
     'lattice-dot-dist:random(11,[2,2,2,2])': '7ef04d5ba40f9e69b83fc17f0bbcc3eb804627a124aa28f21025c26401be61df',
     'lattice:8': 'beae82188dcd0ce212611fe7a23cc07ac85e29ffb16b2db288022545f093578f',
     'lattice-dot-dist:parity(5)': '332c2ecaf49e972120f055f88988c722421553ca072fa849687726eda55028de',
+    'validate-input:xor': '54a532a6ff312350ce55a7904a0be6e919a1924e88eb6783f902dcfaf7cc9cec',
+    'lift:xor': '44ee2789c1dc802bb69bc1cc2b08f84e37d7dd9b12ebe0c775c08046cfdca30a',
+    'validate:xor': '54a532a6ff312350ce55a7904a0be6e919a1924e88eb6783f902dcfaf7cc9cec',
+    'validate-input:random(0,[3,3,3])': 'c4d0abd97b1fe9c274683e4896b44dbca288fbcf261278a1595072b76cbff3d8',
+    'lift:random(0,[3,3,3])': '3ce511a4585ffd8e6ad8ac62c85fa55dceacf232de7e0d342411197988cc4f4b',
+    'validate:random(0,[3,3,3])': 'c4d0abd97b1fe9c274683e4896b44dbca288fbcf261278a1595072b76cbff3d8',
+    'validate-input:parity(4)': '54a532a6ff312350ce55a7904a0be6e919a1924e88eb6783f902dcfaf7cc9cec',
+    'lift:parity(4)': '54d2babfd8cacc2bcd11be750553d77c457f2eaa693329905571876980538148',
+    'validate:parity(4)': '54a532a6ff312350ce55a7904a0be6e919a1924e88eb6783f902dcfaf7cc9cec',
+    'validate-input:xor-twice': '54a532a6ff312350ce55a7904a0be6e919a1924e88eb6783f902dcfaf7cc9cec',
+    'lift:xor-twice': '252d455cb316e45baa6936b747bbc4fa0f94fa7cc5eee2647af64f19000f5e81',
+    'validate:xor-twice': '54a532a6ff312350ce55a7904a0be6e919a1924e88eb6783f902dcfaf7cc9cec',
+    'validate-input:random(0,[3,3,3])-shuffled': 'c4d0abd97b1fe9c274683e4896b44dbca288fbcf261278a1595072b76cbff3d8',
+    'lift:random(0,[3,3,3])-shuffled': '3ce511a4585ffd8e6ad8ac62c85fa55dceacf232de7e0d342411197988cc4f4b',
+    'validate:random(0,[3,3,3])-shuffled': 'c4d0abd97b1fe9c274683e4896b44dbca288fbcf261278a1595072b76cbff3d8',
 }
 
 
@@ -103,11 +174,25 @@ def test_cli_stdout_is_byte_identical(tmp_path, case_id, spec, argv):
     assert _stdout_digest(tmp_path, spec, argv) == DIGESTS[case_id]
 
 
+@pytest.mark.parametrize("case_id, spec, options, lifts, shuffle", LIFTS,
+                         ids=[c[0] for c in LIFTS])
+def test_lift_and_validate_stdout_is_byte_identical(tmp_path, case_id, spec, options, lifts,
+                                                    shuffle):
+    digests = _lift_digests(tmp_path, spec, options, lifts, shuffle)
+    for command, digest in digests.items():
+        assert digest == DIGESTS[f"{command}:{case_id}"], command
+
+
 def test_corpus_is_fully_recorded():
-    assert sorted(DIGESTS) == sorted(c[0] for c in CASES)
+    commands = ("validate-input", "lift", "validate")
+    lift_ids = [f"{command}:{c[0]}" for c in LIFTS for command in commands]
+    assert sorted(DIGESTS) == sorted([c[0] for c in CASES] + lift_ids)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case_id, spec, argv in CASES:
             print(f"    {case_id!r}: {_stdout_digest(Path(tmp), spec, argv)!r},")
+        for case_id, *rest in LIFTS:
+            for command, digest in _lift_digests(Path(tmp), *rest).items():
+                print(f"    {f'{command}:{case_id}'!r}: {digest!r},")

@@ -18,6 +18,7 @@ from _oracles import (
     oracle_equal_rows,
     oracle_interaction,
     oracle_interval,
+    oracle_lift_entries,
     oracle_mi,
     oracle_monotonicity,
     oracle_monotonicity_pairs,
@@ -559,6 +560,15 @@ def test_lift_rows_follow_bracket_removal(xor):
     )
 
 
+def test_lift_refuses_eight_variables_before_validating(monkeypatch):
+    d, t = ia.solve_n_parity(8), ia.parity_gate(8)
+    calls = _count_calls(monkeypatch, decomp, "validate")
+    with pytest.raises(ia.LatticeRangeError, match="cannot lift .* over 8 variables: "
+                       "lattices stop at 8 variables"):
+        ia.lift_decomposition(d, t)
+    assert calls == []
+
+
 def test_lift_rejects_invalid_decomposition(xor):
     d = ia.solve_trivariate(xor)
     broken_atoms = AtomSet(
@@ -827,6 +837,99 @@ def test_monotonicity_matches_pairwise_oracle_beyond_five():
     assert failing >= 4
 
 
+def _lift_corpus():
+    """Each of :func:`_monotonicity_cases`, parity 6 and 7 and lifted
+    parity 6, so that lifts reach 8 variables, as solved and with its rows
+    shuffled: (decomposition, table)."""
+    rng = random.Random(15)
+    bases = _monotonicity_cases()
+    bases += [(ia.solve_n_parity(n), ia.parity_gate(n)) for n in (6, 7)]
+    bases.append(_lifted(ia.solve_n_parity(6), ia.parity_gate(6)))
+    for d, t in bases:
+        yield d, t
+        yield _shuffled(d, rng), t
+
+
+def test_lift_matches_the_lift_map_loop():
+    seen = set()
+    for d, t in _lift_corpus():
+        lifted = ia.lift_decomposition(d, t)
+        view = lattice.enumerate_antichains(d.n + 1)
+        assert lifted.table.rows is view.elements
+        assert lifted.table.entries == oracle_lift_entries(d), d.n
+        assert lifted.table.cols == d.table.cols
+        assert [a.covering for a in lifted.atoms] == [a.covering + 1 for a in d.atoms]
+        seen.add(d.n + 1)
+    assert seen == {4, 5, 6, 7, 8}
+
+
+def test_validate_reports_agree_for_in_order_and_shuffled_rows():
+    # The detail of a failed check names the first offender in row order,
+    # so it may differ between orders; everything else must not.
+    rng = random.Random(21)
+    for case, m, t in _mutated_cases():
+        view = lattice.enumerate_antichains(m.n)
+        order = sorted(range(len(m.table.rows)), key=lambda i: view.index(m.table.rows[i]))
+        in_order = _with_rows(m, order)
+        assert in_order.table.rows == view.elements
+        a, b = ia.validate(in_order, t), ia.validate(_shuffled(m, rng), t)
+        assert [(c.name, c.passed, c.residual) for c in a.checks] == [
+            (c.name, c.passed, c.residual) for c in b.checks
+        ], case
+        if a.passed:
+            assert a == b, case
+
+
+def _warm_cases():
+    """A generic trivariate solution, whose terms do not reduce to other
+    terms, and parity 4, where R2 reduces ``{1,2,3}{4}`` to ``{4}``."""
+    t = ia.random_table("warm", [2, 3, 2])
+    cases = [(ia.solve_trivariate(t), t), (ia.solve_n_parity(4), ia.parity_gate(4))]
+    for d, t in cases:
+        ia.lift_decomposition(d, t)  # builds both views, covers and lift table
+    return cases
+
+
+def test_warm_lift_builds_no_image(monkeypatch):
+    # The only antichains a warm lift builds are the reduced forms its
+    # validate builds.
+    cases = _warm_cases()
+    expected = [oracle_lift_entries(d) for d, _t in cases]
+    images = _count_calls(monkeypatch, lattice, "lift_map")
+    built = _count_calls(monkeypatch, Antichain, "__init__")
+    assert not hasattr(decomp, "lift_map")
+    reduced = []
+    for (d, t), entries in zip(cases, expected):
+        built.clear()
+        ia.validate(d, t)
+        reduced.append(len(built))
+        built.clear()
+        assert ia.lift_decomposition(d, t).table.entries == entries
+        assert len(built) == reduced[-1]
+    assert images == [] and reduced == [0, 4]
+
+
+def test_warm_validate_of_rows_in_order_looks_up_reduced_forms_only(monkeypatch):
+    # Rows in lattice order are not looked up; a reduced form that differs
+    # from its term still is, once.
+    from infatom import terms
+
+    cases = _warm_cases()
+    cases.append(_lifted(*cases[1]))
+    calls = _count_calls(monkeypatch, lattice.LatticeView, "index")
+    looked_up = []
+    for d, t in cases:
+        changed = 0
+        for a in d.table.rows:
+            r = terms.reduce_antichain(t, a)[0] if a.covering > 1 else None
+            changed += r is not None and r != a
+        calls.clear()
+        assert ia.validate(d, t).passed
+        assert len(calls) == changed < len(d.table.rows)
+        looked_up.append(changed)
+    assert looked_up[:2] == [0, 4]
+
+
 def test_validate_makes_no_order_tests_on_a_warm_view(monkeypatch):
     d, t = _lifted(ia.solve_n_parity(4), ia.parity_gate(4))
     ia.validate(d, t)  # builds the n = 5 view's covers
@@ -920,6 +1023,16 @@ def test_set_labels_are_shared_per_antichain():
     assert built is parse_label(" {1}{2} ")
     assert built is ia.AtomLabel.set_theoretic(Antichain.parse("{2}{1}"))
     assert built is not parse_label("{1}{3}")
+
+
+def test_synergy_and_ghost_labels_are_shared():
+    assert parse_label(" Pi_s ") is ia.AtomLabel.synergy()
+    assert parse_label("Pi_g") is ia.AtomLabel.ghost() is ia.AtomLabel.ghost(1)
+    assert parse_label("Pi_g_2") is ia.AtomLabel.ghost(k=2)
+    assert parse_label("Pi_g_2") is not parse_label("Pi_g_3")
+    for _ in range(3):  # errors are not cached
+        with pytest.raises(ia.LabelError):
+            ia.AtomLabel.ghost(0)
 
 
 @pytest.mark.parametrize(

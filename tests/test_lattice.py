@@ -266,6 +266,17 @@ def test_lift_map_is_onto_the_smaller_lattice():
     assert smaller <= images
 
 
+@pytest.mark.parametrize("n", range(2, MAX_VARIABLES + 1))
+def test_lift_table_holds_the_lift_map_image_positions(n):
+    below = enumerate_antichains(n - 1)
+    expected = []
+    for a in enumerate_antichains(n).elements:
+        image = lift_map(a, n)
+        expected.append(len(below) - 1 if image.is_empty else below.index(image))
+    assert enumerate_antichains(n).lifts == tuple(expected)
+    assert below.elements[-1] == top(n - 1)
+
+
 def test_lift_map_range_check():
     with pytest.raises(ia.AntichainError):
         lift_map(Antichain.of([5]), 4)

@@ -19,6 +19,8 @@ from infatom.lattice import Antichain, LatticeView
 from infatom.terms import TermValue
 
 A1 = Antichain(((1,),))
+#: The lattice over two variables, so that its lift table has a lattice below.
+L2 = tuple(Antichain(b) for b in (((1,), (2,)), ((1,),), ((2,),), ((1, 2),)))
 SYN = d.AtomLabel("synergy")
 ATOM = d.Atom(SYN, 1.0, 2)
 ATOMS = d.AtomSet((ATOM,))
@@ -41,9 +43,10 @@ CASES = [
     (Antichain, {"brackets": ((1, 2), (3,))}, "Antichain(brackets=((1, 2), (3,)))", ("masks",)),
     (
         LatticeView,
-        {"n": 1, "elements": (A1,)},
-        "LatticeView(n=1, elements=(Antichain(brackets=((1,),)),))",
-        ("_index", "covers"),
+        {"n": 2, "elements": L2},
+        "LatticeView(n=2, elements=(Antichain(brackets=((1,), (2,))), Antichain(brackets="
+        "((1,),)), Antichain(brackets=((2,),)), Antichain(brackets=((1, 2),))))",
+        ("_index", "covers", "lifts"),
     ),
     (
         TermValue,
@@ -108,7 +111,7 @@ def _fill_memos(x) -> None:
     elif isinstance(x, Antichain):
         _ = x.masks
     elif isinstance(x, LatticeView):
-        _ = x.covers, x.index(A1)
+        _ = x.covers, x.index(A1), x.lifts
     elif isinstance(x, d.AtomSet):
         x.size(SYN)
     elif isinstance(x, d.ParthoodTable):

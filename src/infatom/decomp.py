@@ -70,8 +70,9 @@ from .errors import (
     WrongArity,
     _Record,
 )
-from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains
+from .lattice import MAX_VARIABLES, Antichain, LatticeView, enumerate_antichains
 from .terms import (
+    _bounds,
     _check_feasible,
     _trivariate_entropies,
     eval_term,
@@ -207,11 +208,23 @@ class ParthoodTable(_Record):
             raise DecompositionFormatError("parthood table shape mismatch")
         if any(v not in (0, 1) for row in entries for v in row):
             raise DecompositionFormatError("parthood entries must be 0 or 1")
+        # _row_index: each row's position, keyed by its masks.
         self.__dict__.update(rows=rows, cols=cols, entries=entries, _key=(rows, cols, entries),
-                             _row_index={a: i for i, a in enumerate(rows)})
+                             _row_index={a.masks: i for i, a in enumerate(rows)})
+
+    @classmethod
+    def _over(cls, view: LatticeView, cols: tuple[AtomLabel, ...],
+              entries: tuple[tuple[int, ...], ...]) -> "ParthoodTable":
+        """The table over ``view``'s elements for ``entries`` already shaped
+        and 0/1, checked by nothing; rows index through the view's index."""
+        table = cls.__new__(cls)
+        rows = view.elements
+        table.__dict__.update(rows=rows, cols=cols, entries=entries, _key=(rows, cols, entries),
+                              _row_index=view._index)
+        return table
 
     def row(self, a: Antichain) -> tuple[int, ...]:
-        return self.entries[self._row_index[a]]
+        return self.entries[self._row_index[a.masks]]
 
 
 #: Parthood tables already built, by ``(n, labels)``.  Each solver passes a
@@ -225,12 +238,12 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
     Each table is built once and shared, as tables are frozen.  The lattice
     is fetched before the lookup, so every solve makes the same calls into
     :mod:`lattice` whether or not its table was built by an earlier one."""
-    rows = enumerate_antichains(n).elements
+    view = enumerate_antichains(n)
     table = _PARTHOOD_TABLES.get((n, labels))
     if table is not None:
         return table
     # Built by the rule in the module docstring, one column at a time, on masks.
-    masks = [a.masks for a in rows]
+    masks = [a.masks for a in view.elements]
     full = (1 << n) - 1
     columns = []
     for lab in labels:
@@ -245,7 +258,7 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
         else:
             raise LabelError(f"atom label kind {lab.kind!r} has no parthood rule")
         columns.append([int(v) for v in col])
-    table = _PARTHOOD_TABLES[n, labels] = ParthoodTable(rows, labels, tuple(zip(*columns)))
+    table = _PARTHOOD_TABLES[n, labels] = ParthoodTable._over(view, labels, tuple(zip(*columns)))
     return table
 
 
@@ -301,8 +314,10 @@ def feasible_interval(table: ProbTable) -> tuple[float, float]:
     return redundancy_bounds(table)
 
 
-def _trivariate_sizes(table: ProbTable, r: float, eps: float) -> list[tuple[str, float, int]]:
-    h1, h2, h3, h12, h13, h23, h123 = _trivariate_entropies(table)
+def _trivariate_sizes(h: list[float], r: float, eps: float) -> list[tuple[str, float, int]]:
+    """The nine atoms' label texts, sizes and coverings, from the seven
+    entropies of :func:`_trivariate_entropies`."""
+    h1, h2, h3, h12, h13, h23, h123 = h
     i12 = h1 + h2 - h12
     i13 = h1 + h3 - h13
     i23 = h2 + h3 - h23
@@ -332,11 +347,12 @@ def solve_trivariate(
     atoms both measure ``r - I_3``; pairwise atoms are ``I(Xi;Xj) - r``;
     per-variable atoms are the conditional entropies given the rest.
     """
-    lo, hi = feasible_interval(table)  # raises WrongArity unless n = 3
+    h = _trivariate_entropies(table)  # raises WrongArity unless n = 3
+    lo, hi = _bounds(h)  # the feasible interval, from the entropies read once
     if r is None:
         r = lo
     _check_feasible(r, lo, hi, eps)
-    sizes = _trivariate_sizes(table, r, eps)
+    sizes = _trivariate_sizes(h, r, eps)
     atoms = AtomSet(tuple(Atom(parse_label(t), s, c) for t, s, c in sizes))
     return Decomposition(3, _parthood(3, atoms.labels()), atoms, r)
 
@@ -516,7 +532,7 @@ def lift_decomposition(
     atoms = AtomSet(tuple(Atom(a.label, a.size, a.covering + 1) for a in decomp.atoms))
     base = [decomp.table.row(a) for a in enumerate_antichains(decomp.n).elements]
     view = enumerate_antichains(decomp.n + 1)
-    tab = ParthoodTable(view.elements, decomp.table.cols, tuple(base[q] for q in view.lifts))
+    tab = ParthoodTable._over(view, decomp.table.cols, tuple(base[q] for q in view.lifts))
     return Decomposition(decomp.n + 1, tab, atoms, decomp.redundancy_param)
 
 
@@ -604,7 +620,10 @@ def validate(
     would.  Equal rows test ``(held[i] ^ held[k]) & positive`` for k the
     row of i's reduced form.  Each row with two or more brackets is
     reduced once; monotonicity, term sizes and equal rows share that
-    reduction (a single bracket is its own reduced form).
+    reduction (a single bracket is its own reduced form).  Reductions read the
+    table's R1/R2 decisions per ``eps`` and mask pair (see
+    :mod:`infatom.terms`), and a reduced form that differs from its row is
+    placed by its masks, not looked up as an antichain.
     """
     if table.n != decomp.n:
         raise WrongArity(f"decomposition over {decomp.n} variables, table over {table.n}")
@@ -673,9 +692,10 @@ def validate(
     # the rows lacking an atom of pattern ``h``.
     red_pos = [-1] * len(rows)
     up_pre = [0] * len(rows)
+    position = view._index
     for a, p, r in zip(rows, where, reductions):
-        if r is not None and r[0] is not None and r[0] != a:
-            q = red_pos[p] = view.index(r[0])
+        if r is not None and r[0] is not None and r[0] is not a:
+            q = red_pos[p] = position[r[0].masks]
             up_pre[q] |= 1 << p
     covers = view.covers
     up = [0] * len(rows)
@@ -823,9 +843,10 @@ def scan_random(
     max_gap: float | None = None
     for i in range(n_samples):
         t = sample_table(seed, i, cards_t)
-        lo, hi = feasible_interval(t)
+        h = _trivariate_entropies(t)
+        lo, hi = _bounds(h)
         min_width = min(min_width, hi - lo)
-        for _text, size, _cov in _trivariate_sizes(t, lo, eps):
+        for _text, size, _cov in _trivariate_sizes(h, lo, eps):
             min_atom = min(min_atom, size)
         synergy = lo - interaction_information(t, [[0], [1], [2]])
         pi_s_min = min(pi_s_min, synergy)

@@ -18,8 +18,9 @@ Every quantity below is a signed sum of subset entropies, and
 :func:`entropy` is the one place they are computed.  Tables are
 immutable, so each table memoises its subset entropies: a subset's
 entropy is computed by one pass over the rows the first time it is asked
-for and looked up on every later request.  The memo lives and dies with
-its table and plays no part in equality, hashing or ``repr``.
+for and looked up on every later request.  A table also keeps the
+decisions of :mod:`infatom.terms`' reduction rules.  Both memos live and
+die with their table and play no part in equality, hashing or ``repr``.
 
 File formats
 ------------
@@ -73,9 +74,11 @@ class ProbTable(_Record):
 
     def __init__(self, variables: tuple[str, ...], cards: tuple[int, ...],
                  rows: tuple[tuple[Outcome, float], ...]) -> None:
-        # _entropies: subset entropies by selection (a frozenset), filled by entropy().
+        # _entropies: subset entropies by selection (a frozenset), filled by
+        # entropy(); _decisions: reduction-rule decisions by eps, then by
+        # bracket-mask pair, filled by terms.reduce_antichain().
         self.__dict__.update(variables=variables, cards=cards, rows=rows,
-                             _key=(variables, cards, rows), _entropies={})
+                             _key=(variables, cards, rows), _entropies={}, _decisions={})
 
     @property
     def n(self) -> int:

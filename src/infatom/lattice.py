@@ -78,6 +78,15 @@ class Antichain(_Record):
         return cls(canon)
 
     @classmethod
+    def _trusted(cls, brackets: tuple[Bracket, ...], masks: tuple[int, ...]) -> "Antichain":
+        """Build from brackets already canonical and disjoint, and their
+        masks, checking nothing: a subsequence of a built antichain's
+        brackets, with the matching masks, is one."""
+        a = cls.__new__(cls)
+        a.__dict__.update(brackets=brackets, _key=(brackets,), masks=masks)
+        return a
+
+    @classmethod
     @lru_cache(maxsize=1 << MAX_VARIABLES)
     def parse(cls, text: str) -> "Antichain":
         """Parse the ``{1,2}{3}`` syntax (1-based, comma-separated).
@@ -177,14 +186,16 @@ class LatticeView(_Record):
     """
 
     def __init__(self, n: int, elements: tuple[Antichain, ...]) -> None:
+        # _index: each element's position, keyed by its masks, which name an
+        # antichain as its brackets do and hash without a Python call.
         self.__dict__.update(n=n, elements=elements, _key=(n, elements),
-                             _index={a: i for i, a in enumerate(elements)})
+                             _index={a.masks: i for i, a in enumerate(elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index(self, a: Antichain) -> int:
-        return self._index[a]
+        return self._index[a.masks]
 
     def _cover_positions(self) -> tuple[tuple[int, ...], ...]:
         """Positions of each element's upper covers, ascending, by position:
@@ -229,11 +240,12 @@ class LatticeView(_Record):
         ``n - 1``, the top's (the last) for the empty image; built once per
         view, like :attr:`covers`, for ``n >= 2``.  The masks not holding bit
         ``n - 1`` are the image's, in canonical order, so no image is built."""
-        below = enumerate_antichains(self.n - 1).elements
-        position = {a.masks: i for i, a in enumerate(below)}
-        position[()] = len(below) - 1
+        below = enumerate_antichains(self.n - 1)
+        position = below._index.get
+        whole = len(below) - 1
         bit = 1 << (self.n - 1)
-        return tuple(position[tuple(m for m in a.masks if not m & bit)] for a in self.elements)
+        return tuple(position(tuple(m for m in a.masks if not m & bit), whole)
+                     for a in self.elements)
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,15 @@ Rules are applied R1 first, then R2, iterated to a fixpoint, scanning
 bracket pairs in position order so reduction traces are deterministic.
 R1 needs one pass over the pairs: R2 only drops brackets, so every pair
 left after it was already tested and found dependent.
+
+Both rules work on bracket masks (bit ``i - 1`` for index ``i``).  Each
+table keeps, per ``eps``, the decision of every mask pair a rule tested,
+keyed by ``(x << n | y) << 1 | rule`` (0 for R1; 1 for R2, "x is a
+function of y"): the rule's trace step, or ``""`` where it does not fire.
+A missing decision is made through :func:`~infatom.dist.mutual_information`
+or :func:`~infatom.dist.is_deterministic_function`.  Term sizes read mask
+entropies from the table's entropy memo, and :func:`~infatom.dist.entropy`
+computes the missing ones.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from .dist import (
     DEFAULT_EPS,
     ProbTable,
     entropy,
-    interaction_information,
     is_deterministic_function,
     mutual_information,
 )
@@ -68,25 +76,46 @@ class TermValue(_Record):
 def _positions(mask: int) -> frozenset[int]:
     """The 0-based positions of the bits set in a bracket mask.
 
-    One shared set per mask: a term over n variables uses at most
-    2^n - 1 masks, and a shared set's hash is computed once for every
-    entropy memo lookup made with it."""
+    One shared set per mask: it is the key of the mask's entropy in every
+    table's memo, and its hash is computed once."""
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _bracket_sets(table: ProbTable, a: Antichain) -> list[frozenset[int]]:
+def _masks(a: Antichain, n: int) -> tuple[int, ...]:
+    """``a``'s bracket masks, checked against a table over ``n`` variables."""
     masks = a.masks
     if not masks:
         raise AntichainError("cannot evaluate the empty antichain directly")
     # Brackets are disjoint, so the largest mask holds the largest index.
-    if max(masks) >> table.n:
-        raise AntichainError(f"{a} uses indices beyond the table's {table.n} variables")
-    # Bit i - 1 of a mask is 1-based index i, which is table position i - 1.
-    return list(map(_positions, masks))
+    if max(masks) >> n:
+        raise AntichainError(f"{a} uses indices beyond the table's {n} variables")
+    return masks
 
 
-def _btext(bracket: tuple[int, ...]) -> str:
-    return "{" + ",".join(map(str, bracket)) + "}"
+def _entropy(table: ProbTable, mask: int) -> float:
+    """:func:`entropy` of a mask's positions, read from the table's memo."""
+    key = _positions(mask)
+    h = table._entropies.get(key)
+    return entropy(table, key) if h is None else h
+
+
+@lru_cache(maxsize=1 << 12)
+def _btext(mask: int) -> str:
+    # Bit i - 1 of a mask is 1-based index i.
+    return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
+
+
+def _decide(table: ProbTable, decided: dict[int, str], key: int, x: int, y: int,
+            eps: float) -> str:
+    """Make, store and return ``decided[key]``, the decision on masks ``x``,
+    ``y`` of the rule in the key's low bit (see the module docstring)."""
+    sx, sy = _positions(x), _positions(y)
+    if key & 1:
+        step = "R2({}<={})" if is_deterministic_function(table, sx, sy, eps=eps) else ""
+    else:
+        step = "R1({},{})" if mutual_information(table, sx, sy) <= eps else ""
+    decided[key] = step = step.format(_btext(x), _btext(y)) if step else ""
+    return step
 
 
 def reduce_antichain(
@@ -98,23 +127,37 @@ def reduce_antichain(
     the reduced antichain (term sizes are equal along the whole trace).
     When no rule fires that is ``a`` itself, with an empty trace.
     """
-    # Each bracket's table positions, mapped to the bracket itself.
-    brackets = dict(zip(_bracket_sets(table, a), a.brackets))
-    for x, y in combinations(brackets, 2):
-        if mutual_information(table, x, y) <= eps:
-            return None, (f"R1({_btext(brackets[x])},{_btext(brackets[y])})",)
+    n = table.n
+    masks = _masks(a, n)
+    decided = table._decisions.get(eps)
+    if decided is None:
+        decided = table._decisions[eps] = {}
+    for x, y in combinations(masks, 2):
+        key = (x << n | y) << 1
+        step = decided.get(key)
+        if step is None:
+            step = _decide(table, decided, key, x, y, eps)
+        if step:
+            return None, (step,)
+    kept = masks
     trace: list[str] = []
-    while len(brackets) >= 2:
-        for x, y in permutations(brackets, 2):
-            if is_deterministic_function(table, x, y, eps=eps):
-                trace.append(f"R2({_btext(brackets[x])}<={_btext(brackets[y])})")
-                del brackets[y]
+    while len(kept) >= 2:
+        for x, y in permutations(kept, 2):
+            key = (x << n | y) << 1 | 1
+            step = decided.get(key)
+            if step is None:
+                step = _decide(table, decided, key, x, y, eps)
+            if step:
+                trace.append(step)
+                kept = tuple(m for m in kept if m != y)
                 break
         else:
             break
     if not trace:
         return a, ()
-    return Antichain.of(*brackets.values()), tuple(trace)
+    # The kept masks are a subsequence of the canonical ones, as are their brackets.
+    brackets = tuple(b for b, m in zip(a.brackets, masks) if m in kept)
+    return Antichain._trusted(brackets, kept), tuple(trace)
 
 
 def eval_term(
@@ -135,24 +178,29 @@ def eval_term(
     ``reduction``, if given, must be ``reduce_antichain(table, a, eps=eps)``;
     a caller that already holds it passes it instead of reducing again.
     """
-    brackets = _bracket_sets(table, a)
-    if len(brackets) == 1:
-        return TermValue.exact(entropy(table, brackets[0]))
+    masks = _masks(a, table.n)
+    if len(masks) == 1:
+        return TermValue.exact(_entropy(table, masks[0]))
     if reduction is None:
         reduction = reduce_antichain(table, a, eps=eps)
     reduced, trace = reduction
     if reduced is None:
         return TermValue.exact(0.0, trace)
-    sets = brackets if reduced is a else _bracket_sets(table, reduced)
-    if len(sets) == 1:
-        return TermValue.exact(entropy(table, sets[0]), trace)
-    if len(sets) == 2:
-        return TermValue.exact(mutual_information(table, sets[0], sets[1]), trace)
+    masks = reduced.masks
+    if len(masks) == 1:
+        return TermValue.exact(_entropy(table, masks[0]), trace)
+    # Each sum in the order mutual_information and interaction_information
+    # use, so every value is bit-identical to theirs.
+    h = {m: _entropy(table, m) for m in masks}
+    mi = [h[x] + h[y] - _entropy(table, x | y) for x, y in combinations(masks, 2)]
+    if len(masks) == 2:
+        return TermValue.exact(mi[0], trace)
     lo = 0.0
-    if len(sets) == 3:
-        lo = max(0.0, interaction_information(table, sets))
-    hi = min(mutual_information(table, x, y) for x, y in combinations(sets, 2))
-    return TermValue.interval(lo, hi, trace)
+    if len(masks) == 3:
+        x, y, z = masks
+        lo = max(0.0, h[x] + h[y] + h[z] - _entropy(table, x | y) - _entropy(table, x | z)
+                 - _entropy(table, y | z) + _entropy(table, x | y | z))
+    return TermValue.interval(lo, min(mi), trace)
 
 
 # ---------------------------------------------------------------------------

@@ -892,11 +892,12 @@ def _warm_cases():
 
 def test_warm_lift_builds_no_image(monkeypatch):
     # The only antichains a warm lift builds are the reduced forms its
-    # validate builds.
+    # validate builds, each through the trusted path, which checks nothing.
     cases = _warm_cases()
     expected = [oracle_lift_entries(d) for d, _t in cases]
     images = _count_calls(monkeypatch, lattice, "lift_map")
-    built = _count_calls(monkeypatch, Antichain, "__init__")
+    checked = _count_calls(monkeypatch, Antichain, "__init__")
+    built = _count_calls(monkeypatch, Antichain, "_trusted")
     assert not hasattr(decomp, "lift_map")
     reduced = []
     for (d, t), entries in zip(cases, expected):
@@ -906,28 +907,26 @@ def test_warm_lift_builds_no_image(monkeypatch):
         built.clear()
         assert ia.lift_decomposition(d, t).table.entries == entries
         assert len(built) == reduced[-1]
-    assert images == [] and reduced == [0, 4]
+    assert images == [] and checked == [] and reduced == [0, 4]
 
 
-def test_warm_validate_of_rows_in_order_looks_up_reduced_forms_only(monkeypatch):
-    # Rows in lattice order are not looked up; a reduced form that differs
-    # from its term still is, once.
+def test_warm_validate_looks_up_no_antichain(monkeypatch):
+    # Rows in lattice order are not looked up, and a reduced form that
+    # differs from its term is placed by its masks: validate makes no
+    # LatticeView.index call, however many rows reduce.
     from infatom import terms
 
     cases = _warm_cases()
     cases.append(_lifted(*cases[1]))
     calls = _count_calls(monkeypatch, lattice.LatticeView, "index")
-    looked_up = []
+    changed = []
     for d, t in cases:
-        changed = 0
-        for a in d.table.rows:
-            r = terms.reduce_antichain(t, a)[0] if a.covering > 1 else None
-            changed += r is not None and r != a
+        reduced = [(a, terms.reduce_antichain(t, a)[0]) for a in d.table.rows if a.covering > 1]
+        changed.append(sum(r is not None and r != a for a, r in reduced))
         calls.clear()
         assert ia.validate(d, t).passed
-        assert len(calls) == changed < len(d.table.rows)
-        looked_up.append(changed)
-    assert looked_up[:2] == [0, 4]
+        assert calls == []
+    assert changed[:2] == [0, 4] and changed[2] > 0
 
 
 def test_validate_makes_no_order_tests_on_a_warm_view(monkeypatch):

@@ -43,21 +43,36 @@ def test_eval_term_with_given_reduction_matches_its_own(seed):
         assert eval_term(t, a, reduction=reduce_antichain(t, a)) == eval_term(t, a), a
 
 
-def test_eval_term_builds_bracket_sets_again_only_for_a_new_reduced_form(monkeypatch):
-    # eval_term builds them once and reduce_antichain once; a third build
-    # is needed only when the reduction returned a different antichain.
-    t = ia.random_table("bracket-sets", [2] * 4)
-    builds = []
-    real = terms._bracket_sets
-    monkeypatch.setattr(terms, "_bracket_sets", lambda *a: builds.append(1) or real(*a))
-    for a in ia.enumerate_antichains(4).elements:
-        reduced, _ = reduce_antichain(t, a)
-        builds.clear()
-        eval_term(t, a)
-        if a.covering == 1:
-            assert len(builds) == 1, a
-        else:
-            assert len(builds) == (2 if reduced is None or reduced is a else 3), a
+def test_each_mask_pair_is_decided_once_per_eps_and_eval_term_builds_no_bracket_sets(monkeypatch):
+    # Over a whole n = 5 lattice on one table, every R1/R2 decision calls
+    # dist once per eps, and a second pass calls it not at all.  Once each
+    # mask's shared position set exists, terms builds no set of its own,
+    # not even on a table it has not seen.
+    t = ia.random_table("decide-once", [2] * 5)
+    elements = ia.enumerate_antichains(5).elements
+    calls = []
+    for name in ("mutual_information", "is_deterministic_function"):
+        real = getattr(terms, name)
+
+        def counted(table, x, y, _name=name, _real=real, **kw):
+            calls.append((_name, x, y))
+            return _real(table, x, y, **kw)
+
+        monkeypatch.setattr(terms, name, counted)
+    for eps in (ia.DEFAULT_EPS, 1e-3):
+        calls.clear()
+        first = [eval_term(t, a, eps=eps) for a in elements]
+        assert calls and len(calls) == len(set(calls)), eps
+        calls.clear()
+        assert [eval_term(t, a, eps=eps) for a in elements] == first
+        assert calls == []
+    built = []
+    monkeypatch.setattr(terms, "frozenset", lambda *a: built.append(a) or frozenset(*a),
+                        raising=False)
+    fresh = ia.random_table("decide-once:fresh", [2] * 5)
+    for a in elements:
+        eval_term(fresh, a)
+    assert calls and built == []
 
 
 def test_xor_pair_bracket_reduces_by_function_rule(xor):
@@ -269,6 +284,46 @@ def test_reduction_matches_the_stated_rules(name):
         reduced, trace = reduce_antichain(table, a)
         brackets = None if reduced is None else reduced.brackets
         assert (brackets, trace) == oracle_reduce(table, a, ia.DEFAULT_EPS), str(a)
+
+
+def test_decisions_are_kept_per_eps():
+    # One table, reduced at the default eps, then at a coarser one, then at
+    # the default again: each pass sees only its own eps's decisions.
+    for name, table in REDUCTION_CORPUS.items():
+        multi = [a for a in ia.enumerate_antichains(table.n).elements if a.covering > 1]
+        for eps in (ia.DEFAULT_EPS, 1e-3, ia.DEFAULT_EPS):
+            for a in multi:
+                reduced, trace = reduce_antichain(table, a, eps=eps)
+                brackets = None if reduced is None else reduced.brackets
+                assert (brackets, trace) == oracle_reduce(table, a, eps), (name, eps, str(a))
+
+
+def _frozenset_value(table, a, eps):
+    """The term size by the frozenset formulas: dist's own quantities on
+    the reduced form's bracket sets."""
+    reduced, trace = reduce_antichain(table, a, eps=eps)
+    if reduced is None:
+        return ia.TermValue.exact(0.0, trace)
+    sets = [frozenset(i - 1 for i in b) for b in reduced.brackets]
+    if len(sets) == 1:
+        return ia.TermValue.exact(ia.entropy(table, sets[0]), trace)
+    if len(sets) == 2:
+        return ia.TermValue.exact(ia.mutual_information(table, *sets), trace)
+    lo = max(0.0, ia.interaction_information(table, sets)) if len(sets) == 3 else 0.0
+    hi = min(ia.mutual_information(table, x, y) for x, y in combinations(sets, 2))
+    return ia.TermValue.interval(lo, hi, trace)
+
+
+@pytest.mark.parametrize("eps", [ia.DEFAULT_EPS, 1e-3])
+def test_eval_term_is_bit_identical_to_the_frozenset_formulas(eps):
+    for name, table in REDUCTION_CORPUS.items():
+        for a in ia.enumerate_antichains(table.n).elements:
+            want = _frozenset_value(table, a, eps)
+            got = eval_term(table, a, eps=eps)
+            assert got == want, (name, str(a))
+            assert [math.copysign(1.0, v) for v in got.bounds] == [
+                math.copysign(1.0, v) for v in want.bounds
+            ], (name, str(a))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ import pickle
 import pytest
 
 from infatom import decomp as d
-from infatom.dist import ProbTable, entropy
+from infatom.dist import ProbTable
 from infatom.lattice import Antichain, LatticeView
-from infatom.terms import TermValue
+from infatom.terms import TermValue, reduce_antichain
 
 A1 = Antichain(((1,),))
 #: The lattice over two variables, so that its lift table has a lattice below.
@@ -38,7 +38,7 @@ CASES = [
         ProbTable,
         {"variables": ("A", "B"), "cards": (2, 2), "rows": (((0, 0), 0.5), ((1, 1), 0.5))},
         "ProbTable(variables=('A', 'B'), cards=(2, 2), rows=(((0, 0), 0.5), ((1, 1), 0.5)))",
-        ("_entropies",),
+        ("_entropies", "_decisions"),
     ),
     (Antichain, {"brackets": ((1, 2), (3,))}, "Antichain(brackets=((1, 2), (3,)))", ("masks",)),
     (
@@ -107,7 +107,7 @@ IDS = [case[0].__name__ for case in CASES]
 def _fill_memos(x) -> None:
     """Use each memoised attribute once, so the memos hold entries."""
     if isinstance(x, ProbTable):
-        entropy(x, [0])
+        reduce_antichain(x, Antichain(((1,), (2,))))
     elif isinstance(x, Antichain):
         _ = x.masks
     elif isinstance(x, LatticeView):

@@ -203,8 +203,8 @@ def _cmd_validate(args, eps: float) -> int:
     return 0
 
 
-def _node_label(a, table, eps: float) -> str:
-    base = f"{a} [{a.covering}]"
+def _node_label(a, text: str, table, eps: float) -> str:
+    base = f"{text} [{a.covering}]"
     if table is None:
         return base
     from .terms import eval_term  # only --dist evaluates terms
@@ -227,14 +227,16 @@ def _cmd_lattice(args, eps: float) -> int:
             raise WrongArity(
                 f"lattice over {args.n} variables, table over {table.n}"
             )
+    texts = [str(a) for a in view.elements]
+    labels = [_node_label(a, t, table, eps) for a, t in zip(view.elements, texts)]
     if not args.dot:
-        print("\n".join(_node_label(a, table, eps) for a in view.elements))
+        print("\n".join(labels))
         return 0
+    # Each element's quoted name, rendered once for its node and every edge.
+    names = {a: f'"{t}"' for a, t in zip(view.elements, texts)}
     lines = ["digraph antichains {", "  rankdir=BT;"]
-    for a in view.elements:
-        lines.append(f'  "{a}" [label="{_node_label(a, table, eps)}"];')
-    for low, high in view.hasse_edges():
-        lines.append(f'  "{low}" -> "{high}";')
+    lines += [f'  {names[a]} [label="{label}"];' for a, label in zip(view.elements, labels)]
+    lines += [f"  {names[low]} -> {names[high]};" for low, high in view.hasse_edges()]
     lines.append("}")
     print("\n".join(lines))
     return 0

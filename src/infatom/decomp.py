@@ -21,8 +21,10 @@ Every solver's table comes from one rule, applied to each term ``a``:
 The synergistic and ghost atoms are exactly where the Venn rule fails,
 i.e. where distributivity fails: for n = 3, ``Pi_s`` lies in
 ``(X1 u X2) n X3`` but in neither ``X1 n X3`` nor ``X2 n X3``, and
-``Pi_g`` lies in ``X1 u X2`` but in neither ``X1`` nor ``X2``.  Lifted
-tables keep their pre-lift rows and are not rebuilt by the rule.
+``Pi_g`` lies in ``X1 u X2`` but in neither ``X1`` nor ``X2``.  A
+lifted row is the input's row for the term's :func:`~infatom.lattice.lift_map`
+image, so a lifted solver table is the rule over the base arity read
+through the lift maps, not the rule over the lifted arity.
 
 Solvers
 -------
@@ -47,14 +49,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .dist import (
     DEFAULT_EPS,
     ProbTable,
     entropy,
     interaction_information,
-    mutual_information,
     random_table,
 )
 from .errors import (
@@ -70,10 +71,11 @@ from .errors import (
     WrongArity,
     _Record,
 )
-from .lattice import MAX_VARIABLES, Antichain, LatticeView, enumerate_antichains
+from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains
 from .terms import (
     _bounds,
     _check_feasible,
+    _co_information,
     _trivariate_entropies,
     eval_term,
     reduce_antichain,
@@ -204,24 +206,22 @@ class ParthoodTable(_Record):
 
     def __init__(self, rows: tuple[Antichain, ...], cols: tuple[AtomLabel, ...],
                  entries: tuple[tuple[int, ...], ...]) -> None:
-        if len(entries) != len(rows) or any(len(r) != len(cols) for r in entries):
+        if len(entries) != len(rows) or not set(map(len, entries)) <= {len(cols)}:
             raise DecompositionFormatError("parthood table shape mismatch")
-        if any(v not in (0, 1) for row in entries for v in row):
+        try:
+            binary = set().union(*entries) <= {0, 1}
+        except TypeError:  # an unhashable entry, such as a list, is neither
+            binary = False
+        if not binary:
             raise DecompositionFormatError("parthood entries must be 0 or 1")
-        # _row_index: each row's position, keyed by its masks.
-        self.__dict__.update(rows=rows, cols=cols, entries=entries, _key=(rows, cols, entries),
-                             _row_index={a.masks: i for i, a in enumerate(rows)})
+        self.__dict__.update(rows=rows, cols=cols, entries=entries, _key=(rows, cols, entries))
 
-    @classmethod
-    def _over(cls, view: LatticeView, cols: tuple[AtomLabel, ...],
-              entries: tuple[tuple[int, ...], ...]) -> "ParthoodTable":
-        """The table over ``view``'s elements for ``entries`` already shaped
-        and 0/1, checked by nothing; rows index through the view's index."""
-        table = cls.__new__(cls)
-        rows = view.elements
-        table.__dict__.update(rows=rows, cols=cols, entries=entries, _key=(rows, cols, entries),
-                              _row_index=view._index)
-        return table
+    @cached_property
+    def _row_index(self) -> dict[tuple[int, ...], int]:
+        """Each row's position, keyed by its masks, built on the first
+        :meth:`row`: rows that :func:`validate` rejects (say, over an index
+        far beyond n) are never turned into masks."""
+        return {a.masks: i for i, a in enumerate(self.rows)}
 
     def row(self, a: Antichain) -> tuple[int, ...]:
         return self.entries[self._row_index[a.masks]]
@@ -258,7 +258,7 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
         else:
             raise LabelError(f"atom label kind {lab.kind!r} has no parthood rule")
         columns.append([int(v) for v in col])
-    table = _PARTHOOD_TABLES[n, labels] = ParthoodTable._over(view, labels, tuple(zip(*columns)))
+    table = _PARTHOOD_TABLES[n, labels] = ParthoodTable(view.elements, labels, tuple(zip(*columns)))
     return table
 
 
@@ -532,7 +532,7 @@ def lift_decomposition(
     atoms = AtomSet(tuple(Atom(a.label, a.size, a.covering + 1) for a in decomp.atoms))
     base = [decomp.table.row(a) for a in enumerate_antichains(decomp.n).elements]
     view = enumerate_antichains(decomp.n + 1)
-    tab = ParthoodTable._over(view, decomp.table.cols, tuple(base[q] for q in view.lifts))
+    tab = ParthoodTable(view.elements, decomp.table.cols, tuple(base[q] for q in view.lifts))
     return Decomposition(decomp.n + 1, tab, atoms, decomp.redundancy_param)
 
 
@@ -579,8 +579,10 @@ def validate(
     columns are the decomposition's atoms, in order, every label is a set,
     synergistic or ghost label, every set atom's label names variables in
     ``1..n`` only, and every ghost ``Pi_g_k`` has ``1 <= k <= n - 2``.
-    (Whether a set atom's column follows the Venn rule for its label is
-    not checked: lifted tables keep their pre-lift rows.)
+    Columns are not tied to their labels: whether a column follows the
+    parthood rule for its label is not checked, as a lifted table
+    follows the rule over the base arity read through the lift maps
+    (see the module docstring).
 
     Checks: atom non-negativity; row monotonicity along the antichain
     order (extended by reduction-proven term equalities, which compare
@@ -848,16 +850,14 @@ def scan_random(
         min_width = min(min_width, hi - lo)
         for _text, size, _cov in _trivariate_sizes(h, lo, eps):
             min_atom = min(min_atom, size)
-        synergy = lo - interaction_information(t, [[0], [1], [2]])
+        synergy = lo - _co_information(h)
         pi_s_min = min(pi_s_min, synergy)
         pi_s_max = max(pi_s_max, synergy)
         if all(v >= -eps for v in _mobius_atoms(t).values()):
             successes += 1
-            gap = (
-                mutual_information(t, [0, 1], [2])
-                - mutual_information(t, [0], [2])
-                - mutual_information(t, [1], [2])
-            )
+            # Each mutual information summed as mutual_information sums it.
+            h1, h2, h3, h12, h13, h23, h123 = h
+            gap = (h12 + h3 - h123) - (h1 + h3 - h13) - (h2 + h3 - h23)
             max_gap = gap if max_gap is None else max(max_gap, gap)
     return ScanSummary(
         n_samples=n_samples,

@@ -52,7 +52,8 @@ from .errors import (
 
 #: Default tolerance, in bits, for equality and non-negativity assertions
 #: and for classifying a conditional entropy or a mutual information as
-#: exactly zero (deterministic / independent).  It is the only tolerance.
+#: exactly zero (deterministic / independent).  It is the only tolerance
+#: callers set; ``decomp._ZERO_SNAP`` (1e-12) snaps smaller positive atom sizes to 0.
 DEFAULT_EPS = 1e-9
 
 Outcome = tuple[int, ...]

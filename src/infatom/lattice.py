@@ -30,9 +30,10 @@ of ``b`` holds two masks of ``a``: drop either.)  Hence the covers of
 ``a`` are exactly its moves ``b`` such that no other move ``c`` of ``a``
 has ``leq(c, b)``, which is how :class:`LatticeView` finds them (for
 :attr:`~LatticeView.covers` and :meth:`~LatticeView.hasse_edges`)
-without comparing all pairs.
-Every move raises :meth:`Antichain.sort_key`, so the listing order of
-:func:`enumerate_antichains` is a linear extension of the order.
+without comparing all pairs.  :func:`enumerate_antichains` lists more
+brackets first, then fewer indices, then by brackets; every move raises
+that key (it drops a bracket or adds an index), so the listing is a
+linear extension of the order.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ from .errors import AntichainError, LatticeRangeError, _Record
 MAX_VARIABLES = 8
 
 Bracket = tuple[int, ...]
+
+
+def _mask(bracket: Bracket) -> int:
+    """Bit ``i - 1`` set for each index ``i`` of ``bracket``."""
+    return sum(1 << (i - 1) for i in bracket)
 
 
 class Antichain(_Record):
@@ -80,8 +86,8 @@ class Antichain(_Record):
     @classmethod
     def _trusted(cls, brackets: tuple[Bracket, ...], masks: tuple[int, ...]) -> "Antichain":
         """Build from brackets already canonical and disjoint, and their
-        masks, checking nothing: a subsequence of a built antichain's
-        brackets, with the matching masks, is one."""
+        masks, checking nothing: the sorted blocks of a set partition are
+        such brackets, and so is a subsequence of a built antichain's."""
         a = cls.__new__(cls)
         a.__dict__.update(brackets=brackets, _key=(brackets,), masks=masks)
         return a
@@ -132,17 +138,11 @@ class Antichain(_Record):
 
         Built on first use and kept outside the fields, so equality,
         hash and repr see only ``brackets``."""
-        return tuple(sum(1 << (i - 1) for i in b) for b in self.brackets)
+        return tuple(map(_mask, self.brackets))
 
     @property
     def is_empty(self) -> bool:
         return not self.brackets
-
-    def sort_key(self) -> tuple:
-        # Graded by covering (more brackets first, the order-theoretic
-        # bottom leads) and index count, then lexicographic; the listing
-        # runs from the all-singletons bottom to the full-bracket top.
-        return (-len(self.brackets), len(self.indices), self.brackets)
 
 
 def leq(a: Antichain, b: Antichain) -> bool:
@@ -181,8 +181,8 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
 class LatticeView(_Record):
     """All antichains over ``{1..n}`` with their order.
 
-    ``elements`` is graded by covering (descending) then lexicographic,
-    so the bottom element comes first and the top element last.
+    ``elements`` is graded by covering (descending), then index count, then
+    lexicographic, so the bottom element comes first and the top last.
     """
 
     def __init__(self, n: int, elements: tuple[Antichain, ...]) -> None:
@@ -259,18 +259,14 @@ def enumerate_antichains(n: int) -> LatticeView:
     """
     if not isinstance(n, int) or n < 1 or n > MAX_VARIABLES:
         raise LatticeRangeError(f"n must be an integer in [1, {MAX_VARIABLES}], got {n!r}")
-    found = []
+    keyed = []
     for blocks in _set_partitions(range(1, n + 2)):
-        kept = [b for b in blocks if n + 1 not in b]
-        if kept:
-            found.append(Antichain.of(*kept))
-    found.sort(key=Antichain.sort_key)
-    # Every order test on the lattice reads these masks.  Built here, next
-    # to the elements, they do not pin heap pages among the temporaries of
-    # later work, which raised peak memory when they were built on use.
-    for a in found:
-        _ = a.masks
-    return LatticeView(n, tuple(found))
+        # Blocks are ascending and disjoint, so sorted they are canonical.
+        brackets = tuple(sorted(tuple(b) for b in blocks if n + 1 not in b))
+        if brackets:
+            keyed.append((-len(brackets), sum(map(len, brackets)), brackets))
+    keyed.sort()  # the listing key of the module docstring
+    return LatticeView(n, tuple(Antichain._trusted(b, tuple(map(_mask, b))) for *_, b in keyed))
 
 
 def lift_map(a: Antichain, extended_n: int) -> Antichain:

@@ -469,6 +469,30 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
     assert len(err) < 200
 
 
+#: Decompositions that load from JSON but whose parthood table is refused,
+#: with the message each must print.  A row over index 2**40 or 10**10 - 1
+#: is not an antichain over 3 variables; its mask would need that many bits.
+REFUSED_TABLES = {
+    "entry-2": ('"entries": [[1', '"entries": [[2', "must be 0 or 1"),
+    "ragged-row": ("[[1, 0, 0, 0, 0, 0, 0, 0, 0]", "[[1, 0, 0, 0, 0, 0, 0, 0]", "shape mismatch"),
+    "row-index-2**40": ('"rows": ["{1}{2}{3}"', '"rows": ["{1099511627776}"', "14 antichains"),
+    "row-index-10**10": ('"rows": ["{1}{2}{3}"', '"rows": ["{9999999999}"', "14 antichains"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "lift"])
+@pytest.mark.parametrize("old, new, fragment", REFUSED_TABLES.values(), ids=list(REFUSED_TABLES))
+def test_refused_parthood_table_exits_2(tmp_path, capsys, command, old, new, fragment):
+    dist = tmp_path / "xor.csv"
+    dist.write_text(XOR_CSV)
+    path = tmp_path / "decomp.json"
+    path.write_text(_xor_decomp_with(old, new))
+    code, out, err = run(capsys, command, str(path), str(dist))
+    assert code == 2 and out == ""
+    assert fragment in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv, env, fragment",
     [

@@ -672,6 +672,43 @@ def test_validator_rejects_incomplete_table(xor, picks):
         ia.validate(_with_rows(d, picks), xor)
 
 
+def _entries_with(d: Decomposition, value) -> tuple:
+    """``d``'s entries with the first one replaced by ``value``."""
+    first = (value,) + d.table.entries[0][1:]
+    return (first,) + d.table.entries[1:]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.table.entries[:-1], "shape mismatch"),
+        (lambda d: (d.table.entries[0][:-1],) + d.table.entries[1:], "shape mismatch"),
+        (lambda d: _entries_with(d, 2), "must be 0 or 1"),
+        (lambda d: _entries_with(d, -1), "must be 0 or 1"),
+        (lambda d: _entries_with(d, "1"), "must be 0 or 1"),
+        (lambda d: _entries_with(d, [1]), "must be 0 or 1"),
+    ],
+    ids=["missing-row", "ragged-row", "entry-2", "entry--1", "entry-string", "entry-list"],
+)
+def test_parthood_table_rejects_bad_shapes_and_entries(xor, edit, message):
+    d = ia.solve_trivariate(xor)
+    with pytest.raises(ia.DecompositionFormatError, match=message):
+        ParthoodTable(d.table.rows, d.table.cols, edit(d))
+
+
+@pytest.mark.parametrize("index", [2**40, 10**10 - 1])
+def test_parthood_table_builds_no_row_masks_before_validate(xor, index):
+    # A fresh antichain, not a shared parsed one, so its masks are its own.
+    # Its mask would need ``index`` bits; validate rejects the row first.
+    d = ia.solve_trivariate(xor)
+    far = Antichain(((index,),))
+    table = ParthoodTable((far,) + d.table.rows[1:], d.table.cols, d.table.entries)
+    assert "masks" not in vars(far)
+    with pytest.raises(ia.DecompositionFormatError, match="14 antichains"):
+        ia.validate(Decomposition(3, table, d.atoms, d.redundancy_param), xor)
+    assert "masks" not in vars(far)
+
+
 def test_validator_rejects_columns_that_are_not_the_atoms(xor):
     d = ia.solve_trivariate(xor)
     eight = Decomposition(3, d.table, AtomSet(d.atoms.atoms[:8]), d.redundancy_param)

@@ -135,6 +135,19 @@ def test_enumeration_is_graded_bottom_first():
     assert coverings == sorted(coverings, reverse=True)
 
 
+@pytest.mark.parametrize("n", range(1, MAX_VARIABLES + 1))
+def test_enumeration_builds_checked_elements_in_listing_order(n):
+    # The elements are built unchecked, with masks preset; each must equal
+    # its checked copy.  The listing key (more brackets, then fewer indices,
+    # then brackets) makes the listing a linear extension of the order.
+    elements = enumerate_antichains(n).elements
+    for a in elements:
+        checked = Antichain.of(*a.brackets)
+        assert a == checked and vars(a)["masks"] == checked.masks
+    keys = [(-a.covering, len(a.indices), a.brackets) for a in elements]
+    assert keys == sorted(set(keys))
+
+
 def test_enumeration_rejects_out_of_range():
     with pytest.raises(ia.LatticeRangeError):
         enumerate_antichains(0)

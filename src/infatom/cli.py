@@ -71,17 +71,21 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _parse_varset(text: str) -> list[int]:
-    # 1-based on the command line, 0-based inside.
+def _parse_varset(text: str, n: int) -> list[int]:
+    # 1-based on the command line, 0-based inside; the range is checked
+    # here, so that an error names the indices as typed.
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
-        return [int(tok) - 1 for tok in toks]
+        picked = [int(tok) for tok in toks]
     except ValueError as exc:
         raise VariableSetError(f"bad variable selection {text!r}") from exc
+    if any(not 1 <= i <= n for i in picked):
+        raise VariableSetError(f"selection {tuple(sorted(set(picked)))!r} out of range 1..{n}")
+    return [i - 1 for i in picked]
 
 
-def _parse_groups(text: str) -> list[list[int]]:
-    return [_parse_varset(part) for part in text.split(";")]
+def _parse_groups(text: str, n: int) -> list[list[int]]:
+    return [_parse_varset(part, n) for part in text.split(";")]
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +97,9 @@ def _cmd_info(args, eps: float) -> int:
     table = load_table(_read(args.dist), eps=eps)
     lines: list[str] = []
     for text in args.entropy or []:
-        lines.append(_fnum(entropy(table, _parse_varset(text))))
+        lines.append(_fnum(entropy(table, _parse_varset(text, table.n))))
     for text in args.mi or []:
-        groups = _parse_groups(text)
+        groups = _parse_groups(text, table.n)
         if len(groups) != 2:
             raise VariableSetError(f"--mi expects 'A;B', got {text!r}")
         lines.append(_fnum(mutual_information(table, *groups)))
@@ -103,11 +107,11 @@ def _cmd_info(args, eps: float) -> int:
         parts = text.split(";")
         if len(parts) != 3:
             raise VariableSetError(f"--cmi expects 'A;B;C', got {text!r}")
-        a, b = _parse_varset(parts[0]), _parse_varset(parts[1])
-        c = _parse_varset(parts[2]) if parts[2].strip() else []
+        a, b = _parse_varset(parts[0], table.n), _parse_varset(parts[1], table.n)
+        c = _parse_varset(parts[2], table.n) if parts[2].strip() else []
         lines.append(_fnum(conditional_mi(table, a, b, c)))
     for text in args.interaction or []:
-        lines.append(_fnum(interaction_information(table, _parse_groups(text))))
+        lines.append(_fnum(interaction_information(table, _parse_groups(text, table.n))))
     if not lines:
         lines.append("variables: " + ",".join(table.variables))
         for i, name in enumerate(table.variables):

@@ -596,17 +596,29 @@ def validate(
     ``eps``; and per atom, the lattice positions whose rows hold it.  Rows
     already in lattice order (every solver's and lift's, and canonical
     JSON) are their own positions, so only other orders are looked up.
-    Monotonicity counts violating ordered pairs of rows without testing
-    any pair.  Each row's strict up-set ``up[p]`` is a bitmask over lattice
-    positions, OR-ed together in one backward pass over the view's cached
-    :attr:`~LatticeView.covers`, and is intersected with the mask of rows
-    lacking one of the row's atoms, built once per distinct ``held``
-    pattern.  The reduction-extended pairs come from the same pass.  Write
-    ``r(k)`` for k's reduced form where that differs from k (a row reduced
-    to None or to itself has none), and let ``up_pre[p]`` mark the
-    positions k with ``p <= r(k)``.  In a finite order ``p <= x`` iff
-    ``x = p`` or ``c <= x`` for an upper cover c of p, so ``up_pre[p]`` is
-    the positions k with ``r(k) = p`` OR-ed with ``up_pre[c]`` over p's
+    Write ``r(k)`` for k's reduced form where that differs from k (a row
+    reduced to None or to itself has none).  Monotonicity is first decided
+    on cover pairs: it passes, with residual 0, if equal rows pass and
+    ``held[p] & ~held[c] == 0`` for every upper cover c of every position
+    p.  Row inclusion is transitive, so the cover test gives
+    ``held[p] <= held[k]`` for every ``p <= k``: no plain pair violates.
+    Equal rows give ``held[k] & positive == held[r(k)] & positive``
+    wherever ``r(k)`` exists, so each reduction-extended pair holds on
+    positive atoms: for ``r(p) <= k``, ``held[p] & positive`` is
+    ``held[r(p)] & positive``, contained in ``held[k]``; for
+    ``p <= r(k)``, ``held[p] & positive`` is contained in ``held[r(k)] &
+    positive``, which is ``held[k] & positive``; ``r(p) <= r(k)``
+    combines the two.  Only when the cover test or equal rows fail are
+    the violating ordered pairs counted, still without testing any pair,
+    on masks over lattice positions that are as wide as the lattice.
+    Each row's strict up-set ``up[p]`` is OR-ed together in one backward
+    pass over the view's cached :attr:`~LatticeView.covers`, and is
+    intersected with the mask of rows lacking one of the row's atoms,
+    built once per distinct ``held`` pattern.  The reduction-extended
+    pairs come from the same pass: let ``up_pre[p]`` mark the positions k
+    with ``p <= r(k)``.  In a finite order ``p <= x`` iff ``x = p`` or
+    ``c <= x`` for an upper cover c of p, so ``up_pre[p]`` is the
+    positions k with ``r(k) = p`` OR-ed with ``up_pre[c]`` over p's
     covers, complete when the backward pass reaches p.  For the row at p,
     with ``r(p)`` at q, a row k extends the order with it iff
     ``r(p) <= k`` (k is q or in ``up[q]``), ``p <= r(k)`` (k in
@@ -619,13 +631,16 @@ def validate(
     atom's lowest position: the listing is graded by covering, most
     brackets first.  Term sizes sum each distinct ``held`` pattern once
     with ``fsum``, correctly rounded, so as :meth:`Decomposition.term_sum`
-    would.  Equal rows test ``(held[i] ^ held[k]) & positive`` for k the
-    row of i's reduced form.  Each row with two or more brackets is
-    reduced once; monotonicity, term sizes and equal rows share that
-    reduction (a single bracket is its own reduced form).  Reductions read the
-    table's R1/R2 decisions per ``eps`` and mask pair (see
-    :mod:`infatom.terms`), and a reduced form that differs from its row is
-    placed by its masks, not looked up as an antichain.
+    would.  A term's size depends only on the masks of its reduced form,
+    so :func:`~infatom.terms.eval_term` runs once per distinct reduced
+    form and ``held`` pattern, and the detail names the first row in row
+    order with the largest gap.  Equal rows test ``(held[i] ^ held[k]) &
+    positive`` for k the row of i's reduced form.  Each row with two or
+    more brackets is reduced once; monotonicity, term sizes and equal
+    rows share that reduction (a single bracket is its own reduced form).
+    Reductions read the table's R1/R2 decisions per ``eps`` and mask pair
+    (see :mod:`infatom.terms`), and a reduced form that differs from its
+    row is placed by its masks, not looked up as an antichain.
     """
     if table.n != decomp.n:
         raise WrongArity(f"decomposition over {decomp.n} variables, table over {table.n}")
@@ -685,53 +700,76 @@ def validate(
                 at[j] |= 1 << p
         held.append(h)
 
-    # V2: monotonicity along the order, extended by reduction equalities.
-    # Masks run over lattice positions.  ``red_pos[p]`` is the position of
-    # p's reduced form, or -1 where that is p itself or None; ``up_pre[q]``
-    # starts as the positions reduced to q.  Covers lie later in the
-    # listing, a linear extension, so read backwards each ``up`` and
-    # ``up_pre`` mask is complete before it is used.  ``lacking[h]`` marks
-    # the rows lacking an atom of pattern ``h``.
+    # ``held_at[p]`` is ``held`` of the row at position p, and ``red_pos[p]``
+    # the position of p's reduced form, or -1 where that is p itself or None.
+    held_at = held if in_order else [held[i] for i in row_at]
     red_pos = [-1] * len(rows)
-    up_pre = [0] * len(rows)
     position = view._index
     for a, p, r in zip(rows, where, reductions):
         if r is not None and r[0] is not None and r[0] is not a:
-            q = red_pos[p] = position[r[0].masks]
-            up_pre[q] |= 1 << p
-    covers = view.covers
-    up = [0] * len(rows)
-    for p in range(len(rows) - 1, -1, -1):
-        m = 0
-        u = up_pre[p]
-        for c in covers[p]:
-            m |= up[c] | 1 << c
-            u |= up_pre[c]
-        up[p] = m
-        up_pre[p] = u
-    everywhere = (1 << len(rows)) - 1
-    lacking = {}
-    for h in {*held, *(h & positive for h in held)}:
-        common = everywhere
-        for j in range(len(atoms)):
-            if h >> j & 1:
-                common &= at[j]
-        lacking[h] = everywhere ^ common
-    # ``reach`` marks the rows that order with row i once reduced forms
-    # replace one side or both (see the docstring).  A row never lacks its
-    # own atoms, so its ``lacking`` masks leave it out.
-    violations = 0
+            red_pos[p] = position[r[0].masks]
+
+    # V7 (reported last): reduction-equal terms share rows on positive atoms.
+    mismatches = 0
     first_bad = ""
-    for i, (a, p) in enumerate(zip(rows, where)):
+    for a, h, p in zip(rows, held, where):
         q = red_pos[p]
-        reach = up_pre[p] if q < 0 else up[q] | 1 << q | up_pre[p] | up_pre[q]
-        bad = (up[p] & lacking[held[i]]) | (lacking[held[i] & positive] & reach & ~up[p])
-        violations += bad.bit_count()
-        if bad and not first_bad:
-            bits = bin(bad)[:1:-1]  # bit k at index k
-            first = min(row_at[k] for k, bit in enumerate(bits) if bit == "1")
-            first_bad = f"{a} vs {rows[first]}"
-    checks.append(CheckResult("monotonicity", violations == 0, float(violations), first_bad))
+        if q >= 0 and (h ^ held_at[q]) & positive:
+            mismatches += 1
+            if not first_bad:
+                first_bad = f"{a} ~ {elements[q]}"
+    equal_rows = CheckResult("equal_rows", mismatches == 0, float(mismatches), first_bad)
+
+    # V2: monotonicity along the order, extended by reduction equalities.
+    # Where V7 passes and every row's atoms are held by its upper covers'
+    # rows, V2 passes (see the docstring); otherwise the violations are
+    # counted on masks over lattice positions.
+    covers = view.covers
+    if equal_rows.passed and not any(
+        h & ~held_at[c] for h, cs in zip(held_at, covers) if h for c in cs
+    ):
+        checks.append(CheckResult("monotonicity", True, 0.0, ""))
+    else:
+        # ``up_pre[q]`` starts as the positions reduced to q.  Covers lie
+        # later in the listing, a linear extension, so read backwards each
+        # ``up`` and ``up_pre`` mask is complete before it is used.
+        # ``lacking[h]`` marks the rows lacking an atom of pattern ``h``.
+        up_pre = [0] * len(rows)
+        for p, q in enumerate(red_pos):
+            if q >= 0:
+                up_pre[q] |= 1 << p
+        up = [0] * len(rows)
+        for p in range(len(rows) - 1, -1, -1):
+            m = 0
+            u = up_pre[p]
+            for c in covers[p]:
+                m |= up[c] | 1 << c
+                u |= up_pre[c]
+            up[p] = m
+            up_pre[p] = u
+        everywhere = (1 << len(rows)) - 1
+        lacking = {}
+        for h in {*held, *(h & positive for h in held)}:
+            common = everywhere
+            for j in range(len(atoms)):
+                if h >> j & 1:
+                    common &= at[j]
+            lacking[h] = everywhere ^ common
+        # ``reach`` marks the rows that order with row i once reduced forms
+        # replace one side or both (see the docstring).  A row never lacks its
+        # own atoms, so its ``lacking`` masks leave it out.
+        violations = 0
+        first_bad = ""
+        for i, (a, p) in enumerate(zip(rows, where)):
+            q = red_pos[p]
+            reach = up_pre[p] if q < 0 else up[q] | 1 << q | up_pre[p] | up_pre[q]
+            bad = (up[p] & lacking[held[i]]) | (lacking[held[i] & positive] & reach & ~up[p])
+            violations += bad.bit_count()
+            if bad and not first_bad:
+                bits = bin(bad)[:1:-1]  # bit k at index k
+                first = min(row_at[k] for k, bit in enumerate(bits) if bit == "1")
+                first_bad = f"{a} vs {rows[first]}"
+        checks.append(CheckResult("monotonicity", violations == 0, float(violations), first_bad))
 
     # V3: covering rule, read at the lowest position holding each atom.
     mismatches = 0
@@ -753,36 +791,34 @@ def validate(
     residual = abs(entropy(table, range(table.n)) - decomp.atoms.total_size())
     checks.append(CheckResult("total_law", residual <= eps, residual))
 
-    # V6: term sizes, exact or by interval containment.
+    # V6: term sizes, exact or by interval containment.  A term's size
+    # depends only on its reduced form's masks (None for the empty term),
+    # so rows sharing that form and a ``held`` pattern share one gap.
     sizes = [a.size for a in atoms]
     sums = {h: math.fsum(s for j, s in enumerate(sizes) if h >> j & 1) for h in set(held)}
+    gaps = {}
     worst_gap = 0.0
     first_bad = ""
     for a, h, reduction in zip(rows, held, reductions):
-        total = sums[h]
-        tv = eval_term(table, a, eps=eps, reduction=reduction)
-        if tv.is_exact:
-            gap = abs(total - tv.value)
-        else:
-            lo, hi = tv.bounds
-            gap = max(lo - total, total - hi, 0.0)
+        form = a if reduction is None else reduction[0]
+        key = (None if form is None else form.masks, h)
+        gap = gaps.get(key)
+        if gap is None:
+            total = sums[h]
+            tv = eval_term(table, a, eps=eps, reduction=reduction)
+            if tv.is_exact:
+                gap = abs(total - tv.value)
+            else:
+                lo, hi = tv.bounds
+                gap = max(lo - total, total - hi, 0.0)
+            gaps[key] = gap
         if gap > worst_gap:
             worst_gap = gap
             first_bad = str(a)
     checks.append(
         CheckResult("term_sizes", worst_gap <= eps, worst_gap, first_bad if worst_gap > eps else "")
     )
-
-    # V7: reduction-equal terms share rows on positive atoms.
-    mismatches = 0
-    first_bad = ""
-    for a, h, p in zip(rows, held, where):
-        q = red_pos[p]
-        if q >= 0 and (h ^ held[row_at[q]]) & positive:
-            mismatches += 1
-            if not first_bad:
-                first_bad = f"{a} ~ {elements[q]}"
-    checks.append(CheckResult("equal_rows", mismatches == 0, float(mismatches), first_bad))
+    checks.append(equal_rows)
 
     return ValidationReport(tuple(checks))
 

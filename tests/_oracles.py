@@ -3,9 +3,10 @@
 Everything here works on plain dicts and loops, deliberately avoiding
 the package's own data structures, so that a test comparing the two is
 a genuine cross-check rather than a tautology.  The exceptions are the
-validator oracles (:func:`oracle_monotonicity`, :func:`oracle_covering_rule`
-and :func:`oracle_equal_rows`), which read a decomposition and take reduced
-terms from the package; their order test is :func:`brute_leq`.
+validator oracles (:func:`oracle_monotonicity`, :func:`oracle_covering_rule`,
+:func:`oracle_term_sizes` and :func:`oracle_equal_rows`), which read a
+decomposition and take reduced terms or term sizes from the package; their
+order test is :func:`brute_leq`.
 :func:`oracle_monotonicity_pairs` reads the package's lattice too: it tests
 the reduction-extended pairs one by one with ``lattice.leq``, fast enough
 to check the validator's mask closure beyond n = 5.  :func:`oracle_lift_entries`
@@ -25,7 +26,7 @@ from itertools import combinations
 
 from infatom.dist import entropy, interaction_information, mutual_information
 from infatom.lattice import enumerate_antichains, leq, lift_map, top
-from infatom.terms import reduce_antichain
+from infatom.terms import eval_term, reduce_antichain
 
 # Literal gate pmfs, written out by hand.
 XOR_PMF = {(0, 0, 0): 0.25, (0, 1, 1): 0.25, (1, 0, 1): 0.25, (1, 1, 0): 0.25}
@@ -355,6 +356,38 @@ def oracle_covering_rule(decomp) -> tuple[bool, float, str]:
             if not first_bad:
                 first_bad = f"{atom.label}: {atom.covering} != {observed[j]}"
     return mismatches == 0, float(mismatches), first_bad
+
+
+def oracle_term_gaps(decomp, table, eps) -> list[float]:
+    """Per row, the gap between the ``fsum`` of the sizes of the atoms the
+    row holds and its term's size from the package's ``eval_term``: the
+    absolute difference from an exact size, the distance outside an
+    interval."""
+    sizes = [a.size for a in decomp.atoms.atoms]
+    gaps = []
+    for a, x in zip(decomp.table.rows, decomp.table.entries):
+        total = math.fsum(s for s, v in zip(sizes, x) if v)
+        tv = eval_term(table, a, eps=eps)
+        if tv.is_exact:
+            gaps.append(abs(total - tv.value))
+        else:
+            lo, hi = tv.bounds
+            gaps.append(max(lo - total, total - hi, 0.0))
+    return gaps
+
+
+def oracle_term_sizes(decomp, table, eps) -> tuple[bool, float, str]:
+    """``(passed, residual, detail)`` of the validator's term-size check,
+    row by row from :func:`oracle_term_gaps`: the residual is the largest
+    gap, and a failed check names the first row in row order whose gap is
+    strictly larger than every earlier row's."""
+    worst = 0.0
+    first_bad = ""
+    for a, gap in zip(decomp.table.rows, oracle_term_gaps(decomp, table, eps)):
+        if gap > worst:
+            worst = gap
+            first_bad = str(a)
+    return worst <= eps, worst, first_bad if worst > eps else ""
 
 
 def oracle_equal_rows(decomp, table, eps) -> tuple[bool, float, str]:

@@ -168,6 +168,23 @@ def test_info_deterministic_variable_prints_unsigned_zero(tmp_path, capsys):
     assert run(capsys, "info", str(path), "--entropy", "1")[1] == "0.000000000\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--entropy", "1,4", "(1, 4)"),
+        ("--mi", "0;2", "(0,)"),
+        ("--cmi", "1;2;5", "(5,)"),
+        ("--interaction", "1;2;7", "(7,)"),
+    ],
+)
+def test_info_out_of_range_selection_names_one_based_indices(tmp_path, capsys, flag, value, named):
+    path = tmp_path / "xor.csv"
+    path.write_text(XOR_CSV)
+    code, out, err = run(capsys, "info", str(path), flag, value)
+    assert code == 2 and out == ""
+    assert err == f"infatom: selection {named} out of range 1..3\n"
+
+
 def test_interval_output(tmp_path, capsys):
     path = tmp_path / "xor.csv"
     path.write_text(XOR_CSV)

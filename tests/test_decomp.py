@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import infatom as ia
-from infatom import decomp, lattice
+from infatom import decomp, lattice, terms
 from infatom.decomp import Atom, AtomSet, Decomposition, ParthoodTable, parse_label
 from infatom.lattice import Antichain
 
@@ -26,6 +27,8 @@ from _oracles import (
     oracle_set_atoms,
     oracle_set_row,
     oracle_supports,
+    oracle_term_gaps,
+    oracle_term_sizes,
 )
 
 # The nine-atom parthood table of the general 3-variable solution,
@@ -996,6 +999,71 @@ def test_covering_rule_and_equal_rows_match_row_oracles():
             assert (check.passed, check.residual, check.detail) == expected, (name, case)
             failing[name] += not check.passed
     assert failing["covering_rule"] >= 12 and failing["equal_rows"] >= 18, failing
+
+
+def _beyond_five_cases():
+    """Lifts of parity 5 -> 6 and 6 -> 7 and a trivariate solution lifted
+    twice, each as solved, shuffled and mutated."""
+    t = ia.random_table("mono:0", [2, 2, 2])
+    bases = [
+        _lifted(ia.solve_n_parity(5), ia.parity_gate(5)),
+        _lifted(ia.solve_n_parity(6), ia.parity_gate(6)),
+        _lifted(*_lifted(ia.solve_trivariate(t), t)),
+    ]
+    rng = random.Random(18)
+    for d, t in bases:
+        mutants = [_mutate(d, rng) for _ in range(3 if d.n < 7 else 1)]
+        for trial, m in enumerate([d, _shuffled(d, rng), *mutants]):
+            yield (d.n, trial), m, t
+
+
+def test_term_sizes_match_row_oracle():
+    failing = 0
+    ties = 0
+    for case, m, t in [*_mutated_cases(), *_beyond_five_cases()]:
+        check = ia.validate(m, t).check("term_sizes")
+        expected = oracle_term_sizes(m, t, ia.DEFAULT_EPS)
+        assert (check.passed, check.residual, check.detail) == expected, case
+        failing += not check.passed
+        # The validator evaluates one gap per reduced form and row pattern;
+        # count the cases where two such groups share the worst gap, so
+        # that the detail must pick the first row in row order among them.
+        gaps = oracle_term_gaps(m, t, ia.DEFAULT_EPS)
+        worst = max(gaps)
+        groups = {
+            (terms.reduce_antichain(t, a)[0], x)
+            for a, x, gap in zip(m.table.rows, m.table.entries, gaps)
+            if gap == worst
+        }
+        ties += worst > ia.DEFAULT_EPS and len(groups) >= 2
+    assert failing >= 50 and ties >= 15, (failing, ties)
+
+
+def test_monotonicity_oracle_cases_reach_both_paths():
+    # validate counts monotonicity violations only where equal rows fail
+    # or some row holds an atom an upper cover's row lacks, which is where
+    # the plain order finds a violation; everywhere else it passes at once.
+    paths = Counter()
+    for _case, m, t in _mutated_cases():
+        equal_rows = oracle_equal_rows(m, t, ia.DEFAULT_EPS)[0]
+        plain = oracle_monotonicity(m, t, ia.DEFAULT_EPS, extended=False)[0]
+        paths[equal_rows, plain] += 1
+    assert paths[True, True] >= 25, paths
+    assert paths[False, True] >= 1 and paths[True, False] >= 15 and paths[False, False] >= 20, paths
+
+
+def test_accepting_validate_at_eight_stays_small():
+    # An accepting validate builds no up-set masks, each of which is as
+    # wide as the lattice (21,146 positions at n = 8).
+    d, t = _lifted(ia.solve_n_parity(7), ia.parity_gate(7))
+    assert ia.validate(d, t).passed  # builds the view's covers and the entropies
+    tracemalloc.start()
+    try:
+        assert ia.validate(d, t).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -945,40 +945,65 @@ def _json_finite(value, rule: str) -> float:
     return number
 
 
+def _json_field(obj, key: str, where: str):
+    """``obj[key]``, or ValueError naming what is wrong: ``obj``, which
+    ``where`` names, must be a JSON object holding ``key``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
+def _json_array(obj, key: str, where: str, path: str) -> list:
+    """:func:`_json_field`, which must be a JSON array; ``path`` names it."""
+    return _json_value(_json_field(obj, key, where), list, f"{path} must be an array")
+
+
 def decomposition_from_json(text: str) -> Decomposition:
     """Parse and shape-check a serialized decomposition.
 
-    Fields are checked, not coerced: ``n``, coverings and table entries
-    are JSON integers (entries 0 or 1), sizes finite numbers,
-    ``redundancy_param`` null or a finite number, and labels and rows
-    strings.  ``true`` and ``false`` are none of these."""
+    Fields are checked, not coerced: the decomposition, its atoms and its
+    table are JSON objects holding their fields, ``atoms`` and the
+    table's ``rows``, ``cols`` and ``entries`` (and each entries row) are
+    arrays, ``n``, coverings and table entries are JSON integers (entries
+    0 or 1), sizes finite numbers, ``redundancy_param`` null or a finite
+    number, and labels and rows strings.  ``true`` and ``false`` are none
+    of these.  A message names the field at fault."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DecompositionFormatError(f"invalid JSON: {exc}") from exc
     try:
-        n = _json_value(obj["n"], int, "n must be an integer")
+        top = "the decomposition"
+        n = _json_value(_json_field(obj, "n", top), int, "n must be an integer")
         r = obj.get("redundancy_param")
         r = None if r is None else _json_finite(r, "redundancy_param must be a finite number")
         atoms = []
-        for entry in obj["atoms"]:
+        for k, entry in enumerate(_json_array(obj, "atoms", top, "atoms")):
+            where = f"atoms[{k}]"
             atoms.append(
                 Atom(
-                    parse_label(_json_value(entry["label"], str, "labels must be strings")),
-                    _json_finite(entry["size"], "sizes must be finite numbers"),
-                    _json_value(entry["covering"], int, "coverings must be integers"),
+                    parse_label(_json_value(_json_field(entry, "label", where), str,
+                                            "labels must be strings")),
+                    _json_finite(_json_field(entry, "size", where), "sizes must be finite numbers"),
+                    _json_value(_json_field(entry, "covering", where), int,
+                                "coverings must be integers"),
                 )
             )
-        tbl = obj["table"]
+        tbl = _json_field(obj, "table", top)
         rows = tuple(
-            Antichain.parse(_json_value(t, str, "rows must be strings")) for t in tbl["rows"]
+            Antichain.parse(_json_value(t, str, "rows must be strings"))
+            for t in _json_array(tbl, "rows", "table", "table.rows")
         )
         cols = tuple(
-            parse_label(_json_value(t, str, "labels must be strings")) for t in tbl["cols"]
+            parse_label(_json_value(t, str, "labels must be strings"))
+            for t in _json_array(tbl, "cols", "table", "table.cols")
         )
         entries = tuple(
-            tuple(_json_value(v, int, "entries must be 0 or 1") for v in row)
-            for row in tbl["entries"]
+            tuple(_json_value(v, int, "entries must be 0 or 1")
+                  for v in _json_value(row, list, f"table.entries[{k}] must be an array"))
+            for k, row in enumerate(_json_array(tbl, "entries", "table", "table.entries"))
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DecompositionFormatError(f"bad decomposition JSON: {exc}") from exc

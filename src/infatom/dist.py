@@ -37,7 +37,7 @@ import math
 import random
 import re
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -314,7 +314,9 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
     if h is None:
         idx = _varset(table, key, allow_empty=True)
         marginal = _marginal(table, tuple(sorted(idx)))
-        h = memo[idx] = -math.fsum(p * math.log2(p) for p in marginal.values() if p > 0.0)
+        # Marginal masses are sums of positive row masses, so none is 0.
+        masses = marginal.values()
+        h = memo[idx] = -math.fsum(map(mul, masses, map(math.log2, masses)))
     return h
 
 

@@ -30,15 +30,21 @@ of ``b`` holds two masks of ``a``: drop either.)  Hence the covers of
 ``a`` are exactly its moves ``b`` such that no other move ``c`` of ``a``
 has ``leq(c, b)``, which is how :class:`LatticeView` finds them (for
 :attr:`~LatticeView.covers` and :meth:`~LatticeView.hasse_edges`)
-without comparing all pairs.  :func:`enumerate_antichains` lists more
-brackets first, then fewer indices, then by brackets; every move raises
-that key (it drops a bracket or adds an index), so the listing is a
-linear extension of the order.
+without comparing all pairs.  Each move is built as a masks tuple in
+canonical order (masks ordered by lowest bit) and found in the view's
+masks-keyed index: a drop keeps that order, and ``x | bit`` keeps
+``x``'s slot when ``bit`` lies above ``x``'s lowest bit and otherwise
+moves to ``bit``'s place.  ``leq`` then filters the moves in position
+order.  :func:`enumerate_antichains` lists more brackets first, then
+fewer indices, then by brackets; every move raises that key (it drops a
+bracket or adds an index), so the listing is a linear extension of the
+order.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -200,24 +206,42 @@ class LatticeView(_Record):
     def _cover_positions(self) -> tuple[tuple[int, ...], ...]:
         """Positions of each element's upper covers, ascending, by position:
         its moves that lie above no other move (see the module docstring).
-        :attr:`elements` is a linear extension of the order, so only moves
-        earlier in it can lie below a move."""
+        Each move is built as a canonical masks tuple and placed through
+        :attr:`_index`; the moves are then tested with :func:`leq` in
+        position order, each against the moves before it, up to the first
+        one below it.  :attr:`elements` is a linear extension of the order,
+        so only moves earlier in it can lie below a move."""
         elements = self.elements
-        position = {frozenset(a.masks): i for i, a in enumerate(elements)}
+        index = self._index
         full = (1 << self.n) - 1
         covers = []
         for a in elements:
-            masks = frozenset(a.masks)
+            masks = a.masks
             free = full ^ sum(masks)  # disjoint masks: the sum is their OR
             bits = [1 << i for i in range(self.n) if free >> i & 1]
-            moves = [masks - {x} for x in masks] if len(masks) > 1 else []
-            moves += [masks - {x} | {x | bit} for x in masks for bit in bits]
-            ups = sorted(position[m] for m in moves)
+            drops = range(len(masks)) if len(masks) > 1 else ()
+            ups = [index[masks[:i] + masks[i + 1:]] for i in drops]
+            if bits:
+                lows = [x & -x for x in masks]
+                for i, x in enumerate(masks):
+                    tail = masks[i + 1:]
+                    for bit in bits:
+                        if bit > lows[i]:  # x | bit keeps x's lowest bit and slot
+                            ups.append(index[masks[:i] + (x | bit,) + tail])
+                        else:  # its lowest bit is now bit: it moves down to bit's place
+                            j = bisect_left(lows, bit)
+                            ups.append(index[masks[:j] + (x | bit,) + masks[j:i] + tail])
+            ups.sort()
             above = [elements[p] for p in ups]
-            covers.append(tuple(
-                p for k, (p, b) in enumerate(zip(ups, above))
-                if not any(leq(c, b) for c in above[:k])
-            ))
+            kept = []
+            for p, b in zip(ups, above):
+                for c in above:
+                    if c is b:
+                        kept.append(p)
+                        break
+                    if leq(c, b):
+                        break
+            covers.append(tuple(kept))
         return tuple(covers)
 
     def hasse_edges(self) -> list[tuple[Antichain, Antichain]]:

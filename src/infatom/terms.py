@@ -20,10 +20,12 @@ Both rules work on bracket masks (bit ``i - 1`` for index ``i``).  Each
 table keeps, per ``eps``, the decision of every mask pair a rule tested,
 keyed by ``(x << n | y) << 1 | rule`` (0 for R1; 1 for R2, "x is a
 function of y"): the rule's trace step, or ``""`` where it does not fire.
-A missing decision is made through :func:`~infatom.dist.mutual_information`
-or :func:`~infatom.dist.is_deterministic_function`.  Term sizes read mask
-entropies from the table's entropy memo, and :func:`~infatom.dist.entropy`
-computes the missing ones.
+A missing R1 decision is made through
+:func:`~infatom.dist.mutual_information`, the rule's definition.  A
+missing R2 decision subtracts two mask entropies, ``H(x | y) - H(y)``
+(``|`` the mask union), as :func:`~infatom.dist.is_deterministic_function`
+does.  R2 decisions and term sizes read mask entropies from the table's
+entropy memo, and :func:`~infatom.dist.entropy` computes the missing ones.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .dist import (
-    DEFAULT_EPS,
-    ProbTable,
-    entropy,
-    is_deterministic_function,
-    mutual_information,
-)
+from .dist import DEFAULT_EPS, ProbTable, entropy, mutual_information
 from .errors import AntichainError, InfeasibleRedundancy, RedundancyValueError, WrongArity, _Record
 from .lattice import Antichain
 
@@ -109,11 +105,11 @@ def _decide(table: ProbTable, decided: dict[int, str], key: int, x: int, y: int,
             eps: float) -> str:
     """Make, store and return ``decided[key]``, the decision on masks ``x``,
     ``y`` of the rule in the key's low bit (see the module docstring)."""
-    sx, sy = _positions(x), _positions(y)
-    if key & 1:
-        step = "R2({}<={})" if is_deterministic_function(table, sx, sy, eps=eps) else ""
+    if key & 1:  # x given y carries at most eps bits
+        step = "R2({}<={})" if _entropy(table, x | y) - _entropy(table, y) <= eps else ""
     else:
-        step = "R1({},{})" if mutual_information(table, sx, sy) <= eps else ""
+        mi = mutual_information(table, _positions(x), _positions(y))
+        step = "R1({},{})" if mi <= eps else ""
     decided[key] = step = step.format(_btext(x), _btext(y)) if step else ""
     return step
 
@@ -191,10 +187,12 @@ def eval_term(
         return TermValue.exact(_entropy(table, masks[0]), trace)
     # Each sum in the order mutual_information and interaction_information
     # use, so every value is bit-identical to theirs.
+    if len(masks) == 2:
+        x, y = masks
+        return TermValue.exact(_entropy(table, x) + _entropy(table, y) - _entropy(table, x | y),
+                               trace)
     h = {m: _entropy(table, m) for m in masks}
     mi = [h[x] + h[y] - _entropy(table, x | y) for x, y in combinations(masks, 2)]
-    if len(masks) == 2:
-        return TermValue.exact(mi[0], trace)
     lo = 0.0
     if len(masks) == 3:
         x, y, z = masks

@@ -7,6 +7,8 @@ validator oracles (:func:`oracle_monotonicity`, :func:`oracle_covering_rule`,
 :func:`oracle_term_sizes` and :func:`oracle_equal_rows`), which read a
 decomposition and take reduced terms or term sizes from the package; their
 order test is :func:`brute_leq`.
+:func:`oracle_covers` is the closed-form cover rule on plain sets of
+brackets, with no order test at all.
 :func:`oracle_monotonicity_pairs` reads the package's lattice too: it tests
 the reduction-extended pairs one by one with ``lattice.leq``, fast enough
 to check the validator's mask closure beyond n = 5.  :func:`oracle_lift_entries`
@@ -164,6 +166,25 @@ def brute_leq(a_brackets, b_brackets) -> bool:
         if not found:
             return False
     return True
+
+
+def oracle_covers(brackets, n) -> set[frozenset[frozenset[int]]]:
+    """Upper covers of an antichain over ``{1..n}`` by the closed-form rule,
+    as sets of brackets: every way to add an unused index to one bracket
+    when there is an unused index; otherwise every way to drop one bracket,
+    when there are two or more; otherwise none (the top)."""
+    blocks = [frozenset(b) for b in brackets]
+    used = set().union(*blocks)
+    free = [i for i in range(1, n + 1) if i not in used]
+    if free:
+        return {
+            frozenset(blocks[:k] + [blocks[k] | {i}] + blocks[k + 1:])
+            for k in range(len(blocks))
+            for i in free
+        }
+    if len(blocks) >= 2:
+        return {frozenset(blocks[:k] + blocks[k + 1:]) for k in range(len(blocks))}
+    return set()
 
 
 def oracle_parity_row(brackets, n) -> tuple[int, ...]:

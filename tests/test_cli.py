@@ -486,6 +486,58 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
     assert len(err) < 200
 
 
+_DROP = object()
+
+
+def _xor_decomp_at(path: tuple, value) -> str:
+    """The xor decomposition's JSON with the value at ``path`` (keys and
+    indices from the top level) set to ``value``, or removed for ``_DROP``."""
+    if not path:
+        return json.dumps(value)
+    obj = json.loads(XOR_DECOMP)
+    *head, last = path
+    inner = obj
+    for key in head:
+        inner = inner[key]
+    if value is _DROP:
+        del inner[last]
+    else:
+        inner[last] = value
+    return json.dumps(obj)
+
+
+#: Decompositions whose JSON has the wrong shape, with the message each must
+#: print: it names the missing field or the value that must be an object or
+#: an array, never a bare key or a Python type error.
+MISSHAPEN = {
+    "top-level-array": ((), [1, 2], "the decomposition must be an object"),
+    "top-level-string": ((), "xor", "the decomposition must be an object"),
+    "missing-n": (("n",), _DROP, "the decomposition has no 'n' field"),
+    "missing-atoms": (("atoms",), _DROP, "the decomposition has no 'atoms' field"),
+    "missing-table": (("table",), _DROP, "the decomposition has no 'table' field"),
+    "missing-size": (("atoms", 1, "size"), _DROP, "atoms[1] has no 'size' field"),
+    "atom-array": (("atoms", 0), ["Pi_s", 1.0, 2], "atoms[0] must be an object"),
+    "atoms-object": (("atoms",), {}, "atoms must be an array"),
+    "table-array": (("table",), [], "table must be an object"),
+    "missing-cols": (("table", "cols"), _DROP, "table has no 'cols' field"),
+    "rows-number": (("table", "rows"), 5, "table.rows must be an array"),
+    "entries-row-number": (("table", "entries", 2), 1, "table.entries[2] must be an array"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "lift"])
+@pytest.mark.parametrize("path, value, message", MISSHAPEN.values(), ids=list(MISSHAPEN))
+def test_misshapen_decomposition_json_names_the_field(tmp_path, capsys, command, path, value,
+                                                      message):
+    dist = tmp_path / "xor.csv"
+    dist.write_text(XOR_CSV)
+    decomp = tmp_path / "decomp.json"
+    decomp.write_text(_xor_decomp_at(path, value))
+    code, out, err = run(capsys, command, str(decomp), str(dist))
+    assert code == 2 and out == ""
+    assert err == f"infatom: bad decomposition JSON: {message}\n"
+
+
 #: Decompositions that load from JSON but whose parthood table is refused,
 #: with the message each must print.  A row over index 2**40 or 10**10 - 1
 #: is not an antichain over 3 variables; its mask would need that many bits.

@@ -46,7 +46,7 @@ def _cases() -> list[tuple[str, str | None, tuple[str, ...]]]:
     for n in range(3, 9):
         cases.append((f"decompose-parity:{n}", None, ("decompose", "--parity", str(n))))
     cases.append(("scan:50:3", None, ("scan", "--samples", "50", "--seed", "3")))
-    for n in (6, 7):
+    for n in (6, 7, 8):
         cases.append((f"lattice-dot:{n}", None, ("lattice", str(n), "--dot")))
     lattice_argv = ("lattice", "4", "--dot", "--dist", "{}")
     cases.append((f"lattice-dot-dist:{LATTICE_GATE}", LATTICE_GATE, lattice_argv))
@@ -145,6 +145,7 @@ DIGESTS = {
     'scan:50:3': '3f2e4908d52615220b51d8660896c628b40ac88a21f15ef804f179aacb414f43',
     'lattice-dot:6': 'c537feb317015cdea2c6ccf01d62fcadbe980f08aa89e94be4dabd1e8fa76cf0',
     'lattice-dot:7': 'a157682b7826f1aabed351468ec2353241fc64a633da44fb81ff8897ca9efd6d',
+    'lattice-dot:8': '0f4eade610a25252c0433638ec3603f4381242f0b7b1c6a0b377517effb6c94d',
     'lattice-dot-dist:random(11,[2,2,2,2])': '7ef04d5ba40f9e69b83fc17f0bbcc3eb804627a124aa28f21025c26401be61df',
     'lattice:8': 'beae82188dcd0ce212611fe7a23cc07ac85e29ffb16b2db288022545f093578f',
     'lattice-dot-dist:parity(5)': '332c2ecaf49e972120f055f88988c722421553ca072fa849687726eda55028de',

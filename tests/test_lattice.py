@@ -16,7 +16,7 @@ from infatom.lattice import (
     top,
 )
 
-from _oracles import brute_leq
+from _oracles import brute_leq, oracle_covers
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,17 @@ def test_hasse_edges_match_brute_force_covers(n):
     assert view.covers == tuple(
         tuple(view.index(b) for b in ups[a] if (a, b) in cover_pairs) for a in elements
     )
+
+
+@pytest.mark.parametrize("n", range(1, MAX_VARIABLES + 1))
+def test_covers_match_the_closed_form_rule(n):
+    # Beyond n = 5, where the brute-force test stops, this reaches adds
+    # whose new bracket moves ahead of others in canonical order.
+    view = enumerate_antichains(n)
+    blocks = [frozenset(frozenset(b) for b in a.brackets) for a in view.elements]
+    for a, ups in zip(view.elements, view.covers):
+        assert list(ups) == sorted(set(ups)), a
+        assert {blocks[p] for p in ups} == oracle_covers(a.brackets, n), a
 
 
 def test_masks_stay_out_of_eq_hash_and_repr():

@@ -44,35 +44,85 @@ def test_eval_term_with_given_reduction_matches_its_own(seed):
 
 
 def test_each_mask_pair_is_decided_once_per_eps_and_eval_term_builds_no_bracket_sets(monkeypatch):
-    # Over a whole n = 5 lattice on one table, every R1/R2 decision calls
-    # dist once per eps, and a second pass calls it not at all.  Once each
-    # mask's shared position set exists, terms builds no set of its own,
-    # not even on a table it has not seen.
+    # Over a whole n = 5 lattice on one table, every R1/R2 decision is made
+    # once per eps, each R1 decision through one dist call, and a second
+    # pass makes none.  Once each mask's shared position set exists, terms
+    # builds no set of its own, not even on a table it has not seen.
     t = ia.random_table("decide-once", [2] * 5)
     elements = ia.enumerate_antichains(5).elements
+    decisions = []
     calls = []
-    for name in ("mutual_information", "is_deterministic_function"):
-        real = getattr(terms, name)
+    real_decide, real_mi = terms._decide, terms.mutual_information
 
-        def counted(table, x, y, _name=name, _real=real, **kw):
-            calls.append((_name, x, y))
-            return _real(table, x, y, **kw)
+    def decide(table, decided, key, x, y, eps):
+        decisions.append((key, eps))
+        return real_decide(table, decided, key, x, y, eps)
 
-        monkeypatch.setattr(terms, name, counted)
+    def mutual_information(table, x, y):
+        calls.append((x, y))
+        return real_mi(table, x, y)
+
+    monkeypatch.setattr(terms, "_decide", decide)
+    monkeypatch.setattr(terms, "mutual_information", mutual_information)
     for eps in (ia.DEFAULT_EPS, 1e-3):
+        decisions.clear()
         calls.clear()
         first = [eval_term(t, a, eps=eps) for a in elements]
-        assert calls and len(calls) == len(set(calls)), eps
+        assert decisions and len(decisions) == len(set(decisions)), eps
+        assert len(calls) == sum(1 for key, _ in decisions if not key & 1)
+        decisions.clear()
         calls.clear()
         assert [eval_term(t, a, eps=eps) for a in elements] == first
-        assert calls == []
+        assert decisions == calls == []
     built = []
     monkeypatch.setattr(terms, "frozenset", lambda *a: built.append(a) or frozenset(*a),
                         raising=False)
     fresh = ia.random_table("decide-once:fresh", [2] * 5)
     for a in elements:
         eval_term(fresh, a)
-    assert calls and built == []
+    assert decisions and built == []
+
+
+DECISION_TABLES = {
+    "xor": ia.xor_gate,
+    "and": ia.and_gate,
+    "parity(5)": lambda: ia.parity_gate(5),
+    "random(0,[3,3,3])+joint": lambda: ia.extend_with_joint(ia.random_table(0, (3, 3, 3))),
+    "random(5 bits)": lambda: ia.random_table("decisions", [2] * 5),
+}
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("make", DECISION_TABLES.values(), ids=list(DECISION_TABLES))
+def test_rule_decisions_and_entropies_match_dist(make):
+    # R2 is decided from two memoised mask entropies and R1 through
+    # mutual_information; both must agree with dist's own predicates.  The
+    # entropy sum over the marginal must be the generator form bit for bit.
+    t = make()
+    n = t.n
+    elements = ia.enumerate_antichains(n).elements
+    rules = set()
+    for eps in (1e-9, 1e-3, 0.05):
+        for a in elements:
+            reduce_antichain(t, a, eps=eps)
+        for key, step in t._decisions[eps].items():
+            rule, pair = key & 1, key >> 1
+            x, y = _bits(pair >> n), _bits(pair & ((1 << n) - 1))
+            if rule:
+                expected = ia.is_deterministic_function(t, x, y, eps=eps)
+            else:
+                expected = ia.mutual_information(t, x, y) <= eps
+            assert bool(step) == expected, (eps, x, y, rule)
+            rules.add(rule)
+    assert rules == {0, 1}
+    for k in range(n + 1):
+        for s in combinations(range(n), k):
+            masses = ia.dist._marginal(t, s).values()
+            expected = -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
+            assert ia.entropy(t, s).hex() == expected.hex(), s
 
 
 def test_xor_pair_bracket_reduces_by_function_rule(xor):

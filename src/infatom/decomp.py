@@ -95,12 +95,27 @@ class AtomLabel(_Record):
     The classmethods return shared (immutable) labels from memos bounded
     to fit every label over :data:`MAX_VARIABLES` variables (255 set
     labels): equal arguments get the label first built from them.  Errors
-    are not cached, so bad arguments raise on every call."""
+    are not cached, so bad arguments raise on every call.  ``text`` and the
+    hash are computed when a label is built, and again when one is loaded:
+    a label pickles as its fields, as string hashes differ by process."""
 
     def __init__(self, kind: str, antichain: Antichain | None = None, index: int = 0) -> None:
         # kind: "set" | "synergy" | "ghost"
-        self.__dict__.update(kind=kind, antichain=antichain, index=index,
-                             _key=(kind, antichain, index))
+        if kind == "set":
+            text = str(antichain)
+        elif kind == "synergy":
+            text = "Pi_s"
+        else:
+            text = "Pi_g" if index == 1 else f"Pi_g_{index}"
+        key = (kind, antichain, index)
+        self.__dict__.update(kind=kind, antichain=antichain, index=index, _key=key, text=text,
+                             _hash=hash(key))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, self._key
 
     @classmethod
     @lru_cache(maxsize=1 << MAX_VARIABLES)
@@ -125,14 +140,6 @@ class AtomLabel(_Record):
         if k < 1:
             raise LabelError(f"ghost index must be >= 1, got {k}")
         return cls("ghost", index=k)
-
-    @property
-    def text(self) -> str:
-        if self.kind == "set":
-            return str(self.antichain)
-        if self.kind == "synergy":
-            return "Pi_s"
-        return "Pi_g" if self.index == 1 else f"Pi_g_{self.index}"
 
     def __str__(self) -> str:
         return self.text
@@ -400,20 +407,29 @@ MAX_SET_THEORETIC = 5
 _SINGLETONS = tuple(frozenset((i,)) for i in range(MAX_VARIABLES))
 
 
+@lru_cache(maxsize=MAX_SET_THEORETIC)
+def _mobius_plan(n: int) -> tuple[tuple, tuple]:
+    """For each subset mask ``m`` in ``1 .. 2^n - 1`` (bit i for index
+    i + 1), its singleton groups and its 1-based index tuple.  Built once
+    per arity."""
+    masks = range(1, 1 << n)
+    groups = tuple(tuple(_SINGLETONS[i] for i in range(n) if m >> i & 1) for m in masks)
+    return groups, tuple(tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks)
+
+
 def _mobius_atoms(table: ProbTable) -> dict[tuple[int, ...], float]:
     """Atom size for every non-empty 1-based index set, by inversion of
     the superset sums of interaction informations: the fast Möbius
     transform over subset masks (bit i for index i + 1), O(n 2^n) steps."""
     n = table.n
-    f = [0.0] * (1 << n)
-    for m in range(1, 1 << n):
-        f[m] = interaction_information(table, [_SINGLETONS[i] for i in range(n) if m >> i & 1])
+    groups, names = _mobius_plan(n)
+    f = [0.0, *[interaction_information(table, g) for g in groups]]
     for i in range(n):
         bit = 1 << i
         for m in range(1, 1 << n):
             if not m & bit:
                 f[m] -= f[m | bit]
-    return {tuple(i + 1 for i in range(n) if m >> i & 1): f[m] for m in range(1, 1 << n)}
+    return dict(zip(names, f[1:]))
 
 
 @lru_cache(maxsize=MAX_SET_THEORETIC)

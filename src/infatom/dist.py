@@ -11,16 +11,18 @@ syntax) are 1-based; the conversion happens at those boundaries only.
 Each function checks a selection once, where it enters.  A frozenset
 that is already a key of the table's entropy memo passed that check when
 it was stored, so it is not checked again; :func:`entropy` checks a
-selection only on a memo miss.  Each marginal pass over the rows keys
-them with one :func:`operator.itemgetter`.
+selection only on a memo miss.
 
 Every quantity below is a signed sum of subset entropies, and
 :func:`entropy` is the one place they are computed.  Tables are
 immutable, so each table memoises its subset entropies: a subset's
-entropy is computed by one pass over the rows the first time it is asked
-for and looked up on every later request.  A table also keeps the
-decisions of :mod:`infatom.terms`' reduction rules.  Both memos live and
-die with their table and play no part in equality, hashing or ``repr``.
+entropy is computed by one marginal pass the first time it is asked for
+and looked up on every later request.  A pass keys the rows with one
+:func:`operator.itemgetter` and sums their masses per key in row order;
+the selection of every variable is the pmf itself, ``dict(rows)``, with
+nothing to sum.  A table also keeps the decisions of
+:mod:`infatom.terms`' reduction rules.  Both memos live and die with
+their table and play no part in equality, hashing or ``repr``.
 
 File formats
 ------------
@@ -273,6 +275,8 @@ def _varset(table: ProbTable, s: Iterable[int], *, allow_empty: bool = False) ->
 
 def _marginal(table: ProbTable, idx: tuple[int, ...]) -> dict[Outcome, float]:
     # idx is sorted and may be empty; the marginal is then the trivial pmf on ().
+    if len(idx) == len(table.variables):
+        return dict(table.rows)
     # A run of consecutive positions, the empty one included, is a slice, so
     # every key is a tuple whatever the length of idx.
     if idx and idx[-1] - idx[0] + 1 != len(idx):
@@ -313,10 +317,16 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
     h = memo.get(key)
     if h is None:
         idx = _varset(table, key, allow_empty=True)
-        marginal = _marginal(table, tuple(sorted(idx)))
-        # Marginal masses are sums of positive row masses, so none is 0.
-        masses = marginal.values()
-        h = memo[idx] = -math.fsum(map(mul, masses, map(math.log2, masses)))
+        masses = _marginal(table, tuple(sorted(idx))).values()
+        try:
+            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
+        except ValueError:
+            # A zero mass: only a table built straight from the constructor
+            # keeps a zero-mass row, and it has the entropies of the table
+            # without that row.
+            masses = [p for p in masses if p]
+            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
+        memo[idx] = h
     return h
 
 
@@ -354,10 +364,7 @@ def interaction_information(table: ProbTable, groups: Sequence[Iterable[int]]) -
     for k in range(1, len(sets) + 1):
         sign = 1.0 if k % 2 == 1 else -1.0
         for chosen in combinations(sets, k):
-            union: frozenset[int] = frozenset()
-            for s in chosen:
-                union |= s
-            total += sign * entropy(table, union)
+            total += sign * entropy(table, frozenset.union(*chosen))
     return total
 
 

@@ -123,7 +123,11 @@ class _Record:
 
     A subclass's ``__init__`` declares the fields as its parameters and
     stores them, with ``_key`` (the tuple of their values in that order)
-    and any memos, straight into ``__dict__`` in one statement.  Only
+    and any memos, straight into ``__dict__`` with one keyword ``update``.
+    Storing them item by item (``d["a"], d["_key"] = a, (a,)``) builds a
+    record about 30% faster, but on CPython 3.11 attribute reads of such
+    a record are 2-3 times slower, and records are read far more often
+    than they are built.  Only
     instances of the same class compare equal, ``hash(x)`` is
     ``hash(x._key)``, and memos stay out of all three."""
 

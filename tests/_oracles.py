@@ -15,6 +15,8 @@ to check the validator's mask closure beyond n = 5.  :func:`oracle_lift_entries`
 is the lift's row loop through ``lattice.lift_map``, one image per term,
 the reference for the lift's position table.
 :func:`oracle_reduce` reads only a table's pmf and an antichain's brackets.
+:func:`oracle_mobius_atoms` is the distributive solver's transform with its
+lists built on every call.
 :func:`oracle_delta_H` and :func:`oracle_inclusion_exclusion3` spell out the
 gap and the 3-variable identity through the public entropy, mutual- and
 interaction-information functions of :mod:`infatom.dist`, one call per
@@ -89,6 +91,23 @@ def oracle_set_atoms(pmf: dict, n: int) -> dict[tuple[int, ...], float]:
                     total -= (-1.0) ** k * oracle_entropy(pmf, v)
             atoms[tuple(i + 1 for i in t)] = total
     return atoms
+
+
+def oracle_mobius_atoms(table) -> dict[tuple[int, ...], float]:
+    """The distributive solver's fast Möbius transform, with its groups and
+    index tuples built afresh on every call: one
+    ``interaction_information`` per subset mask, then the same
+    subtractions in the same order, so its floats match bit for bit."""
+    n = table.n
+    f = [0.0] * (1 << n)
+    for m in range(1, 1 << n):
+        f[m] = interaction_information(table, [frozenset((i,)) for i in range(n) if m >> i & 1])
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1, 1 << n):
+            if not m & bit:
+                f[m] -= f[m | bit]
+    return {tuple(i + 1 for i in range(n) if m >> i & 1): f[m] for m in range(1, 1 << n)}
 
 
 def oracle_interval(pmf: dict) -> tuple[float, float]:

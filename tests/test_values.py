@@ -9,10 +9,14 @@ here held for those too.
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import infatom as ia
 from infatom import decomp as d
 from infatom.dist import ProbTable
 from infatom.lattice import Antichain, LatticeView
@@ -58,7 +62,7 @@ CASES = [
         d.AtomLabel,
         {"kind": "set", "antichain": Antichain(((1,), (2,))), "index": 0},
         "AtomLabel(kind='set', antichain=Antichain(brackets=((1,), (2,))), index=0)",
-        (),
+        ("text", "_hash"),
     ),
     (d.Atom, {"label": SYN, "size": 1.0, "covering": 2}, ATOM_R, ()),
     (d.AtomSet, {"atoms": (ATOM,)}, f"AtomSet(atoms=({ATOM_R},))", ("_by_label",)),
@@ -195,3 +199,37 @@ def test_pickle_and_copy_round_trips(cls, kw, text, memos):
         assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == text
         with pytest.raises(AttributeError):
             setattr(y, next(iter(kw)), 0)
+
+
+#: Loads pickled values in a fresh interpreter and looks each up in a dict
+#: keyed by an equal value built there.
+_LOAD_AND_LOOK_UP = """
+import pickle, sys
+import infatom as ia
+from infatom import decomp as d
+label, solved, parent_hash = pickle.loads(sys.stdin.buffer.read())
+assert hash(label._key) != parent_hash, "the hash seeds agree"
+fresh_label = d.parse_label("{1}{2}")
+fresh = d.solve_trivariate(ia.xor_gate())
+assert hash(label) == hash(fresh_label) and {fresh_label: 1}[label] == 1
+assert {label: 1}[fresh_label] == 1
+assert hash(solved) == hash(fresh) and {fresh: 1}[solved] == 1
+assert solved.atom_size(fresh_label) == fresh.atom_size(label)
+print("ok")
+"""
+
+
+def test_cached_hashes_are_recomputed_after_pickling_into_another_process():
+    label = d.parse_label("{1}{2}")
+    solved = d.solve_trivariate(ia.xor_gate())
+    data = pickle.dumps((label, solved, hash(label._key)))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = os.path.join(os.path.dirname(ia.__file__), os.pardir)
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _LOAD_AND_LOOK_UP], input=data,
+                         capture_output=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout == b"ok\n"
+    for copied in (copy.copy(label), copy.deepcopy(label)):
+        assert vars(copied) == vars(label) and hash(copied) == hash(label)

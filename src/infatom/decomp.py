@@ -88,6 +88,13 @@ from .terms import (
 # ---------------------------------------------------------------------------
 
 
+#: Shared set labels keyed by their antichain's masks: an int tuple hashes
+#: in C, where an antichain hashes through ``_Record.__hash__``.  Errors are
+#: not stored, and the memo stops growing at 256 labels, room for all 255
+#: over :data:`MAX_VARIABLES` variables.
+_SET_LABELS: dict[tuple[int, ...], "AtomLabel"] = {}
+
+
 class AtomLabel(_Record):
     """Name of one atom: a singleton-bracket antichain, the synergistic
     atom ``Pi_s``, or a ghost atom ``Pi_g`` / ``Pi_g_k``.
@@ -118,12 +125,16 @@ class AtomLabel(_Record):
         return self.__class__, self._key
 
     @classmethod
-    @lru_cache(maxsize=1 << MAX_VARIABLES)
     def set_theoretic(cls, a: Antichain) -> "AtomLabel":
         """The label of the set atom over ``a``'s indices."""
-        if any(len(b) != 1 for b in a.brackets) or a.is_empty:
-            raise LabelError(f"set-theoretic labels use singleton brackets: {a}")
-        return cls("set", antichain=a)
+        label = _SET_LABELS.get(a.masks)
+        if label is None:
+            if any(len(b) != 1 for b in a.brackets) or a.is_empty:
+                raise LabelError(f"set-theoretic labels use singleton brackets: {a}")
+            label = cls("set", antichain=a)
+            if len(_SET_LABELS) < 1 << MAX_VARIABLES:
+                _SET_LABELS[a.masks] = label
+        return label
 
     @classmethod
     @lru_cache(maxsize=1)

@@ -28,7 +28,10 @@ File formats
 ------------
 CSV:  header ``p,<v1>,<v2>,...``; one row per outcome; ``p`` is a decimal
       or a fraction ``a/b``, read as the nearest float; values are
-      non-negative symbol indices; ``#`` starts a comment line.
+      non-negative symbol indices; ``#`` starts a comment line.  Tables
+      are checked in bulk, a whole column at a time, and an error names
+      the first offending row, as a row-by-row check would.
+      :func:`dump_csv` refuses a variable name that CSV cannot carry back.
 JSON: ``{"variables": [...], "outcomes": [{"p": 0.25, "values": [0,0,0]},
       ...]}``.
 """
@@ -38,8 +41,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from itertools import combinations, product
-from operator import itemgetter, mul
+from itertools import chain, combinations, compress, filterfalse, product, repeat, starmap
+from operator import ge, itemgetter, methodcaller, mul, neg, truediv
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -102,45 +105,77 @@ class ProbTable(_Record):
     ) -> "ProbTable":
         """Validate, normalize and freeze a pmf.
 
-        Raises the table-contract errors: :class:`MalformedRow`,
-        :class:`DuplicateOutcome`, :class:`NegativeProbability`,
-        :class:`TotalMassInvalid`.
+        The rows are checked a column at a time; if a check fails, a scan
+        raises for the first offending row.  Raises the table-contract
+        errors: :class:`MalformedRow`, :class:`DuplicateOutcome`,
+        :class:`NegativeProbability`, :class:`TotalMassInvalid`.
         """
-        names = tuple(str(v) for v in variables)
+        names = tuple(map(str, variables))
         if not names or len(set(names)) != len(names) or any(not v for v in names):
             raise MalformedRow(f"variable names must be non-empty and unique: {names!r}")
+        n = len(names)
         items = list(pmf.items()) if isinstance(pmf, Mapping) else list(pmf)
-        seen: dict[Outcome, float] = {}
-        for outcome, p in items:
-            key = tuple(outcome)
-            if len(key) != len(names) or not all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in key
-            ):
-                raise MalformedRow(f"bad outcome {outcome!r} for {len(names)} variables")
-            p = float(p)
-            if p < 0.0:
-                raise NegativeProbability(f"P{key!r} = {p}")
-            if key in seen:
-                raise DuplicateOutcome(f"outcome {key!r} listed twice")
-            seen[key] = p
-        total = math.fsum(seen.values())
+        cols = _columns(items, n)
+        if cols is None:
+            _raise_first_bad_row(items, n)
+        keys, masses = cols
+        total = math.fsum(masses)
         if not (1.0 - eps <= total <= 1.0 + eps):
             raise TotalMassInvalid(f"total mass {total!r} outside [1-eps, 1+eps]")
-        kept = {o: p / total for o, p in seen.items() if p != 0.0}
+        if 0.0 in masses:
+            keys = list(compress(keys, masses))
+            masses = list(filter(None, masses))
+        highs = tuple(map(max, zip(*keys))) if keys else (0,) * n
         if cards is None:
-            inferred = [1] * len(names)
-            for o in kept:
-                for i, v in enumerate(o):
-                    inferred[i] = max(inferred[i], v + 1)
-            cards_t = tuple(inferred)
+            cards_t = tuple(v + 1 for v in highs)
         else:
             cards_t = tuple(int(c) for c in cards)
-            if len(cards_t) != len(names) or any(c < 1 for c in cards_t):
+            if len(cards_t) != n or any(c < 1 for c in cards_t):
                 raise MalformedRow(f"bad cardinalities {cards_t!r}")
-            for o in kept:
-                if any(v >= c for v, c in zip(o, cards_t)):
-                    raise MalformedRow(f"outcome {o!r} exceeds cardinalities {cards_t!r}")
-        return cls(names, cards_t, tuple(sorted(kept.items())))
+            if any(map(ge, highs, cards_t)):
+                o = next(o for o in keys if any(map(ge, o, cards_t)))
+                raise MalformedRow(f"outcome {o!r} exceeds cardinalities {cards_t!r}")
+        return cls(names, cards_t, tuple(sorted(zip(keys, map(truediv, masses, repeat(total))))))
+
+
+def _columns(items: list, n: int) -> tuple[list[Outcome], list[float]] | None:
+    """The outcomes and float masses of ``(outcome, p)`` pairs, or None if
+    a row fails a row check.  Each check covers a whole column; a mass's
+    sign is read as ``0.0 > p``, as ``min`` misses any after a NaN."""
+    if not items:
+        return [], []
+    try:
+        if set(map(len, items)) != {2}:
+            return None
+        outcomes, ps = zip(*items)
+        keys = list(map(tuple, outcomes))
+        masses = list(map(float, ps))
+        flat = list(chain.from_iterable(keys))
+        types = set(map(type, flat))
+        if (set(map(len, keys)) != {n} or bool in types
+                or not all(map(issubclass, types, repeat(int))) or min(flat) < 0
+                or any(map((0.0).__gt__, masses)) or len(dict(zip(keys, masses))) != len(keys)):
+            return None
+    except (TypeError, ValueError, OverflowError):  # the scan names the row
+        return None
+    return keys, masses
+
+
+def _raise_first_bad_row(items: list, n: int) -> None:
+    """Check ``items`` row by row and raise for the first offending row."""
+    seen: set[Outcome] = set()
+    for outcome, p in items:
+        key = tuple(outcome)
+        if len(key) != n or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in key
+        ):
+            raise MalformedRow(f"bad outcome {outcome!r} for {n} variables")
+        p = float(p)
+        if p < 0.0:
+            raise NegativeProbability(f"P{key!r} = {p}")
+        if key in seen:
+            raise DuplicateOutcome(f"outcome {key!r} listed twice")
+        seen.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +207,56 @@ def _parse_prob(token: str | float) -> float:
 
 
 def _load_csv(text: str, eps: float) -> ProbTable:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [*filterfalse(methodcaller("startswith", "#"),
+                          filter(None, map(str.strip, text.splitlines())))]
     if not lines:
         raise MalformedRow("empty table")
     header = [tok.strip() for tok in lines[0].split(",")]
     if len(header) < 2 or header[0] != "p":
         raise MalformedRow(f"header must be 'p,<v1>,...': {lines[0]!r}")
-    names = header[1:]
-    pmf: list[tuple[Outcome, float]] = []
-    for ln in lines[1:]:
-        toks = [tok.strip() for tok in ln.split(",")]
-        if len(toks) != len(header):
-            raise MalformedRow(f"row {ln!r} has {len(toks)} fields, expected {len(header)}")
-        p = _parse_prob(toks[0])
+    body = lines[1:]
+    cols = _csv_columns(body, len(header))
+    if cols is None:
+        _raise_first_bad_line(body, len(header))
+    return ProbTable.from_pmf(header[1:], zip(*cols), eps=eps)
+
+
+def _csv_columns(body: list[str], k: int) -> tuple[list[Outcome], list[float]] | None:
+    """The outcomes and masses of CSV rows of ``k`` fields, or None if a
+    row is malformed.  The rows are split as one text and read a column
+    at a time; ``float`` and ``int`` ignore whitespace as ``strip`` does."""
+    if not set(map(str.count, body, repeat(","))) <= {k - 1}:
+        return None
+    fields = ",".join(body).split(",") if body else []
+    probs = fields[::k]
+    del fields[::k]  # the symbols, row after row
+    try:
         try:
-            outcome = tuple(int(tok) for tok in toks[1:])
+            masses = list(map(float, probs))
+        except ValueError:  # an ``a/b`` field, or a malformed one
+            masses = list(map(_parse_prob, map(str.strip, probs)))
+        # Symbol fields repeat: each distinct one goes through int() once.
+        values = {tok: int(tok) for tok in set(fields)}
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, masses)) or min(values.values(), default=0) < 0:
+        return None
+    return list(zip(*[iter(map(values.__getitem__, fields))] * (k - 1))), masses
+
+
+def _raise_first_bad_line(body: list[str], k: int) -> None:
+    """Check CSV rows one by one and raise for the first malformed one."""
+    for ln in body:
+        toks = [tok.strip() for tok in ln.split(",")]
+        if len(toks) != k:
+            raise MalformedRow(f"row {ln!r} has {len(toks)} fields, expected {k}")
+        _parse_prob(toks[0])
+        try:
+            outcome = [int(tok) for tok in toks[1:]]
         except ValueError as exc:
             raise MalformedRow(f"bad symbol index in row {ln!r}") from exc
-        if any(v < 0 for v in outcome):
+        if min(outcome) < 0:
             raise MalformedRow(f"negative symbol index in row {ln!r}")
-        pmf.append((outcome, p))
-    return ProbTable.from_pmf(names, pmf, eps=eps)
 
 
 def _load_json(text: str, eps: float) -> ProbTable:
@@ -228,11 +291,16 @@ def load_table(text: str, *, eps: float = DEFAULT_EPS) -> ProbTable:
 
 
 def dump_csv(table: ProbTable) -> str:
-    """Emit the CSV form.  Probabilities use shortest round-trip floats."""
-    out = ["p," + ",".join(table.variables)]
-    for outcome, p in table.rows:
-        out.append(repr(p) + "," + ",".join(str(v) for v in outcome))
-    return "\n".join(out) + "\n"
+    """Emit the CSV form.  Probabilities use shortest round-trip floats.
+
+    A variable name that CSV cannot carry back, one holding a comma or a
+    line break or with whitespace around it, raises :class:`MalformedRow`."""
+    for v in table.variables:
+        if "," in v or v != v.strip() or len(v.splitlines()) != 1:
+            raise MalformedRow(f"variable name {v!r} cannot be written to CSV")
+    row = "%r" + ",%d" * table.n
+    return "\n".join(["p," + ",".join(table.variables),
+                      *[row % (p, *o) for o, p in table.rows]]) + "\n"
 
 
 def dump_json(table: ProbTable) -> str:
@@ -461,12 +529,13 @@ def random_table(seed: int | str, cards: Sequence[int]) -> ProbTable:
     if size > 1 << 20:
         raise GateSpecError(f"cardinalities {cards_t!r} give an oversized table")
     rng = random.Random(seed)
-    weights = [-math.log(1.0 - rng.random()) for _ in range(size)]
+    # weight k is -log(1 - u_k), the k-th draw of the stream.
+    draws = starmap(rng.random, repeat((), size))
+    weights = list(map(neg, map(math.log, map((1.0).__sub__, draws))))
     total = math.fsum(weights)
     # product() runs the last variable fastest: weight k goes to the k-th
     # outcome in mixed radix, last variable least significant.
-    outcomes = product(*map(range, cards_t))
-    pmf = {outcome: w / total for outcome, w in zip(outcomes, weights)}
+    pmf = zip(product(*map(range, cards_t)), map(truediv, weights, repeat(total)))
     names = tuple(f"X{i}" for i in range(1, len(cards_t) + 1))
     return ProbTable.from_pmf(names, pmf, cards_t)
 

@@ -21,14 +21,24 @@ lists built on every call.
 gap and the 3-variable identity through the public entropy, mutual- and
 interaction-information functions of :mod:`infatom.dist`, one call per
 quantity, so the package's seven-entropy path is checked bit for bit.
+:func:`oracle_from_pmf`, :func:`oracle_load_csv`, :func:`oracle_dump_csv`
+and :func:`oracle_random_table` are the table ingest and emission written
+row by row: each row checked in turn, raising for the first bad one, and
+each CSV line split, stripped and formatted on its own.  They build the
+package's ``ProbTable`` with its plain constructor and read probability
+text with its ``_parse_prob``, so the bulk column checks are compared
+with the row checks on errors, values and bytes.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+import random
+from collections.abc import Mapping
+from itertools import combinations, product
 
-from infatom.dist import entropy, interaction_information, mutual_information
+from infatom.dist import ProbTable, _parse_prob, entropy, interaction_information, mutual_information
+from infatom.errors import DuplicateOutcome, MalformedRow, NegativeProbability, TotalMassInvalid
 from infatom.lattice import enumerate_antichains, leq, lift_map, top
 from infatom.terms import eval_term, reduce_antichain
 
@@ -466,3 +476,90 @@ def oracle_lift_entries(decomp) -> tuple[tuple[int, ...], ...]:
         image = lift_map(a, n1)
         entries.append(decomp.table.row(whole if image.is_empty else image))
     return tuple(entries)
+
+
+def oracle_from_pmf(variables, pmf, cards=None, *, eps=1e-9) -> ProbTable:
+    """``ProbTable.from_pmf`` with every row checked in turn."""
+    names = tuple(str(v) for v in variables)
+    if not names or len(set(names)) != len(names) or any(not v for v in names):
+        raise MalformedRow(f"variable names must be non-empty and unique: {names!r}")
+    items = list(pmf.items()) if isinstance(pmf, Mapping) else list(pmf)
+    seen = {}
+    for outcome, p in items:
+        key = tuple(outcome)
+        if len(key) != len(names) or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in key
+        ):
+            raise MalformedRow(f"bad outcome {outcome!r} for {len(names)} variables")
+        p = float(p)
+        if p < 0.0:
+            raise NegativeProbability(f"P{key!r} = {p}")
+        if key in seen:
+            raise DuplicateOutcome(f"outcome {key!r} listed twice")
+        seen[key] = p
+    total = math.fsum(seen.values())
+    if not (1.0 - eps <= total <= 1.0 + eps):
+        raise TotalMassInvalid(f"total mass {total!r} outside [1-eps, 1+eps]")
+    kept = {o: p / total for o, p in seen.items() if p != 0.0}
+    if cards is None:
+        inferred = [1] * len(names)
+        for o in kept:
+            for i, v in enumerate(o):
+                inferred[i] = max(inferred[i], v + 1)
+        cards_t = tuple(inferred)
+    else:
+        cards_t = tuple(int(c) for c in cards)
+        if len(cards_t) != len(names) or any(c < 1 for c in cards_t):
+            raise MalformedRow(f"bad cardinalities {cards_t!r}")
+        for o in kept:
+            if any(v >= c for v, c in zip(o, cards_t)):
+                raise MalformedRow(f"outcome {o!r} exceeds cardinalities {cards_t!r}")
+    return ProbTable(names, cards_t, tuple(sorted(kept.items())))
+
+
+def oracle_load_csv(text: str, eps: float = 1e-9) -> ProbTable:
+    """The CSV loader with every line split, stripped and checked in turn."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise MalformedRow("empty table")
+    header = [tok.strip() for tok in lines[0].split(",")]
+    if len(header) < 2 or header[0] != "p":
+        raise MalformedRow(f"header must be 'p,<v1>,...': {lines[0]!r}")
+    pmf = []
+    for ln in lines[1:]:
+        toks = [tok.strip() for tok in ln.split(",")]
+        if len(toks) != len(header):
+            raise MalformedRow(f"row {ln!r} has {len(toks)} fields, expected {len(header)}")
+        p = _parse_prob(toks[0])
+        try:
+            outcome = tuple(int(tok) for tok in toks[1:])
+        except ValueError as exc:
+            raise MalformedRow(f"bad symbol index in row {ln!r}") from exc
+        if any(v < 0 for v in outcome):
+            raise MalformedRow(f"negative symbol index in row {ln!r}")
+        pmf.append((outcome, p))
+    return oracle_from_pmf(header[1:], pmf, eps=eps)
+
+
+def oracle_dump_csv(table) -> str:
+    """The CSV form, one ``repr`` and one ``str`` per field."""
+    out = ["p," + ",".join(table.variables)]
+    for outcome, p in table.rows:
+        out.append(repr(p) + "," + ",".join(str(v) for v in outcome))
+    return "\n".join(out) + "\n"
+
+
+def oracle_random_table(seed, cards) -> ProbTable:
+    """``random_table`` with its weights and pmf built one outcome at a time."""
+    cards_t = tuple(int(c) for c in cards)
+    size = 1
+    for c in cards_t:
+        size *= c
+    rng = random.Random(seed)
+    weights = [-math.log(1.0 - rng.random()) for _ in range(size)]
+    total = math.fsum(weights)
+    outcomes = product(*map(range, cards_t))
+    pmf = {outcome: w / total for outcome, w in zip(outcomes, weights)}
+    names = tuple(f"X{i}" for i in range(1, len(cards_t) + 1))
+    return oracle_from_pmf(names, pmf, cards_t)

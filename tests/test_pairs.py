@@ -1,8 +1,11 @@
-"""The summary rule of ``tools/pairs.py``; its runs are not tested here."""
+"""The summary rule and the ``--out`` record of ``tools/pairs.py``, with
+its benchmark runs replaced by a stub."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,54 @@ def test_ties_count_for_neither_side():
 def test_bad_input_raises(parent, change, better):
     with pytest.raises(ValueError):
         pairs.summarize(parent, change, better, 0.1)
+
+
+def test_out_writes_the_summary_with_every_run(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent, change):
+        d.mkdir()
+    spec = [{"name": "ops_per_s", "better": "higher", "bound": 0.2},
+            {"name": "op_p50_ms", "better": "lower", "bound": 0.2}]
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec}))
+    calls = []
+
+    def fake_run_bench(checkout, workload, seconds, seed):
+        calls.append((checkout.name, workload, seconds, seed))
+        k = len(calls)
+        fast = checkout == change
+        return {"ops_per_s": 100.0 + k + (20.0 if fast else 0.0), "op_p50_ms": 5.0 - fast}
+
+    monkeypatch.setattr(pairs, "run_bench", fake_run_bench)
+    monkeypatch.setattr(pairs, "commit_of", lambda checkout: f"sha-{checkout.name}")
+    out = tmp_path / "BENCH_test.json"
+    argv = [str(parent), str(change), "--workload", "cli", "--seconds", "2", "--pairs", "3",
+            "--seed", "4"]
+    assert pairs.main(argv + ["--out", str(out)]) == 0
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert set(last) == {"workload", "seconds", "seed", "metrics"}
+    assert (last["workload"], last["seconds"], last["seed"]) == ("cli", 2.0, 4)
+    # Pairs alternate which side goes first.
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    record = json.loads(out.read_text())
+    assert {k: record[k] for k in last} == last
+    assert record["python"] == sys.version
+    assert record["commits"] == {"parent": "sha-parent", "change": "sha-change"}
+    assert record["runs"]["parent"] == [
+        {"ops_per_s": 101.0, "op_p50_ms": 5.0},
+        {"ops_per_s": 104.0, "op_p50_ms": 5.0},
+        {"ops_per_s": 105.0, "op_p50_ms": 5.0},
+    ]
+    assert [r["ops_per_s"] for r in record["runs"]["change"]] == [122.0, 123.0, 126.0]
+    assert last["metrics"]["ops_per_s"]["wins"] == 3
+    assert last["metrics"]["op_p50_ms"]["verdict"] == "gain"
+
+    # Without --out the last line is the same and no file is written.
+    calls.clear()
+    out.unlink()
+    assert pairs.main(argv) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == last
+    assert not out.exists()
+
+
+def test_commit_of_outside_a_checkout_is_none(tmp_path):
+    assert pairs.commit_of(tmp_path) is None

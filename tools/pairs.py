@@ -23,7 +23,10 @@ It then reads the metric as:
   the bound allows, so a regression within it could not show;
 * ``same``: none of the above.
 
-The last line of output is the summary as one JSON object.  Standard
+The last line of output is the summary as one JSON object.  With
+``--out PATH`` the summary is also written to ``PATH`` (a ``BENCH_*.json``
+record) together with every run's metric values, ``sys.version`` and each
+checkout's ``git rev-parse HEAD`` (null outside a git checkout).  Standard
 library only; nothing under ``bench/`` is imported.
 """
 
@@ -95,6 +98,12 @@ def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict[
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def commit_of(checkout: Path) -> str | None:
+    """The commit ``checkout`` has checked out, or None if git cannot tell."""
+    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -103,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--pairs", type=int, default=10, metavar="K")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=Path, metavar="PATH",
+                        help="also write the summary and every run's values as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -124,8 +135,13 @@ def main(argv: list[str] | None = None) -> int:
               f"{s['parent']['q3']:.4g}]  change {s['change']['median']:.4g} "
               f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
               f"wins {s['wins']}/{s['pairs']}  {s['verdict']}")
-    print(json.dumps({"workload": args.workload, "seconds": args.seconds, "seed": args.seed,
-                      "metrics": summary}))
+    result = {"workload": args.workload, "seconds": args.seconds, "seed": args.seed,
+              "metrics": summary}
+    if args.out is not None:
+        record = dict(result, python=sys.version, runs=runs,
+                      commits={side: commit_of(getattr(args, side)) for side in runs})
+        args.out.write_text(json.dumps(record, indent=2) + "\n")
+    print(json.dumps(result))
     return 0
 
 

@@ -111,7 +111,7 @@ class ProbTable(_Record):
         :class:`NegativeProbability`, :class:`TotalMassInvalid`.
         """
         names = tuple(map(str, variables))
-        if not names or len(set(names)) != len(names) or any(not v for v in names):
+        if not names or len(set(names)) != len(names) or "" in names:
             raise MalformedRow(f"variable names must be non-empty and unique: {names!r}")
         n = len(names)
         items = list(pmf.items()) if isinstance(pmf, Mapping) else list(pmf)
@@ -129,8 +129,8 @@ class ProbTable(_Record):
         if cards is None:
             cards_t = tuple(v + 1 for v in highs)
         else:
-            cards_t = tuple(int(c) for c in cards)
-            if len(cards_t) != n or any(c < 1 for c in cards_t):
+            cards_t = tuple(map(int, cards))
+            if len(cards_t) != n or min(cards_t) < 1:
                 raise MalformedRow(f"bad cardinalities {cards_t!r}")
             if any(map(ge, highs, cards_t)):
                 o = next(o for o in keys if any(map(ge, o, cards_t)))
@@ -224,7 +224,7 @@ def _load_csv(text: str, eps: float) -> ProbTable:
 def _csv_columns(body: list[str], k: int) -> tuple[list[Outcome], list[float]] | None:
     """The outcomes and masses of CSV rows of ``k`` fields, or None if a
     row is malformed.  The rows are split as one text and read a column
-    at a time; ``float`` and ``int`` ignore whitespace as ``strip`` does."""
+    at a time, each distinct symbol field once."""
     if not set(map(str.count, body, repeat(","))) <= {k - 1}:
         return None
     fields = ",".join(body).split(",") if body else []
@@ -233,10 +233,9 @@ def _csv_columns(body: list[str], k: int) -> tuple[list[Outcome], list[float]] |
     try:
         try:
             masses = list(map(float, probs))
-        except ValueError:  # an ``a/b`` field, or a malformed one
+        except ValueError:  # ``a/b``, whitespace float() keeps, or malformed
             masses = list(map(_parse_prob, map(str.strip, probs)))
-        # Symbol fields repeat: each distinct one goes through int() once.
-        values = {tok: int(tok) for tok in set(fields)}
+        values = {tok: int(tok.strip()) for tok in set(fields)}
     except ValueError:
         return None
     if not all(map(math.isfinite, masses)) or min(values.values(), default=0) < 0:
@@ -346,8 +345,11 @@ def _marginal(table: ProbTable, idx: tuple[int, ...]) -> dict[Outcome, float]:
     if len(idx) == len(table.variables):
         return dict(table.rows)
     # A run of consecutive positions, the empty one included, is a slice, so
-    # every key is a tuple whatever the length of idx.
-    if idx and idx[-1] - idx[0] + 1 != len(idx):
+    # every key is a tuple whatever the length of idx.  One position is keyed
+    # by the symbol itself, building no 1-tuple per row, and re-keyed after.
+    if len(idx) == 1:
+        key = itemgetter(idx[0])
+    elif idx and idx[-1] - idx[0] + 1 != len(idx):
         key = itemgetter(*idx)
     else:
         start = idx[0] if idx else 0
@@ -357,7 +359,7 @@ def _marginal(table: ProbTable, idx: tuple[int, ...]) -> dict[Outcome, float]:
     for outcome, p in table.rows:
         k = key(outcome)
         acc[k] = get(k, 0.0) + p
-    return acc
+    return {(k,): p for k, p in acc.items()} if len(idx) == 1 else acc
 
 
 def marginalize(table: ProbTable, s: Iterable[int]) -> ProbTable:

@@ -255,6 +255,8 @@ def _spaced(ln):
     pytest.param(_csv([ln[:-1] + "+1" if ln.endswith("1") else ln for ln in CSV_ROWS]), id="plus-sign"),
     pytest.param(_csv(["0.125,1_0,0,0", "0.875,٣,0,0"]), id="underscore-and-unicode-digits"),
     pytest.param(_csv(["1e-1,0,0,0", "9E-1,0,0,1"]), id="exponents"),
+    # U+001F is whitespace to strip() but not to float() or int().
+    pytest.param(_csv(["0.5\x1f,0\x1f,0,0", "\x1f0.5,1,\x1f0,0"]), id="unit-separator"),
 ])
 def test_load_csv_accepts_as_the_row_oracle(text):
     assert_same(ia.load_table(text), oracle_load_csv(text))

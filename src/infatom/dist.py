@@ -487,11 +487,7 @@ def parity_gate(n: int) -> ProbTable:
     if n > 20:
         raise GateSpecError(f"parity({n}) table would have 2^{n - 1} rows")
     p = 2.0 ** (1 - n)
-    pmf = {}
-    for code in range(2**n):
-        bits = tuple((code >> (n - 1 - i)) & 1 for i in range(n))
-        if sum(bits) % 2 == 0:
-            pmf[bits] = p
+    pmf = {bits: p for bits in product((0, 1), repeat=n) if sum(bits) % 2 == 0}
     return ProbTable.from_pmf(tuple(f"X{i}" for i in range(1, n + 1)), pmf, (2,) * n)
 
 
@@ -602,11 +598,6 @@ def extend_with_joint(table: ProbTable, name: str | None = None) -> ProbTable:
     strides = [1] * table.n
     for i in range(table.n - 2, -1, -1):
         strides[i] = strides[i + 1] * table.cards[i + 1]
-    pmf = {}
-    for outcome, p in table.rows:
-        code = sum(v * strides[i] for i, v in enumerate(outcome))
-        pmf[outcome + (code,)] = p
-    total_card = strides[0] * table.cards[0]
-    return ProbTable.from_pmf(
-        table.variables + (new_name,), pmf, table.cards + (total_card,)
-    )
+    pmf = {o + (sum(map(mul, o, strides)),): p for o, p in table.rows}
+    return ProbTable.from_pmf(table.variables + (new_name,), pmf,
+                              table.cards + (strides[0] * table.cards[0],))

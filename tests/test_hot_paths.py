@@ -18,7 +18,7 @@ import pytest
 import infatom as ia
 from infatom import decomp, dist, terms
 
-from _oracles import oracle_mobius_atoms
+from _oracles import oracle_marginal, oracle_mobius_atoms
 
 #: SHA-256 of the first 300 sweep3 ops of seed 0, recorded before the
 #: full-selection marginal, the Möbius plan and the record stores changed.
@@ -108,6 +108,17 @@ def test_full_selection_is_the_pmf():
     t = ia.random_table("full", (3, 2, 4))
     full = dist._marginal(t, (0, 1, 2))
     assert full == t.pmf() and list(full) == [o for o, _ in t.rows]
+
+
+@pytest.mark.parametrize("idx", [(0,), (1,), (2,), (0, 1), (0, 2), ()])
+def test_marginals_match_the_tuple_keyed_oracle_bit_for_bit(idx):
+    # One position is summed under int keys; its marginal must still be
+    # the tuple-keyed row-order sum, in first-seen key order.
+    t = ia.random_table("marginal", (3, 2, 4))
+    got = dist._marginal(t, idx)
+    want = oracle_marginal(t.pmf(), idx)
+    assert list(got) == list(want)
+    assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,8 @@ class ProbTable(_Record):
         n = len(names)
         items = list(pmf.items()) if isinstance(pmf, Mapping) else list(pmf)
         cols = _columns(items, n)
-        if cols is None:
-            _raise_first_bad_row(items, n)
+        if cols is None:  # pairs that len() cannot size pass the scan
+            cols = _columns(_checked_rows(items, n), n)
         keys, masses = cols
         total = math.fsum(masses)
         if not (1.0 - eps <= total <= 1.0 + eps):
@@ -161,9 +161,11 @@ def _columns(items: list, n: int) -> tuple[list[Outcome], list[float]] | None:
     return keys, masses
 
 
-def _raise_first_bad_row(items: list, n: int) -> None:
-    """Check ``items`` row by row and raise for the first offending row."""
+def _checked_rows(items: list, n: int) -> list[tuple[Outcome, float]]:
+    """Check ``items`` row by row and raise for the first offending row;
+    the rows as pairs if none offends."""
     seen: set[Outcome] = set()
+    rows = []
     for outcome, p in items:
         key = tuple(outcome)
         if len(key) != n or not all(
@@ -176,6 +178,8 @@ def _raise_first_bad_row(items: list, n: int) -> None:
         if key in seen:
             raise DuplicateOutcome(f"outcome {key!r} listed twice")
         seen.add(key)
+        rows.append((key, p))
+    return rows
 
 
 # ---------------------------------------------------------------------------

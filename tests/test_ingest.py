@@ -170,6 +170,15 @@ def test_from_pmf_accepts_as_the_row_oracle(rows, cards):
     assert_same(ia.ProbTable.from_pmf(NAMES, rows, cards), want)
 
 
+def test_pairs_without_a_length_are_read_as_the_row_oracle_reads_them():
+    # Each pair an iterator: it unpacks, but len() cannot size it.
+    want = oracle_from_pmf(NAMES, [iter(pair) for pair in BASE])
+    assert_same(ia.ProbTable.from_pmf(NAMES, [iter(pair) for pair in BASE]), want)
+    bad = _with(BASE, ("negative_mass", 5))
+    want = _result(oracle_from_pmf, NAMES, [iter(pair) for pair in bad])
+    assert_same(_result(ia.ProbTable.from_pmf, NAMES, [iter(pair) for pair in bad]), want)
+
+
 # ---------------------------------------------------------------------------
 # The CSV loader
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from functools import cached_property, lru_cache
 from .dist import (
     DEFAULT_EPS,
     ProbTable,
+    _mask_positions,
     entropy,
     interaction_information,
     random_table,
@@ -88,11 +89,11 @@ from .terms import (
 # ---------------------------------------------------------------------------
 
 
-#: Shared set labels keyed by their antichain's masks: an int tuple hashes
-#: in C, where an antichain hashes through ``_Record.__hash__``.  Errors are
-#: not stored, and the memo stops growing at 256 labels, room for all 255
-#: over :data:`MAX_VARIABLES` variables.
-_SET_LABELS: dict[tuple[int, ...], "AtomLabel"] = {}
+#: Shared set labels keyed by their antichain's brackets: nested int tuples
+#: hash in C, unlike an antichain, and stay small for any index, unlike its
+#: masks.  Errors are not stored, and the memo stops growing at 256 labels,
+#: room for all 255 over :data:`MAX_VARIABLES` variables.
+_SET_LABELS: dict[tuple[tuple[int, ...], ...], "AtomLabel"] = {}
 
 
 class AtomLabel(_Record):
@@ -127,13 +128,13 @@ class AtomLabel(_Record):
     @classmethod
     def set_theoretic(cls, a: Antichain) -> "AtomLabel":
         """The label of the set atom over ``a``'s indices."""
-        label = _SET_LABELS.get(a.masks)
+        label = _SET_LABELS.get(a.brackets)
         if label is None:
             if any(len(b) != 1 for b in a.brackets) or a.is_empty:
                 raise LabelError(f"set-theoretic labels use singleton brackets: {a}")
             label = cls("set", antichain=a)
             if len(_SET_LABELS) < 1 << MAX_VARIABLES:
-                _SET_LABELS[a.masks] = label
+                _SET_LABELS[a.brackets] = label
         return label
 
     @classmethod
@@ -414,43 +415,32 @@ def pid_view(decomp: Decomposition, target: int) -> PidView:
 #: column per atom, which ``_parthood`` keeps for the process's life.
 MAX_SET_THEORETIC = 5
 
-#: ``{i}`` for each 0-based position: shared, so each is an entropy memo key.
-_SINGLETONS = tuple(frozenset((i,)) for i in range(MAX_VARIABLES))
-
-
 @lru_cache(maxsize=MAX_SET_THEORETIC)
 def _mobius_plan(n: int) -> tuple[tuple, tuple]:
     """For each subset mask ``m`` in ``1 .. 2^n - 1`` (bit i for index
-    i + 1), its singleton groups and its 1-based index tuple.  Built once
+    i + 1), its singleton groups; and each mask with its set-atom label,
+    in column order: larger sets first, then lexicographic.  Built once
     per arity."""
-    masks = range(1, 1 << n)
-    groups = tuple(tuple(_SINGLETONS[i] for i in range(n) if m >> i & 1) for m in masks)
-    return groups, tuple(tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks)
+    bits = [[i for i in range(n) if m >> i & 1] for m in range(1 << n)]
+    groups = tuple(tuple(_mask_positions(1 << i) for i in b) for b in bits[1:])
+    order = sorted(range(1, 1 << n), key=lambda m: (-len(bits[m]), bits[m]))
+    return groups, tuple(
+        (m, AtomLabel.set_theoretic(Antichain.of(*[[i + 1] for i in bits[m]]))) for m in order
+    )
 
 
-def _mobius_atoms(table: ProbTable) -> dict[tuple[int, ...], float]:
-    """Atom size for every non-empty 1-based index set, by inversion of
-    the superset sums of interaction informations: the fast Möbius
-    transform over subset masks (bit i for index i + 1), O(n 2^n) steps."""
+def _mobius_atoms(table: ProbTable) -> list[float]:
+    """Atom size for every subset mask (bit i for index i + 1; 0.0 at the
+    empty mask), by inversion of the superset sums of interaction
+    informations: the fast Möbius transform, O(n 2^n) steps."""
     n = table.n
-    groups, names = _mobius_plan(n)
-    f = [0.0, *[interaction_information(table, g) for g in groups]]
+    f = [0.0, *[interaction_information(table, g) for g in _mobius_plan(n)[0]]]
     for i in range(n):
         bit = 1 << i
         for m in range(1, 1 << n):
             if not m & bit:
                 f[m] -= f[m | bit]
-    return dict(zip(names, f[1:]))
-
-
-@lru_cache(maxsize=MAX_SET_THEORETIC)
-def _set_labels(n: int) -> dict[tuple[int, ...], AtomLabel]:
-    """The set-atom label of every non-empty index set over ``{1..n}``, by
-    its index tuple, in column order: larger sets first, then
-    lexicographic.  Built once per arity."""
-    subsets = (tuple(i + 1 for i in range(n) if m >> i & 1) for m in range(1, 1 << n))
-    order = sorted(subsets, key=lambda t: (-len(t), t))
-    return {t: AtomLabel.set_theoretic(Antichain.of(*[[i] for i in t])) for t in order}
+    return f
 
 
 def solve_set_theoretic(table: ProbTable, *, eps: float = DEFAULT_EPS) -> Decomposition:
@@ -464,15 +454,15 @@ def solve_set_theoretic(table: ProbTable, *, eps: float = DEFAULT_EPS) -> Decomp
     n = table.n
     if n < 1 or n > MAX_SET_THEORETIC:
         raise WrongArity(f"distributive solver supports 1..{MAX_SET_THEORETIC} variables")
-    raw = _mobius_atoms(table)
-    labels = _set_labels(n)
-    negatives = [(labels[t].text, v) for t, v in raw.items() if v < -eps]
+    f = _mobius_atoms(table)
+    columns = _mobius_plan(n)[1]
+    negatives = [(label.text, f[m]) for m, label in columns if f[m] < -eps]
     if negatives:
         raise NotSetTheoretic(sorted(negatives))
     atom_set = AtomSet(tuple(
-        Atom(label, _clip(raw[t], eps, label.text), len(t)) for t, label in labels.items()
+        Atom(label, _clip(f[m], eps, label.text), m.bit_count()) for m, label in columns
     ))
-    r = raw[tuple(range(1, n + 1))] if n == 3 else None
+    r = f[-1] if n == 3 else None  # the full mask's atom
     return Decomposition(n, _parthood(n, atom_set.labels()), atom_set, r)
 
 
@@ -916,7 +906,7 @@ def scan_random(
         synergy = lo - _co_information(h)
         pi_s_min = min(pi_s_min, synergy)
         pi_s_max = max(pi_s_max, synergy)
-        if all(v >= -eps for v in _mobius_atoms(t).values()):
+        if all(v >= -eps for v in _mobius_atoms(t)):
             successes += 1
             # Each mutual information summed as mutual_information sums it.
             h1, h2, h3, h12, h13, h23, h123 = h

@@ -20,7 +20,10 @@ entropy is computed by one marginal pass the first time it is asked for
 and looked up on every later request.  A pass keys the rows with one
 :func:`operator.itemgetter` and sums their masses per key in row order;
 the selection of every variable is the pmf itself, ``dict(rows)``, with
-nothing to sum.  A table also keeps the decisions of
+nothing to sum.  Only this module builds the memo's keys or reads it:
+the solver layers name a subset by its int mask (bit ``i`` for position
+``i``), whose key :func:`_mask_positions` shares and whose entropy
+:func:`_mask_entropy` reads.  A table also keeps the decisions of
 :mod:`infatom.terms`' reduction rules.  Both memos live and die with
 their table and play no part in equality, hashing or ``repr``.
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from functools import lru_cache
 from itertools import chain, combinations, compress, filterfalse, product, repeat, starmap
 from operator import ge, itemgetter, methodcaller, mul, neg, truediv
 from typing import Iterable, Mapping, Sequence
@@ -402,6 +406,22 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
             h = -math.fsum(map(mul, masses, map(math.log2, masses)))
         memo[idx] = h
     return h
+
+
+@lru_cache(maxsize=1 << 12)
+def _mask_positions(mask: int) -> VarSet:
+    """The 0-based positions of the bits set in a subset mask.
+
+    One shared set per mask: it is the key of the mask's entropy in every
+    table's memo, and its hash is computed once."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _mask_entropy(table: ProbTable, mask: int) -> float:
+    """:func:`entropy` of a mask's positions, read from the table's memo."""
+    key = _mask_positions(mask)
+    h = table._entropies.get(key)
+    return entropy(table, key) if h is None else h
 
 
 def mutual_information(table: ProbTable, a: Iterable[int], b: Iterable[int]) -> float:

@@ -24,8 +24,9 @@ A missing R1 decision is made through
 :func:`~infatom.dist.mutual_information`, the rule's definition.  A
 missing R2 decision subtracts two mask entropies, ``H(x | y) - H(y)``
 (``|`` the mask union), as :func:`~infatom.dist.is_deterministic_function`
-does.  R2 decisions and term sizes read mask entropies from the table's
-entropy memo, and :func:`~infatom.dist.entropy` computes the missing ones.
+does.  Entropies are read only through :mod:`infatom.dist`, which owns
+the entropy memo and its keys: ``dist._mask_entropy`` for a mask, and
+:func:`~infatom.dist.entropy` for the seven trivariate subsets.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .dist import DEFAULT_EPS, ProbTable, entropy, mutual_information
+from .dist import (DEFAULT_EPS, ProbTable, _mask_entropy, _mask_positions, entropy,
+                   mutual_information)
 from .errors import AntichainError, InfeasibleRedundancy, RedundancyValueError, WrongArity, _Record
 from .lattice import Antichain
 
@@ -68,31 +70,19 @@ class TermValue(_Record):
         return cls(None, (lo, hi), trace)
 
 
-@lru_cache(maxsize=1 << 12)
-def _positions(mask: int) -> frozenset[int]:
-    """The 0-based positions of the bits set in a bracket mask.
-
-    One shared set per mask: it is the key of the mask's entropy in every
-    table's memo, and its hash is computed once."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _masks(a: Antichain, n: int) -> tuple[int, ...]:
-    """``a``'s bracket masks, checked against a table over ``n`` variables."""
-    masks = a.masks
-    if not masks:
+    """``a``'s bracket masks, checked against a table over ``n`` variables.
+    A mask has a bit per index up to the largest, so masks not yet built
+    (and kept in ``a.__dict__``) are built once every index is at most n."""
+    masks = a.__dict__.get("masks")
+    if masks is None and max(map(max, a.brackets), default=0) <= n:
+        masks = a.masks
+    if masks == ():
         raise AntichainError("cannot evaluate the empty antichain directly")
     # Brackets are disjoint, so the largest mask holds the largest index.
-    if max(masks) >> n:
+    if masks is None or max(masks) >> n:
         raise AntichainError(f"{a} uses indices beyond the table's {n} variables")
     return masks
-
-
-def _entropy(table: ProbTable, mask: int) -> float:
-    """:func:`entropy` of a mask's positions, read from the table's memo."""
-    key = _positions(mask)
-    h = table._entropies.get(key)
-    return entropy(table, key) if h is None else h
 
 
 @lru_cache(maxsize=1 << 12)
@@ -106,9 +96,9 @@ def _decide(table: ProbTable, decided: dict[int, str], key: int, x: int, y: int,
     """Make, store and return ``decided[key]``, the decision on masks ``x``,
     ``y`` of the rule in the key's low bit (see the module docstring)."""
     if key & 1:  # x given y carries at most eps bits
-        step = "R2({}<={})" if _entropy(table, x | y) - _entropy(table, y) <= eps else ""
+        step = "R2({}<={})" if _mask_entropy(table, x | y) - _mask_entropy(table, y) <= eps else ""
     else:
-        mi = mutual_information(table, _positions(x), _positions(y))
+        mi = mutual_information(table, _mask_positions(x), _mask_positions(y))
         step = "R1({},{})" if mi <= eps else ""
     decided[key] = step = step.format(_btext(x), _btext(y)) if step else ""
     return step
@@ -176,7 +166,7 @@ def eval_term(
     """
     masks = _masks(a, table.n)
     if len(masks) == 1:
-        return TermValue.exact(_entropy(table, masks[0]))
+        return TermValue.exact(_mask_entropy(table, masks[0]))
     if reduction is None:
         reduction = reduce_antichain(table, a, eps=eps)
     reduced, trace = reduction
@@ -184,20 +174,21 @@ def eval_term(
         return TermValue.exact(0.0, trace)
     masks = reduced.masks
     if len(masks) == 1:
-        return TermValue.exact(_entropy(table, masks[0]), trace)
+        return TermValue.exact(_mask_entropy(table, masks[0]), trace)
     # Each sum in the order mutual_information and interaction_information
     # use, so every value is bit-identical to theirs.
     if len(masks) == 2:
         x, y = masks
-        return TermValue.exact(_entropy(table, x) + _entropy(table, y) - _entropy(table, x | y),
-                               trace)
-    h = {m: _entropy(table, m) for m in masks}
-    mi = [h[x] + h[y] - _entropy(table, x | y) for x, y in combinations(masks, 2)]
+        return TermValue.exact(_mask_entropy(table, x) + _mask_entropy(table, y)
+                               - _mask_entropy(table, x | y), trace)
+    h = {m: _mask_entropy(table, m) for m in masks}
+    mi = [h[x] + h[y] - _mask_entropy(table, x | y) for x, y in combinations(masks, 2)]
     lo = 0.0
     if len(masks) == 3:
         x, y, z = masks
-        lo = max(0.0, h[x] + h[y] + h[z] - _entropy(table, x | y) - _entropy(table, x | z)
-                 - _entropy(table, y | z) + _entropy(table, x | y | z))
+        lo = max(0.0, h[x] + h[y] + h[z] - _mask_entropy(table, x | y)
+                 - _mask_entropy(table, x | z) - _mask_entropy(table, y | z)
+                 + _mask_entropy(table, x | y | z))
     return TermValue.interval(lo, min(mi), trace)
 
 
@@ -206,9 +197,7 @@ def eval_term(
 # ---------------------------------------------------------------------------
 
 
-_TRIVARIATE_SUBSETS = tuple(
-    frozenset(s) for s in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-)
+_TRIVARIATE_SUBSETS = tuple(map(_mask_positions, (1, 2, 4, 3, 5, 6, 7)))
 
 
 def _trivariate_entropies(table: ProbTable) -> list[float]:

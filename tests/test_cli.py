@@ -114,6 +114,20 @@ def test_decompose_parity_conflicts_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["info", "XOR", "--mi", "1;2;3"], "--mi expects 'A;B', got '1;2;3'"),
+    (["info", "XOR", "--cmi", "1;2"], "--cmi expects 'A;B;C', got '1;2'"),
+    (["decompose", "XOR", "--set-theoretic", "--redundancy", "0"],
+     "--redundancy applies to the trivariate solver only"),
+    (["decompose"], "decompose needs a distribution or --parity N"),
+], ids=["mi-groups", "cmi-parts", "set-theoretic-redundancy", "no-input"])
+def test_misused_flags_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    path = tmp_path / "xor.csv"
+    path.write_text(XOR_CSV)
+    code, out, err = run(capsys, *[str(path) if arg == "XOR" else arg for arg in argv])
+    assert (code, out, err) == (2, "", f"infatom: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # info / interval
 # ---------------------------------------------------------------------------
@@ -266,6 +280,23 @@ def test_set_atom_outside_the_variables_exits_2(tmp_path, capsys, command, label
     code, out, err = run(capsys, command, str(decomp), str(dist))
     assert code == 2 and out == ""
     assert err == f"infatom: set atom {label} names a variable outside 1..3\n"
+
+
+def test_set_atom_outside_the_variables_builds_no_mask(tmp_path, capsys):
+    # A mask has a bit per index up to the largest, so a label such as
+    # {40000000000} must be refused before its mask is built.
+    label = ia.parse_label("{9}")
+    assert "masks" not in vars(label.antichain)
+    decomp, dist = _decomp_json(tmp_path, capsys)
+    obj = json.loads(decomp.read_text())
+    for atom in obj["atoms"]:
+        if atom["label"] == "{1}":
+            atom["label"] = "{9}"
+    obj["table"]["cols"] = ["{9}" if c == "{1}" else c for c in obj["table"]["cols"]]
+    decomp.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", str(decomp), str(dist))
+    assert (code, out, err) == (2, "", "infatom: set atom {9} names a variable outside 1..3\n")
+    assert "masks" not in vars(label.antichain)
 
 
 def test_lift_of_eight_variables_exits_2_before_validating(tmp_path, capsys):

@@ -384,9 +384,11 @@ def test_distributive_inversion_matches_entropy_oracle(n):
         t = ia.random_table(f"mobius:{n}:{seed}", cards)
         expected = oracle_set_atoms(t.pmf(), n)
         got = decomp._mobius_atoms(t)
-        assert sorted(got) == sorted(expected)
+        assert len(got) == 1 << n and got[0] == 0.0
+        assert len(expected) == len(got) - 1
         for key, size in expected.items():
-            assert got[key] == pytest.approx(size, abs=1e-12), (seed, key)
+            mask = sum(1 << (i - 1) for i in key)
+            assert got[mask] == pytest.approx(size, abs=1e-12), (seed, key)
 
 
 def test_distributive_solver_arity_cap():
@@ -1127,6 +1129,26 @@ def test_set_labels_are_shared_per_antichain():
     assert built is parse_label(" {1}{2} ")
     assert built is ia.AtomLabel.set_theoretic(Antichain.parse("{2}{1}"))
     assert built is not parse_label("{1}{3}")
+
+
+def test_atom_sets_refuse_duplicate_labels_and_coverings_below_one():
+    label = parse_label("{1}")
+    with pytest.raises(ia.LabelError, match="duplicate atom labels"):
+        AtomSet((Atom(label, 1.0, 1), Atom(label, 0.5, 1)))
+    with pytest.raises(ia.LabelError, match="coverings must be >= 1"):
+        AtomSet((Atom(label, 1.0, 0),))
+
+
+def test_pid_view_needs_a_trivariate_decomposition():
+    with pytest.raises(ia.WrongArity, match="expected a trivariate decomposition, got n = 4"):
+        ia.pid_view(ia.solve_n_parity(4), 1)
+
+
+def test_validation_report_check_of_an_unknown_name(xor):
+    report = ia.validate(ia.solve_trivariate(xor), xor)
+    assert report.check("total_law").passed
+    with pytest.raises(KeyError):
+        report.check("no_such_check")
 
 
 def test_synergy_and_ghost_labels_are_shared():

@@ -366,3 +366,30 @@ def test_extend_with_joint_names_and_entropy(xor):
 def test_extend_with_joint_fallback_name():
     t = ia.ProbTable.from_pmf(("left", "right"), {(0, 0): 0.5, (1, 1): 0.5})
     assert ia.extend_with_joint(t).variables == ("left", "right", "joint")
+
+
+def test_extend_with_joint_steps_past_names_in_use():
+    t = ia.ProbTable.from_pmf(("joint", "joint_"), {(0, 0): 0.5, (1, 1): 0.5})
+    assert ia.extend_with_joint(t).variables == ("joint", "joint_", "joint__")
+    with pytest.raises(ia.VariableSetError, match="variable name 'joint_' already in use"):
+        ia.extend_with_joint(t, "joint_")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"variables": ["A"]}', "JSON table needs 'variables' and 'outcomes' keys"),
+    ('{"outcomes": []}', "JSON table needs 'variables' and 'outcomes' keys"),
+    ('{"variables": ["A"], "outcomes": [{"p": 1, "values": 0}]}', "bad outcome values 0"),
+])
+def test_load_json_refuses_missing_keys_and_values_that_are_not_a_list(text, message):
+    with pytest.raises(ia.MalformedRow, match=re.escape(message)):
+        ia.load_table(text)
+
+
+def test_oversized_generators_and_empty_groups_are_refused(xor):
+    with pytest.raises(ia.VariableSetError, match="needs at least one group"):
+        ia.interaction_information(xor, [])
+    with pytest.raises(ia.GateSpecError, match=re.escape("parity(21) table would have 2^20 rows")):
+        ia.parity_gate(21)
+    # The size is checked before anything is drawn or allocated.
+    with pytest.raises(ia.GateSpecError, match="oversized table"):
+        ia.random_table(0, (2,) * 21)

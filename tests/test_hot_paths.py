@@ -72,8 +72,11 @@ MOBIUS_TABLES = {
 def test_mobius_atoms_match_the_per_call_oracle_bit_for_bit(make):
     got = decomp._mobius_atoms(make())
     want = oracle_mobius_atoms(make())
-    assert list(got) == list(want)
-    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+    # The oracle lists the masks 1 .. 2^n - 1 in order, by index tuple.
+    n = len(got).bit_length() - 1
+    assert list(want) == [tuple(i + 1 for i in range(n) if m >> i & 1) for m in range(1, 1 << n)]
+    assert got[0] == 0.0
+    assert [v.hex() for v in got[1:]] == [v.hex() for v in want.values()]
 
 
 def test_mobius_plan_is_built_once_per_arity(monkeypatch):
@@ -94,9 +97,12 @@ def test_mobius_plan_is_built_once_per_arity(monkeypatch):
     # One interaction information per non-empty subset mask, each over
     # the plan's shared groups.
     assert len(calls) == 3 * sum(2**n - 1 for n in range(1, 6))
-    groups, names = decomp._mobius_plan(5)
+    groups, columns = decomp._mobius_plan(5)
     assert all(a is b for a, b in zip(calls[-31:], groups, strict=True))
-    assert names[:3] == ((1,), (2,), (1, 2))
+    assert groups[:3] == (({0},), ({1},), ({0}, {1}))
+    # Each mask with its set-atom label, in the solver's column order.
+    assert [(m, str(label)) for m, label in columns[:3]] == [
+        (31, "{1}{2}{3}{4}{5}"), (15, "{1}{2}{3}{4}"), (23, "{1}{2}{3}{5}")]
 
 
 # ---------------------------------------------------------------------------

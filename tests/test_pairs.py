@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,6 +106,7 @@ def test_out_writes_the_summary_with_every_run(tmp_path, monkeypatch, capsys):
     record = json.loads(out.read_text())
     assert {k: record[k] for k in last} == last
     assert record["python"] == sys.version
+    assert record["env"] == pairs.BYTECODE_ENV
     assert record["commits"] == {"parent": "sha-parent", "change": "sha-change"}
     assert record["runs"]["parent"] == [
         {"ops_per_s": 101.0, "op_p50_ms": 5.0},
@@ -125,3 +127,25 @@ def test_out_writes_the_summary_with_every_run(tmp_path, monkeypatch, capsys):
 
 def test_commit_of_outside_a_checkout_is_none(tmp_path):
     assert pairs.commit_of(tmp_path) is None
+
+
+def test_each_run_compiles_from_source_in_a_fresh_cache_dir(tmp_path, monkeypatch):
+    seen = []
+    result = {"correct": True, "failed": 0, "metrics": {"ops_per_s": {"value": 5.0}}}
+
+    def fake_run(cmd, *, cwd, capture_output, text, env):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cmd, cwd, env, cache, cache.is_dir() and not any(cache.iterdir())))
+        return subprocess.CompletedProcess(cmd, 0, "log line\n" + json.dumps(result) + "\n", "")
+
+    monkeypatch.setenv("PAIRS_TEST_MARK", "kept")
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert pairs.run_bench(tmp_path, "sweep3", 1.5, 7) == {"ops_per_s": 5.0}
+    (cmd, cwd, env, cache, fresh), second = seen
+    assert cmd[1:] == ["bench/run.py", "--workload", "sweep3", "--seconds", "1.5", "--seed", "7"]
+    assert cwd == tmp_path
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["PAIRS_TEST_MARK"] == "kept"
+    # Each run gets its own empty directory, removed once the run is over.
+    assert fresh and second[4] and cache != second[3]
+    assert not cache.exists() and not second[3].exists()

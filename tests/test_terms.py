@@ -27,6 +27,22 @@ from _oracles import (
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{}", "cannot evaluate the empty antichain directly"),
+    ("{1}{1000}", "{1}{1000} uses indices beyond the table's 3 variables"),
+], ids=["empty", "index-1000"])
+def test_unevaluable_antichains_are_refused_before_any_mask(xor, text, message):
+    a = Antichain.parse(text)
+    for built in (False, True):
+        if built:  # masks built elsewhere are checked as ints
+            assert not a.brackets or "masks" not in vars(a)
+            assert len(a.masks) == len(a.brackets)
+        for fn in (eval_term, reduce_antichain):
+            with pytest.raises(ia.AntichainError) as err:
+                fn(xor, a)
+            assert str(err.value) == message
+
+
 def test_single_bracket_is_joint_entropy(xor):
     tv = eval_term(xor, Antichain.of([1]))
     assert tv.is_exact and tv.value == pytest.approx(1.0, abs=1e-12)

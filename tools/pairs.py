@@ -10,6 +10,12 @@ checkout, one after the other; the side that goes first alternates from
 pair to pair, so a drift in host speed favours neither.  Each run's last
 line of output is its JSON result.
 
+Every run has ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set
+to a fresh, empty temporary directory, so no run reads or writes bytecode
+in a checkout: both sides compile every module they import, the standard
+library's included, from source.  A checkout that holds ``__pycache__``
+files would otherwise start faster than one that holds none.
+
 For every end-to-end metric that ``BENCHMARK.json`` (read from ``CHANGE``)
 declares, the summary gives each side's median and quartiles over its runs
 and the number of pairs the change won, ties counting for neither side.
@@ -25,19 +31,26 @@ It then reads the metric as:
 
 The last line of output is the summary as one JSON object.  With
 ``--out PATH`` the summary is also written to ``PATH`` (a ``BENCH_*.json``
-record) together with every run's metric values, ``sys.version`` and each
-checkout's ``git rev-parse HEAD`` (null outside a git checkout).  Standard
-library only; nothing under ``bench/`` is imported.
+record) together with every run's metric values, ``sys.version``, the
+bytecode settings of the runs (``env``) and each checkout's ``git
+rev-parse HEAD`` (null outside a git checkout).  Standard library only;
+nothing under ``bench/`` is imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+#: The bytecode settings of every run, as the ``--out`` record states them.
+BYTECODE_ENV = {"PYTHONDONTWRITEBYTECODE": "1",
+                "PYTHONPYCACHEPREFIX": "a fresh, empty temporary directory per run"}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -88,7 +101,9 @@ def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict[
     """One benchmark run in ``checkout``; its end-to-end metric values."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seconds", str(seconds), "--seed", str(seed)]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache:
+        env = {**os.environ, **BYTECODE_ENV, "PYTHONPYCACHEPREFIX": cache}
+        out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if out.returncode != 0:
         raise SystemExit(f"pairs: {' '.join(cmd)} in {checkout} exited {out.returncode}:\n"
                          f"{out.stderr.strip()}")
@@ -138,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     result = {"workload": args.workload, "seconds": args.seconds, "seed": args.seed,
               "metrics": summary}
     if args.out is not None:
-        record = dict(result, python=sys.version, runs=runs,
+        record = dict(result, python=sys.version, env=BYTECODE_ENV, runs=runs,
                       commits={side: commit_of(getattr(args, side)) for side in runs})
         args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(result))

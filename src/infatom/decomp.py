@@ -72,7 +72,7 @@ from .errors import (
     WrongArity,
     _Record,
 )
-from .lattice import MAX_VARIABLES, Antichain, enumerate_antichains
+from .lattice import MAX_VARIABLES, Antichain, LatticeView, enumerate_antichains
 from .terms import (
     _bounds,
     _check_feasible,
@@ -244,6 +244,67 @@ class ParthoodTable(_Record):
 
     def row(self, a: Antichain) -> tuple[int, ...]:
         return self.entries[self._row_index[a.masks]]
+
+    def _bitsets(self, view: LatticeView) -> tuple:
+        """The entries as the int bitsets :func:`validate` reads, over the
+        positions of ``view``, the lattice the rows were checked against:
+        ``(where, row_at, held, held_at, at, low)``.  ``where[i]`` is row
+        i's position and ``row_at`` its inverse (both ``range`` objects for
+        rows in lattice order); ``held[i]`` marks the columns row i holds
+        (bit j for column j) and ``held_at[p]`` those of the row at
+        position p; ``at[j]`` marks the positions whose rows hold column j
+        and ``low[j]`` is the lowest of them, -1 for none.  They depend on
+        the entries alone, so, like :attr:`_row_index`, they are built on
+        the first call and kept: a table shared through the solvers'
+        memo is read once per process."""
+        bits = self.__dict__.get("_bits")
+        if bits is None:
+            rows = self.rows
+            where = row_at = range(len(rows))
+            if rows != view.elements:
+                where = [view.index(a) for a in rows]
+                row_at = sorted(row_at, key=where.__getitem__)
+            # Rows share few patterns, so each distinct row is read once.
+            code = {x: sum(1 << j for j, v in enumerate(x) if v) for x in set(self.entries)}
+            held = list(map(code.__getitem__, self.entries))
+            bits = self._keep_bits(where, row_at, held)
+        return bits
+
+    def _keep_bits(self, where, row_at, held: list[int]) -> tuple:
+        """Complete :meth:`_bitsets` from ``where``, ``row_at`` and
+        ``held``, keep it and return it."""
+        held_at = held if isinstance(row_at, range) else [held[i] for i in row_at]
+        # Each distinct pattern's positions become one mask, parsed from its
+        # bit string rather than OR-ed a bit at a time, which copies the
+        # mask once per position; a column's mask ORs its patterns' masks.
+        places: dict[int, list[int]] = {}
+        for p, h in enumerate(held_at):
+            places.setdefault(h, []).append(p)
+        at = [0] * len(self.cols)
+        for h, ps in places.items():
+            if not h:
+                continue
+            text = bytearray(b"0") * len(held_at)
+            for p in ps:
+                text[p] = 49  # "1"
+            m = int(text[::-1], 2)
+            for j in range(h.bit_length()):
+                if h >> j & 1:
+                    at[j] |= m
+        low = [(m & -m).bit_length() - 1 for m in at]
+        bits = self.__dict__["_bits"] = (where, row_at, held, held_at, at, low)
+        return bits
+
+    def _covers_hold(self, covers: tuple[tuple[int, ...], ...]) -> bool:
+        """Whether each row's atoms are held by the rows of its upper
+        covers, the lattice's :attr:`~LatticeView.covers`; after
+        :meth:`_bitsets`, decided once per table and kept."""
+        hold = self.__dict__.get("_monotone")
+        if hold is None:
+            held_at = self._bits[3]
+            hold = self.__dict__["_monotone"] = not any(
+                h & ~held_at[c] for h, cs in zip(held_at, covers) if h for c in cs)
+        return hold
 
 
 #: Parthood tables already built, by ``(n, labels)``.  Each solver passes a
@@ -547,9 +608,15 @@ def lift_decomposition(
     if not report.passed:
         raise ValidationFailed(report)
     atoms = AtomSet(tuple(Atom(a.label, a.size, a.covering + 1) for a in decomp.atoms))
-    base = [decomp.table.row(a) for a in enumerate_antichains(decomp.n).elements]
+    _, row_at, _, held_at, _, _ = decomp.table._bitsets(enumerate_antichains(decomp.n))
+    entries = decomp.table.entries
+    base = [entries[i] for i in row_at]
     view = enumerate_antichains(decomp.n + 1)
-    tab = ParthoodTable(view.elements, decomp.table.cols, tuple(base[q] for q in view.lifts))
+    lifts = view.lifts
+    tab = ParthoodTable(view.elements, decomp.table.cols, tuple(base[q] for q in lifts))
+    # The lifted rows are in lattice order, each holding its image's atoms.
+    spots = range(len(lifts))
+    tab._keep_bits(spots, spots, [held_at[q] for q in lifts])
     return Decomposition(decomp.n + 1, tab, atoms, decomp.redundancy_param)
 
 
@@ -608,11 +675,16 @@ def validate(
     term sizes (equality where the term evaluates exactly, interval
     containment otherwise); and equal rows for reduction-equal terms.
 
-    The table is read once into int bitsets: ``held[i]``, the atoms row i
-    holds (bit j for atom j); ``positive``, the atoms of size above
-    ``eps``; and per atom, the lattice positions whose rows hold it.  Rows
-    already in lattice order (every solver's and lift's, and canonical
-    JSON) are their own positions, so only other orders are looked up.
+    The parthood table is read into int bitsets once per table, not once
+    per call: ``held[i]``, the atoms row i holds (bit j for atom j), and
+    per atom, the lattice positions whose rows hold it and the lowest of
+    them.  They depend on the entries alone, so a table the solvers share
+    (every trivariate solve, every :func:`solve_n_parity` of one n) is read
+    once per process, and :func:`lift_decomposition` derives the lifted
+    table's from its input's.  ``positive``, the atoms of size above
+    ``eps``, is read per call.  Rows already in lattice order (every
+    solver's and lift's, and canonical JSON) are their own positions, so
+    only other orders are looked up.
     Write ``r(k)`` for k's reduced form where that differs from k (a row
     reduced to None or to itself has none).  Monotonicity is first decided
     on cover pairs: it passes, with residual 0, if equal rows pass and
@@ -663,8 +735,7 @@ def validate(
         raise WrongArity(f"decomposition over {decomp.n} variables, table over {table.n}")
     rows = decomp.table.rows
     view = enumerate_antichains(decomp.n)
-    in_order = rows == view.elements
-    if not in_order and (len(rows) != len(view) or set(rows) != set(view.elements)):
+    if rows != view.elements and (len(rows) != len(view) or set(rows) != set(view.elements)):
         raise DecompositionFormatError(
             f"parthood table rows are not the {len(view)} antichains over "
             f"{decomp.n} variables"
@@ -697,29 +768,15 @@ def validate(
     # The reduction of every row term, for V2, V6 and V7; None for a
     # single bracket, which is its own reduced form.
     reductions = [
-        None if a.covering == 1 else reduce_antichain(table, a, eps=eps) for a in rows
+        None if len(a.brackets) == 1 else reduce_antichain(table, a, eps=eps) for a in rows
     ]
 
-    # ``where[i]`` is row i's lattice position, ``row_at`` inverts it, and
-    # ``at[j]`` marks the positions whose rows hold atom j.
+    # The table's bitsets (see ParthoodTable._bitsets), read once per table.
     elements = view.elements
-    where = row_at = range(len(rows))
-    if not in_order:
-        where = [view.index(a) for a in rows]
-        row_at = sorted(row_at, key=where.__getitem__)
-    held = []
-    at = [0] * len(atoms)
-    for p, x in zip(where, decomp.table.entries):
-        h = 0
-        for j, v in enumerate(x):
-            if v:
-                h |= 1 << j
-                at[j] |= 1 << p
-        held.append(h)
+    where, row_at, held, held_at, at, low = decomp.table._bitsets(view)
 
-    # ``held_at[p]`` is ``held`` of the row at position p, and ``red_pos[p]``
-    # the position of p's reduced form, or -1 where that is p itself or None.
-    held_at = held if in_order else [held[i] for i in row_at]
+    # ``red_pos[p]`` is the position of p's reduced form, or -1 where that
+    # is p itself or None.
     red_pos = [-1] * len(rows)
     position = view._index
     for a, p, r in zip(rows, where, reductions):
@@ -742,9 +799,7 @@ def validate(
     # rows, V2 passes (see the docstring); otherwise the violations are
     # counted on masks over lattice positions.
     covers = view.covers
-    if equal_rows.passed and not any(
-        h & ~held_at[c] for h, cs in zip(held_at, covers) if h for c in cs
-    ):
+    if equal_rows.passed and decomp.table._covers_hold(covers):
         checks.append(CheckResult("monotonicity", True, 0.0, ""))
     else:
         # ``up_pre[q]`` starts as the positions reduced to q.  Covers lie
@@ -791,8 +846,8 @@ def validate(
     # V3: covering rule, read at the lowest position holding each atom.
     mismatches = 0
     first_bad = ""
-    for atom, m in zip(atoms, at):
-        observed = elements[(m & -m).bit_length() - 1].covering if m else 0
+    for atom, p in zip(atoms, low):
+        observed = elements[p].covering if p >= 0 else 0
         if observed != atom.covering:
             mismatches += 1
             if not first_bad:

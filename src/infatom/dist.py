@@ -20,10 +20,15 @@ entropy is computed by one marginal pass the first time it is asked for
 and looked up on every later request.  A pass keys the rows with one
 :func:`operator.itemgetter` and sums their masses per key in row order;
 the selection of every variable is the pmf itself, ``dict(rows)``, with
-nothing to sum.  Only this module builds the memo's keys or reads it:
-the solver layers name a subset by its int mask (bit ``i`` for position
-``i``), whose key :func:`_mask_positions` shares and whose entropy
-:func:`_mask_entropy` reads.  A table also keeps the decisions of
+nothing to sum.  Only this module builds the memo's keys or reads it.
+The memo holds two kinds of key: the frozenset of a selection's
+positions, stored by :func:`entropy`, and the int mask of a subset (bit
+``i`` for position ``i``), the name the solver layers use, stored by
+:func:`_mask_entropy` with the entropy of the mask's frozenset
+(:func:`_mask_positions`), so a mask read again hashes one int.  An int
+never equals a frozenset, so the two kinds never collide.
+:func:`_fill_single_entropies` stores every one-position selection's
+entropy from one pass over the rows.  A table also keeps the decisions of
 :mod:`infatom.terms`' reduction rules.  Both memos live and die with
 their table and play no part in equality, hashing or ``repr``.
 
@@ -85,14 +90,13 @@ class ProbTable(_Record):
     def __init__(self, variables: tuple[str, ...], cards: tuple[int, ...],
                  rows: tuple[tuple[Outcome, float], ...]) -> None:
         # _entropies: subset entropies by selection (a frozenset), filled by
-        # entropy(); _decisions: reduction-rule decisions by eps, then by
-        # bracket-mask pair, filled by terms.reduce_antichain().
-        self.__dict__.update(variables=variables, cards=cards, rows=rows,
+        # entropy(), and by subset mask (an int), filled by _mask_entropy();
+        # _decisions: reduction-rule decisions by eps, then by bracket-mask
+        # pair, filled by terms.reduce_antichain().
+        # n: the number of variables, stored rather than a property, as the
+        # reduction rules read it on every call.
+        self.__dict__.update(variables=variables, cards=cards, rows=rows, n=len(variables),
                              _key=(variables, cards, rows), _entropies={}, _decisions={})
-
-    @property
-    def n(self) -> int:
-        return len(self.variables)
 
     def pmf(self) -> dict[Outcome, float]:
         """The pmf as a dict keyed by outcome tuple."""
@@ -114,15 +118,25 @@ class ProbTable(_Record):
         errors: :class:`MalformedRow`, :class:`DuplicateOutcome`,
         :class:`NegativeProbability`, :class:`TotalMassInvalid`.
         """
-        names = tuple(map(str, variables))
-        if not names or len(set(names)) != len(names) or "" in names:
-            raise MalformedRow(f"variable names must be non-empty and unique: {names!r}")
+        names = _names(variables)
         n = len(names)
         items = list(pmf.items()) if isinstance(pmf, Mapping) else list(pmf)
         cols = _columns(items, n)
         if cols is None:  # pairs that len() cannot size pass the scan
             cols = _columns(_checked_rows(items, n), n)
-        keys, masses = cols
+        return cls._from_columns(names, *cols, cards, eps)
+
+    @classmethod
+    def _from_columns(cls, names: tuple[str, ...], keys: list[Outcome], masses: list[float],
+                      cards: Sequence[int] | None, eps: float) -> "ProbTable":
+        """The column-wise core of :meth:`from_pmf`: ``names`` are checked,
+        and ``keys`` are tuples of ``len(names)`` non-negative ints, with
+        ``masses`` the float mass of each.  A negative mass or a repeated
+        outcome makes the row scan raise for the first offending row; a
+        sign is read as ``0.0 > p``, as ``min`` misses any after a NaN."""
+        n = len(names)
+        if any(map((0.0).__gt__, masses)) or len(set(keys)) != len(keys):
+            _checked_rows(list(zip(keys, masses)), n)  # raises
         total = math.fsum(masses)
         if not (1.0 - eps <= total <= 1.0 + eps):
             raise TotalMassInvalid(f"total mass {total!r} outside [1-eps, 1+eps]")
@@ -142,10 +156,19 @@ class ProbTable(_Record):
         return cls(names, cards_t, tuple(sorted(zip(keys, map(truediv, masses, repeat(total))))))
 
 
+def _names(variables: Sequence[str]) -> tuple[str, ...]:
+    """The variable names as strings, checked non-empty and unique."""
+    names = tuple(map(str, variables))
+    if not names or len(set(names)) != len(names) or "" in names:
+        raise MalformedRow(f"variable names must be non-empty and unique: {names!r}")
+    return names
+
+
 def _columns(items: list, n: int) -> tuple[list[Outcome], list[float]] | None:
     """The outcomes and float masses of ``(outcome, p)`` pairs, or None if
-    a row fails a row check.  Each check covers a whole column; a mass's
-    sign is read as ``0.0 > p``, as ``min`` misses any after a NaN."""
+    an outcome fails a row check.  Each check covers a whole column; the
+    masses' signs and repeated outcomes are left to
+    :meth:`ProbTable._from_columns`."""
     if not items:
         return [], []
     try:
@@ -157,8 +180,7 @@ def _columns(items: list, n: int) -> tuple[list[Outcome], list[float]] | None:
         flat = list(chain.from_iterable(keys))
         types = set(map(type, flat))
         if (set(map(len, keys)) != {n} or bool in types
-                or not all(map(issubclass, types, repeat(int))) or min(flat) < 0
-                or any(map((0.0).__gt__, masses)) or len(dict(zip(keys, masses))) != len(keys)):
+                or not all(map(issubclass, types, repeat(int))) or min(flat) < 0):
             return None
     except (TypeError, ValueError, OverflowError):  # the scan names the row
         return None
@@ -226,7 +248,7 @@ def _load_csv(text: str, eps: float) -> ProbTable:
     cols = _csv_columns(body, len(header))
     if cols is None:
         _raise_first_bad_line(body, len(header))
-    return ProbTable.from_pmf(header[1:], zip(*cols), eps=eps)
+    return ProbTable._from_columns(_names(header[1:]), *cols, None, eps)
 
 
 def _csv_columns(body: list[str], k: int) -> tuple[list[Outcome], list[float]] | None:
@@ -395,17 +417,20 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
     h = memo.get(key)
     if h is None:
         idx = _varset(table, key, allow_empty=True)
-        masses = _marginal(table, tuple(sorted(idx))).values()
-        try:
-            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
-        except ValueError:
-            # A zero mass: only a table built straight from the constructor
-            # keeps a zero-mass row, and it has the entropies of the table
-            # without that row.
-            masses = [p for p in masses if p]
-            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
-        memo[idx] = h
+        h = memo[idx] = _entropy_of(_marginal(table, tuple(sorted(idx))).values())
     return h
+
+
+def _entropy_of(masses) -> float:
+    """``-sum p log2 p`` over a marginal's masses, correctly rounded."""
+    try:
+        return -math.fsum(map(mul, masses, map(math.log2, masses)))
+    except ValueError:
+        # A zero mass: only a table built straight from the constructor
+        # keeps a zero-mass row, and it has the entropies of the table
+        # without that row.
+        masses = [p for p in masses if p]
+        return -math.fsum(map(mul, masses, map(math.log2, masses)))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -418,17 +443,56 @@ def _mask_positions(mask: int) -> VarSet:
 
 
 def _mask_entropy(table: ProbTable, mask: int) -> float:
-    """:func:`entropy` of a mask's positions, read from the table's memo."""
-    key = _mask_positions(mask)
-    h = table._entropies.get(key)
-    return entropy(table, key) if h is None else h
+    """:func:`entropy` of a mask's positions, kept in the table's memo
+    under the mask itself.  The first read of a mask takes the entropy of
+    its frozenset key, computing it only if that is missing too."""
+    memo = table._entropies
+    h = memo.get(mask)
+    if h is None:
+        key = _mask_positions(mask)
+        h = memo.get(key)
+        if h is None:
+            h = entropy(table, key)
+        memo[mask] = h
+    return h
+
+
+def _fill_single_entropies(table: ProbTable) -> None:
+    """Store the entropy of every one-position selection missing from the
+    table's memo, from one pass over the rows.  Each marginal sums its
+    masses in row order, as :func:`_marginal` does, so every value is
+    bit-identical to :func:`entropy`'s."""
+    memo = table._entropies
+    todo = [i for i in range(table.n) if frozenset((i,)) not in memo]
+    if not todo or not table.rows:
+        return
+    outcomes, masses = zip(*table.rows)
+    columns = list(zip(*outcomes))
+    for i in todo:
+        acc: dict[int, float] = {}
+        get = acc.get
+        for k, p in zip(columns[i], masses):
+            acc[k] = get(k, 0.0) + p
+        memo[frozenset((i,))] = _entropy_of(acc.values())
 
 
 def mutual_information(table: ProbTable, a: Iterable[int], b: Iterable[int]) -> float:
-    """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine."""
+    """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine.
+
+    Each entropy is read from the table's memo and computed by
+    :func:`entropy` only when missing."""
     sa = _varset(table, a)
     sb = _varset(table, b)
-    return entropy(table, sa) + entropy(table, sb) - entropy(table, sa | sb)
+    sab = sa | sb
+    get = table._entropies.get
+    ha, hb, hab = get(sa), get(sb), get(sab)
+    if ha is None:
+        ha = entropy(table, sa)
+    if hb is None:
+        hb = entropy(table, sb)
+    if hab is None:
+        hab = entropy(table, sab)
+    return ha + hb - hab
 
 
 def conditional_mi(

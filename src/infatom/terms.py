@@ -163,10 +163,11 @@ def eval_term(
 
     ``reduction``, if given, must be ``reduce_antichain(table, a, eps=eps)``;
     a caller that already holds it passes it instead of reducing again.
+    ``a``'s masks are checked against the table once per call: here for
+    one bracket or none, and otherwise by the reduction.
     """
-    masks = _masks(a, table.n)
-    if len(masks) == 1:
-        return TermValue.exact(_mask_entropy(table, masks[0]))
+    if len(a.brackets) < 2:
+        return TermValue.exact(_mask_entropy(table, _masks(a, table.n)[0]))
     if reduction is None:
         reduction = reduce_antichain(table, a, eps=eps)
     reduced, trace = reduction

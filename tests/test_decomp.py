@@ -922,6 +922,71 @@ def test_validate_reports_agree_for_in_order_and_shuffled_rows():
             assert a == b, case
 
 
+def _report_text(report) -> list[tuple]:
+    """A report's checks, each residual as ``float.hex``."""
+    return [(c.name, c.passed, c.residual.hex(), c.detail) for c in report.checks]
+
+
+def _fresh_table(d: Decomposition) -> Decomposition:
+    """``d`` with an equal parthood table that holds no memo."""
+    table = ParthoodTable(d.table.rows, d.table.cols, d.table.entries)
+    return Decomposition(d.n, table, d.atoms, d.redundancy_param)
+
+
+def test_validate_reports_match_for_reused_fresh_and_shuffled_tables():
+    # A table's bitsets are kept after its first validate; a second validate
+    # reads them, and must report what a fresh equal table reports, bit for
+    # bit.  Solved tables (trial 0) are the solvers' shared ones, and their
+    # reports pass, so shuffling their rows changes no detail either.
+    rng = random.Random(23)
+    reused = 0
+    for case, m, t in _mutated_cases():
+        shuffled = _shuffled(m, rng)
+        for d in (m, shuffled):
+            ia.validate(d, t)
+            assert "_bits" in vars(d.table), case
+            warm = _report_text(ia.validate(d, t))
+            assert warm == _report_text(ia.validate(_fresh_table(d), t)), case
+        if case[1] == 0:
+            reused += m.table is decomp._parthood(m.n, m.atoms.labels())
+            assert ia.validate(m, t).passed, case
+            assert _report_text(ia.validate(shuffled, t)) == warm, case
+    assert reused == 6  # parity 3..5 and three trivariate solutions
+
+
+def _bitsets_oracle(table: ParthoodTable, view) -> tuple:
+    """:meth:`ParthoodTable._bitsets`, read entry by entry."""
+    where = [view.index(a) for a in table.rows]
+    row_at = sorted(range(len(where)), key=where.__getitem__)
+    held = [sum(v << j for j, v in enumerate(x)) for x in table.entries]
+    held_at = [held[i] for i in row_at]
+    at = [sum(1 << p for p, h in enumerate(held_at) if h >> j & 1)
+          for j in range(len(table.cols))]
+    low = [(m & -m).bit_length() - 1 for m in at]
+    return where, row_at, held, held_at, at, low
+
+
+def test_bitsets_match_an_entry_by_entry_oracle():
+    rng = random.Random(24)
+    for case, m, t in _mutated_cases():
+        view = lattice.enumerate_antichains(m.n)
+        for d in (m, _shuffled(m, rng)):
+            got = [list(x) for x in d.table._bitsets(view)]
+            assert got == [list(x) for x in _bitsets_oracle(d.table, view)], case
+
+
+def test_lifted_bitsets_equal_those_rebuilt_from_entries():
+    seen = set()
+    for d, t in _lift_corpus():
+        lifted = ia.lift_decomposition(d, t).table
+        view = lattice.enumerate_antichains(d.n + 1)
+        derived = vars(lifted)["_bits"]  # built by the lift, from d's bitsets
+        rebuilt = ParthoodTable(lifted.rows, lifted.cols, lifted.entries)._bitsets(view)
+        assert derived == rebuilt, d.n
+        seen.add(d.n + 1)
+    assert seen == {4, 5, 6, 7, 8}
+
+
 def _warm_cases():
     """A generic trivariate solution, whose terms do not reduce to other
     terms, and parity 4, where R2 reduces ``{1,2,3}{4}`` to ``{4}``."""

@@ -129,23 +129,36 @@ def test_commit_of_outside_a_checkout_is_none(tmp_path):
     assert pairs.commit_of(tmp_path) is None
 
 
-def test_each_run_compiles_from_source_in_a_fresh_cache_dir(tmp_path, monkeypatch):
+def test_each_run_writes_no_bytecode_and_reads_it_where_python_keeps_it(tmp_path, monkeypatch):
     seen = []
     result = {"correct": True, "failed": 0, "metrics": {"ops_per_s": {"value": 5.0}}}
 
     def fake_run(cmd, *, cwd, capture_output, text, env):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cmd, cwd, env, cache, cache.is_dir() and not any(cache.iterdir())))
+        seen.append((cmd, cwd, env))
         return subprocess.CompletedProcess(cmd, 0, "log line\n" + json.dumps(result) + "\n", "")
 
     monkeypatch.setenv("PAIRS_TEST_MARK", "kept")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "elsewhere"))
     monkeypatch.setattr(pairs.subprocess, "run", fake_run)
-    for _ in range(2):
-        assert pairs.run_bench(tmp_path, "sweep3", 1.5, 7) == {"ops_per_s": 5.0}
-    (cmd, cwd, env, cache, fresh), second = seen
+    assert pairs.run_bench(tmp_path, "sweep3", 1.5, 7) == {"ops_per_s": 5.0}
+    ((cmd, cwd, env),) = seen
     assert cmd[1:] == ["bench/run.py", "--workload", "sweep3", "--seconds", "1.5", "--seed", "7"]
     assert cwd == tmp_path
+    assert pairs.BYTECODE_ENV == {"PYTHONDONTWRITEBYTECODE": "1"}
     assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["PAIRS_TEST_MARK"] == "kept"
-    # Each run gets its own empty directory, removed once the run is over.
-    assert fresh and second[4] and cache != second[3]
-    assert not cache.exists() and not second[3].exists()
+    assert "PYTHONPYCACHEPREFIX" not in env
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_checkout_holding_pycache_is_refused_before_any_run(tmp_path, monkeypatch, capsys,
+                                                              side):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent, change):
+        d.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    (tmp_path / side / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    monkeypatch.setattr(pairs, "run_bench", lambda *args: pytest.fail("a run started"))
+    assert pairs.main([str(parent), str(change), "--workload", "cli", "--pairs", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert str(tmp_path / side / "src" / "pkg" / "__pycache__") in err

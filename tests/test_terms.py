@@ -141,6 +141,23 @@ def test_rule_decisions_and_entropies_match_dist(make):
             assert ia.entropy(t, s).hex() == expected.hex(), s
 
 
+@pytest.mark.parametrize("make", DECISION_TABLES.values(), ids=list(DECISION_TABLES))
+def test_mask_entropies_are_the_entropies_bit_for_bit(make):
+    # Read by mask first and by selection first, each on a fresh table, and
+    # again once both kinds of memo key are filled.
+    by_mask, by_set = make(), make()
+    n = by_mask.n
+    for mask in range(1 << n):
+        positions = _bits(mask)
+        h = ia.dist._mask_entropy(by_mask, mask)
+        assert h.hex() == ia.entropy(by_set, positions).hex(), positions
+        assert ia.entropy(by_mask, positions).hex() == h.hex(), positions
+        assert ia.dist._mask_entropy(by_set, mask).hex() == h.hex(), positions
+        assert ia.dist._mask_entropy(by_mask, mask) is h
+    assert set(by_mask._entropies) == set(by_set._entropies)
+    assert len(by_mask._entropies) == 2 << n  # a frozenset and an int per subset
+
+
 def test_xor_pair_bracket_reduces_by_function_rule(xor):
     tv = eval_term(xor, Antichain.parse("{1,2}{3}"))
     assert tv.is_exact

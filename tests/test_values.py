@@ -70,7 +70,7 @@ CASES = [
         d.ParthoodTable,
         {"rows": (A1,), "cols": (SYN,), "entries": ((1,),)},
         TABLE_R,
-        ("_row_index",),
+        ("_row_index", "_bits", "_monotone"),
     ),
     (
         d.Decomposition,
@@ -120,6 +120,9 @@ def _fill_memos(x) -> None:
         x.size(SYN)
     elif isinstance(x, d.ParthoodTable):
         x.row(A1)
+        view = ia.enumerate_antichains(1)
+        x._bitsets(view)
+        x._covers_hold(view.covers)
 
 
 @pytest.mark.parametrize("cls, kw, text, memos", CASES, ids=IDS)

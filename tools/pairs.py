@@ -10,11 +10,13 @@ checkout, one after the other; the side that goes first alternates from
 pair to pair, so a drift in host speed favours neither.  Each run's last
 line of output is its JSON result.
 
-Every run has ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set
-to a fresh, empty temporary directory, so no run reads or writes bytecode
-in a checkout: both sides compile every module they import, the standard
-library's included, from source.  A checkout that holds ``__pycache__``
-files would otherwise start faster than one that holds none.
+Every run has ``PYTHONDONTWRITEBYTECODE=1``, so no run writes bytecode, and
+a checkout that holds a ``__pycache__`` directory is refused (exit 2) before
+any run starts, so no run reads bytecode from a checkout either.  Runs
+then match a default environment on both sides: the standard library's
+cached bytecode is read, and the repository's own modules are compiled
+from source.  A checkout holding ``__pycache__`` files would otherwise
+start faster than one holding none.
 
 For every end-to-end metric that ``BENCHMARK.json`` (read from ``CHANGE``)
 declares, the summary gives each side's median and quartiles over its runs
@@ -45,12 +47,10 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 #: The bytecode settings of every run, as the ``--out`` record states them.
-BYTECODE_ENV = {"PYTHONDONTWRITEBYTECODE": "1",
-                "PYTHONPYCACHEPREFIX": "a fresh, empty temporary directory per run"}
+BYTECODE_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -101,9 +101,9 @@ def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict[
     """One benchmark run in ``checkout``; its end-to-end metric values."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seconds", str(seconds), "--seed", str(seed)]
-    with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache:
-        env = {**os.environ, **BYTECODE_ENV, "PYTHONPYCACHEPREFIX": cache}
-        out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+    env = {**os.environ, **BYTECODE_ENV}
+    env.pop("PYTHONPYCACHEPREFIX", None)  # bytecode is read where Python keeps it
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if out.returncode != 0:
         raise SystemExit(f"pairs: {' '.join(cmd)} in {checkout} exited {out.returncode}:\n"
                          f"{out.stderr.strip()}")
@@ -132,6 +132,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    for checkout in (args.parent, args.change):
+        cache = next(checkout.rglob("__pycache__"), None)
+        if cache is not None:
+            print(f"pairs: {cache} holds bytecode; remove every __pycache__ from both checkouts",
+                  file=sys.stderr)
+            return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for k in range(args.pairs):

@@ -24,7 +24,6 @@ import sys
 
 from .dist import (
     DEFAULT_EPS,
-    _fill_single_entropies,
     conditional_mi,
     dump_csv,
     dump_json,
@@ -115,7 +114,6 @@ def _cmd_info(args, eps: float) -> int:
         lines.append(_fnum(interaction_information(table, _parse_groups(text, table.n))))
     if not lines:
         lines.append("variables: " + ",".join(table.variables))
-        _fill_single_entropies(table)
         for i, name in enumerate(table.variables):
             lines.append(f"H({name}) = " + _fnum(entropy(table, [i])))
         lines.append("H(all) = " + _fnum(entropy(table, range(table.n))))

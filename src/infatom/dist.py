@@ -26,9 +26,7 @@ positions, stored by :func:`entropy`, and the int mask of a subset (bit
 ``i`` for position ``i``), the name the solver layers use, stored by
 :func:`_mask_entropy` with the entropy of the mask's frozenset
 (:func:`_mask_positions`), so a mask read again hashes one int.  An int
-never equals a frozenset, so the two kinds never collide.
-:func:`_fill_single_entropies` stores every one-position selection's
-entropy from one pass over the rows.  A table also keeps the decisions of
+never equals a frozenset, so the two kinds never collide.  A table also keeps the decisions of
 :mod:`infatom.terms`' reduction rules.  Both memos live and die with
 their table and play no part in equality, hashing or ``repr``.
 
@@ -417,20 +415,17 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
     h = memo.get(key)
     if h is None:
         idx = _varset(table, key, allow_empty=True)
-        h = memo[idx] = _entropy_of(_marginal(table, tuple(sorted(idx))).values())
+        masses = _marginal(table, tuple(sorted(idx))).values()
+        try:
+            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
+        except ValueError:
+            # A zero mass: only a table built straight from the constructor
+            # keeps a zero-mass row, and it has the entropies of the table
+            # without that row.
+            masses = [p for p in masses if p]
+            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
+        memo[idx] = h
     return h
-
-
-def _entropy_of(masses) -> float:
-    """``-sum p log2 p`` over a marginal's masses, correctly rounded."""
-    try:
-        return -math.fsum(map(mul, masses, map(math.log2, masses)))
-    except ValueError:
-        # A zero mass: only a table built straight from the constructor
-        # keeps a zero-mass row, and it has the entropies of the table
-        # without that row.
-        masses = [p for p in masses if p]
-        return -math.fsum(map(mul, masses, map(math.log2, masses)))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -455,25 +450,6 @@ def _mask_entropy(table: ProbTable, mask: int) -> float:
             h = entropy(table, key)
         memo[mask] = h
     return h
-
-
-def _fill_single_entropies(table: ProbTable) -> None:
-    """Store the entropy of every one-position selection missing from the
-    table's memo, from one pass over the rows.  Each marginal sums its
-    masses in row order, as :func:`_marginal` does, so every value is
-    bit-identical to :func:`entropy`'s."""
-    memo = table._entropies
-    todo = [i for i in range(table.n) if frozenset((i,)) not in memo]
-    if not todo or not table.rows:
-        return
-    outcomes, masses = zip(*table.rows)
-    columns = list(zip(*outcomes))
-    for i in todo:
-        acc: dict[int, float] = {}
-        get = acc.get
-        for k, p in zip(columns[i], masses):
-            acc[k] = get(k, 0.0) + p
-        memo[frozenset((i,))] = _entropy_of(acc.values())
 
 
 def mutual_information(table: ProbTable, a: Iterable[int], b: Iterable[int]) -> float:

@@ -168,21 +168,6 @@ def test_info_summary_without_flags(tmp_path, capsys):
     assert "H(all) = 2.000000000" in out
 
 
-def test_info_sums_every_single_variable_marginal_in_one_pass(tmp_path, capsys,
-                                                               marginal_passes):
-    t = ia.random_table("info", [3, 2, 4])
-    path = tmp_path / "t.csv"
-    path.write_text(ia.dump_csv(t))
-    code, out, _ = run(capsys, "info", str(path))
-    assert code == 0
-    # The single variables come from one pass outside _marginal; only the
-    # full selection is a pass of its own.
-    assert marginal_passes == [(0, 1, 2)]
-    fresh = ia.load_table(path.read_text())
-    expected = [f"H(X{i + 1}) = {ia.entropy(fresh, [i]):.9f}" for i in range(3)]
-    assert out.splitlines()[1:4] == expected
-
-
 def test_info_deterministic_variable_prints_unsigned_zero(tmp_path, capsys):
     path = tmp_path / "det.csv"
     path.write_text("p,a,b\n0.5,0,0\n0.5,0,1\n")

@@ -254,27 +254,6 @@ def test_entropy_rejects_out_of_range_after_memo_fills(selection, marginal_passe
     assert len(marginal_passes) == 5
 
 
-def test_single_entropies_are_filled_in_one_pass_over_the_rows():
-    passes = []
-
-    class Rows(tuple):
-        def __iter__(self):
-            passes.append(len(self))
-            return super().__iter__()
-
-    base = ia.random_table("singles", [3, 2, 4, 2])
-    t = ia.ProbTable(base.variables, base.cards, Rows(base.rows))
-    ia.entropy(t, [2])
-    assert passes == [48]
-    dist._fill_single_entropies(t)
-    assert passes == [48, 48]
-    fresh = ia.random_table("singles", [3, 2, 4, 2])
-    for i in range(4):
-        assert ia.entropy(t, [i]).hex() == ia.entropy(fresh, [i]).hex(), i
-    dist._fill_single_entropies(t)  # every entry is there: no pass
-    assert passes == [48, 48]
-
-
 def test_entropy_of_empty_selection_is_zero(marginal_passes):
     t = ia.random_table("memo", [2, 3, 2])
     assert ia.entropy(t, []) == 0.0

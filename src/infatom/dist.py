@@ -9,9 +9,9 @@ Variable selections ("varsets") are iterables of 0-based positions into
 ``table.variables``.  Text interfaces (CSV headers, CLI flags, antichain
 syntax) are 1-based; the conversion happens at those boundaries only.
 Each function checks a selection once, where it enters.  A frozenset
-that is already a key of the table's entropy memo passed that check when
-it was stored, so it is not checked again; :func:`entropy` checks a
-selection only on a memo miss.
+whose entropy the table's memo holds passed that check when it was
+stored, so it is not checked again; :func:`entropy` checks a selection
+only on a memo miss.
 
 Every quantity below is a signed sum of subset entropies, and
 :func:`entropy` is the one place they are computed.  Tables are
@@ -21,12 +21,11 @@ and looked up on every later request.  A pass keys the rows with one
 :func:`operator.itemgetter` and sums their masses per key in row order;
 the selection of every variable is the pmf itself, ``dict(rows)``, with
 nothing to sum.  Only this module builds the memo's keys or reads it.
-The memo holds two kinds of key: the frozenset of a selection's
-positions, stored by :func:`entropy`, and the int mask of a subset (bit
-``i`` for position ``i``), the name the solver layers use, stored by
-:func:`_mask_entropy` with the entropy of the mask's frozenset
-(:func:`_mask_positions`), so a mask read again hashes one int.  An int
-never equals a frozenset, so the two kinds never collide.  A table also keeps the decisions of
+The memo holds one kind of key, one entry per subset: the subset's int
+mask (bit ``i`` for position ``i``), the name the solver layers use, so
+:func:`_mask_entropy` reads an entry by hashing one int.  :func:`entropy`
+finds a selection's mask through ``_SELECTION_MASKS``, filled as it
+checks each new selection.  A table also keeps the decisions of
 :mod:`infatom.terms`' reduction rules.  Both memos live and die with
 their table and play no part in equality, hashing or ``repr``.
 
@@ -87,10 +86,9 @@ class ProbTable(_Record):
 
     def __init__(self, variables: tuple[str, ...], cards: tuple[int, ...],
                  rows: tuple[tuple[Outcome, float], ...]) -> None:
-        # _entropies: subset entropies by selection (a frozenset), filled by
-        # entropy(), and by subset mask (an int), filled by _mask_entropy();
-        # _decisions: reduction-rule decisions by eps, then by bracket-mask
-        # pair, filled by terms.reduce_antichain().
+        # _entropies: subset entropies by subset mask (an int), filled by
+        # entropy(); _decisions: reduction-rule decisions by eps, then by
+        # bracket-mask pair, filled by terms.reduce_antichain().
         # n: the number of variables, stored rather than a property, as the
         # reduction rules read it on every call.
         self.__dict__.update(variables=variables, cards=cards, rows=rows, n=len(variables),
@@ -347,12 +345,12 @@ def dump_json(table: ProbTable) -> str:
 
 
 def _varset(table: ProbTable, s: Iterable[int], *, allow_empty: bool = False) -> VarSet:
-    # Memo keys passed this check when entropy() stored them; only the
-    # empty key may be one that this call must still reject.
-    if type(s) is frozenset and s in table._entropies and (s or allow_empty):
+    # Memo entries passed this check when entropy() stored them; only the
+    # empty set may be one that this call must still reject.
+    if type(s) is frozenset and _SELECTION_MASKS.get(s) in table._entropies and (s or allow_empty):
         return s
     # A frozenset of ints is checked as it is, so a set that many calls
-    # share (a term's bracket) becomes the memo key itself.
+    # share (a term's bracket) becomes the key of _SELECTION_MASKS itself.
     if type(s) is frozenset and all(type(i) is int for i in s):
         idx = s
     else:
@@ -412,9 +410,10 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
     """
     key = frozenset(s)
     memo = table._entropies
-    h = memo.get(key)
+    h = memo.get(_SELECTION_MASKS.get(key))
     if h is None:
         idx = _varset(table, key, allow_empty=True)
+        mask = _SELECTION_MASKS[idx] = sum(1 << i for i in idx)
         masses = _marginal(table, tuple(sorted(idx))).values()
         try:
             h = -math.fsum(map(mul, masses, map(math.log2, masses)))
@@ -424,51 +423,35 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
             # without that row.
             masses = [p for p in masses if p]
             h = -math.fsum(map(mul, masses, map(math.log2, masses)))
-        memo[idx] = h
+        memo[mask] = h
     return h
+
+
+#: The subset mask of each selection :func:`entropy` has checked, keyed by
+#: its frozenset of positions: at most one entry per subset of the widest
+#: table's variables that is ever asked for, shared by every table.
+_SELECTION_MASKS: dict[VarSet, int] = {}
 
 
 @lru_cache(maxsize=1 << 12)
 def _mask_positions(mask: int) -> VarSet:
     """The 0-based positions of the bits set in a subset mask.
 
-    One shared set per mask: it is the key of the mask's entropy in every
-    table's memo, and its hash is computed once."""
+    One shared set per mask, so its hash is computed once."""
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _mask_entropy(table: ProbTable, mask: int) -> float:
-    """:func:`entropy` of a mask's positions, kept in the table's memo
-    under the mask itself.  The first read of a mask takes the entropy of
-    its frozenset key, computing it only if that is missing too."""
-    memo = table._entropies
-    h = memo.get(mask)
-    if h is None:
-        key = _mask_positions(mask)
-        h = memo.get(key)
-        if h is None:
-            h = entropy(table, key)
-        memo[mask] = h
-    return h
+    """:func:`entropy` of a mask's positions, read from the table's memo."""
+    h = table._entropies.get(mask)
+    return entropy(table, _mask_positions(mask)) if h is None else h
 
 
 def mutual_information(table: ProbTable, a: Iterable[int], b: Iterable[int]) -> float:
-    """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine.
-
-    Each entropy is read from the table's memo and computed by
-    :func:`entropy` only when missing."""
+    """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine."""
     sa = _varset(table, a)
     sb = _varset(table, b)
-    sab = sa | sb
-    get = table._entropies.get
-    ha, hb, hab = get(sa), get(sb), get(sab)
-    if ha is None:
-        ha = entropy(table, sa)
-    if hb is None:
-        hb = entropy(table, sb)
-    if hab is None:
-        hab = entropy(table, sab)
-    return ha + hb - hab
+    return entropy(table, sa) + entropy(table, sb) - entropy(table, sa | sb)
 
 
 def conditional_mi(

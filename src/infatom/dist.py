@@ -448,10 +448,23 @@ def _mask_entropy(table: ProbTable, mask: int) -> float:
 
 
 def mutual_information(table: ProbTable, a: Iterable[int], b: Iterable[int]) -> float:
-    """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine."""
+    """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine.
+
+    Each entropy is read from the table's memo, as :func:`entropy` reads
+    it, and computed by :func:`entropy` only when missing: every cold R1
+    decision of :mod:`infatom.terms` comes here."""
     sa = _varset(table, a)
     sb = _varset(table, b)
-    return entropy(table, sa) + entropy(table, sb) - entropy(table, sa | sb)
+    sab = sa | sb
+    get, mask = table._entropies.get, _SELECTION_MASKS.get
+    ha, hb, hab = get(mask(sa)), get(mask(sb)), get(mask(sab))
+    if ha is None:
+        ha = entropy(table, sa)
+    if hb is None:
+        hb = entropy(table, sb)
+    if hab is None:
+        hab = entropy(table, sab)
+    return ha + hb - hab
 
 
 def conditional_mi(

@@ -409,11 +409,13 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
     An empty selection has entropy 0 by the ``0 log 0`` convention.
     """
     key = frozenset(s)
+    mask = _SELECTION_MASKS.get(key)
     memo = table._entropies
-    h = memo.get(_SELECTION_MASKS.get(key))
+    h = memo.get(mask)
     if h is None:
         idx = _varset(table, key, allow_empty=True)
-        mask = _SELECTION_MASKS[idx] = sum(1 << i for i in idx)
+        if mask is None:
+            mask = _SELECTION_MASKS[idx] = sum(1 << i for i in idx)
         masses = _marginal(table, tuple(sorted(idx))).values()
         try:
             h = -math.fsum(map(mul, masses, map(math.log2, masses)))

@@ -8,10 +8,13 @@ probability exactly zero are dropped at construction time.
 Variable selections ("varsets") are iterables of 0-based positions into
 ``table.variables``.  Text interfaces (CSV headers, CLI flags, antichain
 syntax) are 1-based; the conversion happens at those boundaries only.
-Each function checks a selection once, where it enters.  A frozenset
-whose entropy the table's memo holds passed that check when it was
-stored, so it is not checked again; :func:`entropy` checks a selection
-only on a memo miss.
+Each function turns a selection into its subset mask (bit ``i`` for
+position ``i``) where it enters.  The first time the process sees a
+selection, its elements are checked and its mask is recorded in
+``_SELECTION_MASKS``.  From then on the mask is the proof that the
+selection is valid: any table accepts it with one range test,
+``mask >> table.n == 0``, and takes its positions from the mask, never
+from the caller's set, which may hold ``1.0`` or ``True`` for ``1``.
 
 Every quantity below is a signed sum of subset entropies, and
 :func:`entropy` is the one place they are computed.  Tables are
@@ -20,14 +23,15 @@ entropy is computed by one marginal pass the first time it is asked for
 and looked up on every later request.  A pass keys the rows with one
 :func:`operator.itemgetter` and sums their masses per key in row order;
 the selection of every variable is the pmf itself, ``dict(rows)``, with
-nothing to sum.  Only this module builds the memo's keys or reads it.
-The memo holds one kind of key, one entry per subset: the subset's int
-mask (bit ``i`` for position ``i``), the name the solver layers use, so
-:func:`_mask_entropy` reads an entry by hashing one int.  :func:`entropy`
-finds a selection's mask through ``_SELECTION_MASKS``, filled as it
-checks each new selection.  A table also keeps the decisions of
-:mod:`infatom.terms`' reduction rules.  Both memos live and die with
-their table and play no part in equality, hashing or ``repr``.
+nothing to sum, and that of none is one outcome of mass 1 exactly, so
+its entropy is 0 on every table.  Only this module builds the memo's
+keys or reads it.  The memo holds one kind of key, one entry per subset:
+the subset's int mask, the name the solver layers use, so
+:func:`_mask_entropy` reads an entry by hashing one int, and
+:func:`mutual_information` reads the entropy of a union under the OR of
+two masks.  A table also keeps the decisions of :mod:`infatom.terms`'
+reduction rules.  Both memos live and die with their table and play no
+part in equality, hashing or ``repr``.
 
 File formats
 ------------
@@ -46,9 +50,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations, compress, filterfalse, product, repeat, starmap
-from operator import ge, itemgetter, methodcaller, mul, neg, truediv
+from operator import ge, itemgetter, methodcaller, mul, neg, or_, truediv
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -344,42 +348,57 @@ def dump_json(table: ProbTable) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _varset(table: ProbTable, s: Iterable[int], *, allow_empty: bool = False) -> VarSet:
-    # Memo entries passed this check when entropy() stored them; only the
-    # empty set may be one that this call must still reject.
-    if type(s) is frozenset and _SELECTION_MASKS.get(s) in table._entropies and (s or allow_empty):
-        return s
-    # A frozenset of ints is checked as it is, so a set that many calls
-    # share (a term's bracket) becomes the key of _SELECTION_MASKS itself.
-    if type(s) is frozenset and all(type(i) is int for i in s):
-        idx = s
-    else:
-        idx = frozenset(int(i) for i in s)
-    if not idx:
-        if allow_empty:
-            return idx
+def _selection_mask(table: ProbTable, s: Iterable[int], *, allow_empty: bool = False) -> int:
+    """The subset mask of the selection ``s``, checked against ``table``
+    once per process (see the module docstring).  A selection out of
+    range for ``table`` is checked afresh, so it raises the text it would
+    raise in a fresh process."""
+    key = frozenset(s)
+    mask = _SELECTION_MASKS.get(key)
+    if mask is not None and not mask >> table.n and (mask or allow_empty):
+        return mask
+    idx = frozenset(map(int, key))
+    if not idx and not allow_empty:
         raise VariableSetError("empty variable selection")
-    if min(idx) < 0 or max(idx) >= table.n:
+    if idx and (min(idx) < 0 or max(idx) >= table.n):
         raise VariableSetError(
             f"selection {tuple(sorted(idx))!r} out of range for {table.n} variables"
         )
-    return idx
+    mask = _SELECTION_MASKS[idx] = sum(1 << i for i in idx)
+    return mask
+
+
+#: The subset mask of each selection :func:`_selection_mask` has checked,
+#: keyed by its frozenset of int positions: at most one entry per subset of
+#: the widest table's variables that is ever asked for, shared by every
+#: table.
+_SELECTION_MASKS: dict[VarSet, int] = {}
+
+
+@lru_cache(maxsize=1 << 12)
+def _mask_positions(mask: int) -> VarSet:
+    """The 0-based positions of the bits set in a subset mask.
+
+    One shared set per mask, so its hash is computed once."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _marginal(table: ProbTable, idx: tuple[int, ...]) -> dict[Outcome, float]:
-    # idx is sorted and may be empty; the marginal is then the trivial pmf on ().
+    # idx is sorted and may be empty; the marginal is then the trivial pmf
+    # on (), whose one mass is 1 exactly, not the rows' rounded sum.
+    if not idx:
+        return {(): 1.0}
     if len(idx) == len(table.variables):
         return dict(table.rows)
-    # A run of consecutive positions, the empty one included, is a slice, so
-    # every key is a tuple whatever the length of idx.  One position is keyed
-    # by the symbol itself, building no 1-tuple per row, and re-keyed after.
+    # A run of consecutive positions is a slice, so every key is a tuple
+    # whatever the length of idx.  One position is keyed by the symbol
+    # itself, building no 1-tuple per row, and re-keyed after.
     if len(idx) == 1:
         key = itemgetter(idx[0])
-    elif idx and idx[-1] - idx[0] + 1 != len(idx):
+    elif idx[-1] - idx[0] + 1 != len(idx):
         key = itemgetter(*idx)
     else:
-        start = idx[0] if idx else 0
-        key = itemgetter(slice(start, start + len(idx)))
+        key = itemgetter(slice(idx[0], idx[-1] + 1))
     acc: dict[Outcome, float] = {}
     get = acc.get
     for outcome, p in table.rows:
@@ -390,8 +409,7 @@ def _marginal(table: ProbTable, idx: tuple[int, ...]) -> dict[Outcome, float]:
 
 def marginalize(table: ProbTable, s: Iterable[int]) -> ProbTable:
     """Project the pmf onto the (non-empty) selection ``s``."""
-    # int(): a memo key comes back as given, and 1.0 or True equal ints.
-    idx = tuple(sorted(map(int, _varset(table, s))))
+    idx = tuple(sorted(_mask_positions(_selection_mask(table, s))))
     pmf = _marginal(table, idx)
     return ProbTable.from_pmf(
         [table.variables[i] for i in idx], pmf, [table.cards[i] for i in idx]
@@ -409,38 +427,23 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
     An empty selection has entropy 0 by the ``0 log 0`` convention.
     """
     key = frozenset(s)
-    mask = _SELECTION_MASKS.get(key)
     memo = table._entropies
-    h = memo.get(mask)
+    h = memo.get(_SELECTION_MASKS.get(key))
     if h is None:
-        idx = _varset(table, key, allow_empty=True)
-        if mask is None:
-            mask = _SELECTION_MASKS[idx] = sum(1 << i for i in idx)
-        masses = _marginal(table, tuple(sorted(idx))).values()
-        try:
-            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
-        except ValueError:
-            # A zero mass: only a table built straight from the constructor
-            # keeps a zero-mass row, and it has the entropies of the table
-            # without that row.
-            masses = [p for p in masses if p]
-            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
-        memo[mask] = h
+        mask = _selection_mask(table, key, allow_empty=True)
+        h = memo.get(mask)
+        if h is None:
+            masses = _marginal(table, tuple(sorted(_mask_positions(mask)))).values()
+            try:
+                h = -math.fsum(map(mul, masses, map(math.log2, masses)))
+            except ValueError:
+                # A zero mass: only a table built straight from the
+                # constructor keeps a zero-mass row, and it has the
+                # entropies of the table without that row.
+                masses = [p for p in masses if p]
+                h = -math.fsum(map(mul, masses, map(math.log2, masses)))
+            memo[mask] = h
     return h
-
-
-#: The subset mask of each selection :func:`entropy` has checked, keyed by
-#: its frozenset of positions: at most one entry per subset of the widest
-#: table's variables that is ever asked for, shared by every table.
-_SELECTION_MASKS: dict[VarSet, int] = {}
-
-
-@lru_cache(maxsize=1 << 12)
-def _mask_positions(mask: int) -> VarSet:
-    """The 0-based positions of the bits set in a subset mask.
-
-    One shared set per mask, so its hash is computed once."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _mask_entropy(table: ProbTable, mask: int) -> float:
@@ -452,20 +455,22 @@ def _mask_entropy(table: ProbTable, mask: int) -> float:
 def mutual_information(table: ProbTable, a: Iterable[int], b: Iterable[int]) -> float:
     """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine.
 
-    Each entropy is read from the table's memo, as :func:`entropy` reads
-    it, and computed by :func:`entropy` only when missing: every cold R1
-    decision of :mod:`infatom.terms` comes here."""
-    sa = _varset(table, a)
-    sb = _varset(table, b)
-    sab = sa | sb
-    get, mask = table._entropies.get, _SELECTION_MASKS.get
-    ha, hb, hab = get(mask(sa)), get(mask(sb)), get(mask(sab))
+    The three entropies are read from the table's memo by mask, the union
+    under ``mask(a) | mask(b)``, before any is computed; :func:`entropy`
+    computes each one missing, from its mask's positions.  So a call
+    makes the same :func:`entropy` calls whatever selections the process
+    has seen before: every cold R1 decision of :mod:`infatom.terms`
+    comes here."""
+    ma = _selection_mask(table, a)
+    mb = _selection_mask(table, b)
+    get = table._entropies.get
+    ha, hb, hab = get(ma), get(mb), get(ma | mb)
     if ha is None:
-        ha = entropy(table, sa)
+        ha = entropy(table, _mask_positions(ma))
     if hb is None:
-        hb = entropy(table, sb)
+        hb = entropy(table, _mask_positions(mb))
     if hab is None:
-        hab = entropy(table, sab)
+        hab = entropy(table, _mask_positions(ma | mb))
     return ha + hb - hab
 
 
@@ -473,13 +478,12 @@ def conditional_mi(
     table: ProbTable, a: Iterable[int], b: Iterable[int], c: Iterable[int]
 ) -> float:
     """I(a;b|c); an empty ``c`` degenerates to plain mutual information."""
-    sa = _varset(table, a)
-    sb = _varset(table, b)
-    sc = _varset(table, c, allow_empty=True)
-    ac = sa | sc
-    bc = sb | sc
-    abc = ac | sb
-    return entropy(table, ac) + entropy(table, bc) - entropy(table, abc) - entropy(table, sc)
+    ma = _selection_mask(table, a)
+    mb = _selection_mask(table, b)
+    mc = _selection_mask(table, c, allow_empty=True)
+    pos = _mask_positions
+    return (entropy(table, pos(ma | mc)) + entropy(table, pos(mb | mc))
+            - entropy(table, pos(ma | mb | mc)) - entropy(table, pos(mc)))
 
 
 def interaction_information(table: ProbTable, groups: Sequence[Iterable[int]]) -> float:
@@ -489,14 +493,14 @@ def interaction_information(table: ProbTable, groups: Sequence[Iterable[int]]) -
     groups)``.  ``I_1`` is the entropy and ``I_2`` the mutual information;
     ``I_3`` is the co-information, which may be negative.
     """
-    sets = [_varset(table, g) for g in groups]
-    if not sets:
+    masks = [_selection_mask(table, g) for g in groups]
+    if not masks:
         raise VariableSetError("interaction information needs at least one group")
     total = 0.0
-    for k in range(1, len(sets) + 1):
+    for k in range(1, len(masks) + 1):
         sign = 1.0 if k % 2 == 1 else -1.0
-        for chosen in combinations(sets, k):
-            total += sign * entropy(table, frozenset.union(*chosen))
+        for chosen in combinations(masks, k):
+            total += sign * entropy(table, _mask_positions(reduce(or_, chosen)))
     return total
 
 
@@ -508,9 +512,9 @@ def is_deterministic_function(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """True iff ``a`` is a deterministic function of ``b``: H(a|b) <= eps."""
-    sa = _varset(table, a)
-    sb = _varset(table, b)
-    return entropy(table, sa | sb) - entropy(table, sb) <= eps
+    ma = _selection_mask(table, a)
+    mb = _selection_mask(table, b)
+    return entropy(table, _mask_positions(ma | mb)) - entropy(table, _mask_positions(mb)) <= eps
 
 
 def is_independent(
@@ -521,8 +525,8 @@ def is_independent(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """True iff the disjoint selections carry no mutual information."""
-    sa = _varset(table, a)
-    sb = _varset(table, b)
+    sa = _mask_positions(_selection_mask(table, a))
+    sb = _mask_positions(_selection_mask(table, b))
     if sa & sb:
         raise VariableSetError(
             f"selections {tuple(sorted(sa))!r} and {tuple(sorted(sb))!r} overlap"

@@ -37,7 +37,18 @@ import random
 from collections.abc import Mapping
 from itertools import combinations, product
 
-from infatom.dist import ProbTable, _parse_prob, entropy, interaction_information, mutual_information
+from infatom.dist import (
+    ProbTable,
+    _parse_prob,
+    and_gate,
+    entropy,
+    extend_with_joint,
+    interaction_information,
+    mutual_information,
+    parity_gate,
+    random_table,
+    xor_gate,
+)
 from infatom.errors import DuplicateOutcome, MalformedRow, NegativeProbability, TotalMassInvalid
 from infatom.lattice import enumerate_antichains, leq, lift_map, top
 from infatom.terms import eval_term, reduce_antichain
@@ -47,6 +58,17 @@ XOR_PMF = {(0, 0, 0): 0.25, (0, 1, 1): 0.25, (1, 0, 1): 0.25, (1, 1, 0): 0.25}
 AND_PMF = {(0, 0, 0): 0.25, (0, 1, 0): 0.25, (1, 0, 0): 0.25, (1, 1, 1): 0.25}
 COPY_PMF = {(0, 0, 0): 0.5, (1, 1, 1): 0.5}
 TWO_COINS_COPY_PMF = {(0, 0, 0): 0.25, (0, 1, 1): 0.25, (1, 0, 2): 0.25, (1, 1, 3): 0.25}
+
+
+#: Tables whose every subset the bit-for-bit tests range over: two gates,
+#: a parity system, a joint extension and a random table of five bits.
+DECISION_TABLES = {
+    "xor": xor_gate,
+    "and": and_gate,
+    "parity(5)": lambda: parity_gate(5),
+    "random(0,[3,3,3])+joint": lambda: extend_with_joint(random_table(0, (3, 3, 3))),
+    "random(5 bits)": lambda: random_table("decisions", [2] * 5),
+}
 
 
 def three_pair_pmf() -> dict[tuple[int, int, int], float]:
@@ -60,6 +82,8 @@ def three_pair_pmf() -> dict[tuple[int, int, int], float]:
 
 
 def oracle_marginal(pmf: dict, idx) -> dict:
+    if not idx:  # the trivial pmf on (): one outcome, of mass 1 exactly
+        return {(): 1.0}
     out: dict = {}
     for outcome, p in pmf.items():
         key = tuple(outcome[i] for i in idx)
@@ -68,7 +92,8 @@ def oracle_marginal(pmf: dict, idx) -> dict:
 
 
 def oracle_entropy(pmf: dict, idx) -> float:
-    return -sum(p * math.log2(p) for p in oracle_marginal(pmf, idx).values() if p > 0)
+    # fsum: the correctly rounded sum, whatever order the terms come in.
+    return -math.fsum(p * math.log2(p) for p in oracle_marginal(pmf, idx).values() if p > 0)
 
 
 def oracle_mi(pmf: dict, a, b) -> float:

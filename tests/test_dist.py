@@ -3,13 +3,21 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 import infatom as ia
 from infatom import dist
 
-from _oracles import AND_PMF, oracle_entropy, oracle_marginal
+from _oracles import (
+    AND_PMF,
+    DECISION_TABLES,
+    oracle_entropy,
+    oracle_interaction,
+    oracle_marginal,
+    oracle_mi,
+)
 
 XOR_CSV = """\
 # three fair bits with an even-parity constraint
@@ -288,6 +296,156 @@ def test_equal_tables_keep_separate_memos(marginal_passes):
     assert repr(first) == repr(second)
     ia.entropy(second, [0])
     assert marginal_passes == [(0,), (1,), (2,), (0,)]
+
+
+# ---------------------------------------------------------------------------
+# Selections checked once per process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def entropy_calls(monkeypatch):
+    """The selection of every ``dist.entropy`` call, made through any
+    ``infatom`` module that holds the function."""
+    calls = []
+    real = dist.entropy
+
+    def counting(table, s):
+        calls.append(s)
+        return real(table, s)
+
+    for module in (ia, dist, ia.terms, ia.decomp):
+        if getattr(module, "entropy", None) is real:
+            monkeypatch.setattr(module, "entropy", counting)
+    return calls
+
+
+#: Calls on one fresh 5-variable table; later calls find earlier entries
+#: in its memo, as a union or as an argument, under other spellings.
+SELECTION_CALLS = [
+    lambda t: ia.mutual_information(t, [0, 1], [2]),
+    lambda t: ia.mutual_information(t, [0], [1, 2]),
+    lambda t: ia.mutual_information(t, (2, 0), iter([3])),
+    lambda t: ia.mutual_information(t, [1.0], [True, 0]),
+    lambda t: ia.mutual_information(t, [4], frozenset({4})),
+    lambda t: ia.mutual_information(t, [3, 1], [0, 2]),
+    lambda t: ia.conditional_mi(t, [0], [3], [1, 4]),
+    lambda t: ia.conditional_mi(t, [2], [4], []),
+    lambda t: ia.interaction_information(t, [[0], [1, 3], [4]]),
+    lambda t: ia.is_independent(t, [1], [4]),
+    lambda t: ia.is_deterministic_function(t, [0, 3], [1]),
+]
+
+
+def _calls_per_step(entropy_calls) -> list[int]:
+    counts = []
+    t = ia.random_table("selections", [2, 3, 2, 2, 3])
+    for call in SELECTION_CALLS:
+        entropy_calls.clear()
+        call(t)
+        counts.append(len(entropy_calls))
+    decomp, parity = ia.solve_n_parity(5), ia.parity_gate(5)
+    entropy_calls.clear()
+    ia.validate(decomp, parity)
+    return counts + [len(entropy_calls)]
+
+
+def test_entropy_calls_depend_only_on_the_table(entropy_calls):
+    # Each call reads its entropies from the table's memo by mask and has
+    # entropy() compute the missing ones; which selections the process has
+    # seen before must not change which calls are made.
+    dist._SELECTION_MASKS.clear()
+    cold = _calls_per_step(entropy_calls)
+    warm = _calls_per_step(entropy_calls)
+    assert warm == cold
+    # A mutual information reads all three entropies before computing any.
+    assert cold[:6] == [3, 2, 3, 1, 3, 2]
+    assert cold[6:11] == [4, 4, 7, 0, 2]
+
+
+def test_equal_numbers_and_one_shot_iterators_select_the_positions():
+    first = ia.random_table("spellings", [2, 3, 2])
+    h = ia.entropy(first, [1])
+    for spelling in ([1.0], [True], iter([1]), (x for x in [1])):
+        t = ia.random_table("spellings", [2, 3, 2])
+        assert ia.entropy(t, spelling).hex() == h.hex()
+        assert list(t._entropies) == [0b10] and type(next(iter(t._entropies))) is int
+    for spelling in ([1.0], [True], iter([1])):
+        single = ia.marginalize(first, spelling)
+        assert single.variables == ("X2",)
+        assert all(type(v) is int for o, _ in single.rows for v in o)
+    mi = ia.mutual_information(first, [0], [1, 2])
+    t = ia.random_table("spellings", [2, 3, 2])
+    assert ia.mutual_information(t, iter([0.0]), (x for x in [True, 2])).hex() == mi.hex()
+    assert sorted(t._entropies) == [0b1, 0b110, 0b111]
+
+
+_OUT_OF_RANGE = [
+    lambda t, s: ia.entropy(t, s),
+    lambda t, s: ia.marginalize(t, s),
+    lambda t, s: ia.mutual_information(t, [0], s),
+    lambda t, s: ia.conditional_mi(t, [0], [1], s),
+    lambda t, s: ia.interaction_information(t, [s]),
+    lambda t, s: ia.is_deterministic_function(t, s, [1]),
+    lambda t, s: ia.is_independent(t, s, [1]),
+]
+
+
+def _messages(table, selection) -> list[str]:
+    texts = []
+    for call in _OUT_OF_RANGE:
+        with pytest.raises(ia.VariableSetError) as info:
+            call(table, selection)
+        texts.append(str(info.value))
+    return texts
+
+
+@pytest.mark.parametrize("selection", [[0, 3], frozenset({4}), (2, 3, 4)])
+def test_a_selection_from_a_wider_table_raises_the_same_text(selection):
+    narrow = ia.random_table("narrow", [2, 2])
+    dist._SELECTION_MASKS.clear()
+    cold = _messages(narrow, selection)
+    wide = ia.random_table("wide", [2] * 5)
+    for call in _OUT_OF_RANGE[:2]:
+        call(wide, selection)
+    assert frozenset(selection) in dist._SELECTION_MASKS
+    assert _messages(ia.random_table("narrow", [2, 2]), selection) == cold
+    positions = tuple(sorted(selection))
+    assert set(cold) == {f"selection {positions!r} out of range for 2 variables"}
+
+
+def test_empty_selections_after_the_empty_entropy_is_memoised():
+    t = ia.random_table("empty", [2, 2, 3])
+    for _ in range(2):
+        assert ia.entropy(t, []) == 0.0
+        assert ia.entropy(t, frozenset()) == 0.0
+        assert ia.conditional_mi(t, [0], [1], iter([])) == ia.mutual_information(t, [0], [1])
+        for call in (
+            lambda: ia.mutual_information(t, [], [0]),
+            lambda: ia.mutual_information(t, [0], frozenset()),
+            lambda: ia.interaction_information(t, [[0], ()]),
+            lambda: ia.is_deterministic_function(t, [0], []),
+            lambda: ia.is_independent(t, iter([]), [0]),
+            lambda: ia.marginalize(t, []),
+        ):
+            with pytest.raises(ia.VariableSetError, match="^empty variable selection$"):
+                call()
+        t = ia.random_table("empty", [2, 2, 3])
+
+
+@pytest.mark.parametrize("make", DECISION_TABLES.values(), ids=list(DECISION_TABLES))
+def test_quantities_match_the_oracles_bit_for_bit(make):
+    t = make()
+    pmf = dict(t.rows)
+    subsets = [s for k in range(t.n + 1) for s in combinations(range(t.n), k)]
+    for s in subsets:
+        assert ia.entropy(t, s).hex() == oracle_entropy(pmf, s).hex(), s
+        if s:
+            groups = [(i,) for i in s]
+            assert (ia.interaction_information(t, groups).hex()
+                    == oracle_interaction(pmf, groups).hex()), s
+    for a, b in product(subsets[1:], repeat=2):
+        assert ia.mutual_information(t, a, b).hex() == oracle_mi(pmf, a, b).hex(), (a, b)
 
 
 def test_is_deterministic_function(xor):

@@ -83,7 +83,8 @@ def test_out_writes_the_summary_with_every_run(tmp_path, monkeypatch, capsys):
         d.mkdir()
     spec = [{"name": "ops_per_s", "better": "higher", "bound": 0.2},
             {"name": "op_p50_ms", "better": "lower", "bound": 0.2}]
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec}))
+    for d in (parent, change):
+        (d / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec}))
     calls = []
 
     def fake_run_bench(checkout, workload, seconds, seed):
@@ -162,3 +163,42 @@ def test_a_checkout_holding_pycache_is_refused_before_any_run(tmp_path, monkeypa
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert str(tmp_path / side / "src" / "pkg" / "__pycache__") in err
+
+
+def _checkouts(tmp_path):
+    """Two checkouts holding the same BENCHMARK.json and bench/ files."""
+    sides = tmp_path / "parent", tmp_path / "change"
+    for d in sides:
+        (d / "bench").mkdir(parents=True)
+        (d / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+        (d / "bench" / "run.py").write_text("print('run')\n")
+        (d / "bench" / "workloads.py").write_text("WORKLOADS = []\n")
+    return sides
+
+
+def test_identical_benchmark_files_differ_nowhere(tmp_path):
+    parent, change = _checkouts(tmp_path)
+    (parent / "src").mkdir()
+    (parent / "src" / "code.py").write_text("the code under test may differ\n")
+    assert pairs.first_difference(parent, change) is None
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda p, c: (c / "BENCHMARK.json").write_text("{}"), "BENCHMARK.json"),
+    (lambda p, c: (p / "BENCHMARK.json").unlink(), "BENCHMARK.json"),
+    (lambda p, c: (c / "bench" / "workloads.py").write_text("WORKLOADS = [1]\n"),
+     "bench/workloads.py"),
+    (lambda p, c: (p / "bench" / "calib.py").write_text("\n"), "bench/calib.py"),
+    (lambda p, c: ((c / "bench" / "run.py").write_text(""),
+                   (c / "bench" / "workloads.py").write_text("")), "bench/run.py"),
+])
+def test_the_first_differing_benchmark_file_is_refused_before_any_run(
+        tmp_path, monkeypatch, capsys, edit, named):
+    parent, change = _checkouts(tmp_path)
+    edit(parent, change)
+    assert pairs.first_difference(parent, change) == named
+    monkeypatch.setattr(pairs, "run_bench", lambda *args: pytest.fail("a run started"))
+    assert pairs.main([str(parent), str(change), "--workload", "cli", "--pairs", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"pairs: {named} differs between {parent} and {change}")

@@ -12,6 +12,7 @@ from infatom.lattice import Antichain
 from infatom.terms import eval_term, reduce_antichain
 
 from _oracles import (
+    DECISION_TABLES,
     oracle_delta_H,
     oracle_entropy,
     oracle_inclusion_exclusion3,
@@ -97,15 +98,6 @@ def test_each_mask_pair_is_decided_once_per_eps_and_eval_term_builds_no_bracket_
     for a in elements:
         eval_term(fresh, a)
     assert decisions and built == []
-
-
-DECISION_TABLES = {
-    "xor": ia.xor_gate,
-    "and": ia.and_gate,
-    "parity(5)": lambda: ia.parity_gate(5),
-    "random(0,[3,3,3])+joint": lambda: ia.extend_with_joint(ia.random_table(0, (3, 3, 3))),
-    "random(5 bits)": lambda: ia.random_table("decisions", [2] * 5),
-}
 
 
 def _bits(mask: int) -> list[int]:

@@ -18,8 +18,11 @@ cached bytecode is read, and the repository's own modules are compiled
 from source.  A checkout holding ``__pycache__`` files would otherwise
 start faster than one holding none.
 
-For every end-to-end metric that ``BENCHMARK.json`` (read from ``CHANGE``)
-declares, the summary gives each side's median and quartiles over its runs
+Both sides must run the same benchmark: unless the two checkouts hold
+``BENCHMARK.json`` and every file under ``bench/`` byte for byte alike,
+the tool exits 2 before any run, naming the first file that differs.
+
+For every end-to-end metric that ``BENCHMARK.json`` declares, the summary gives each side's median and quartiles over its runs
 and the number of pairs the change won, ties counting for neither side.
 It then reads the metric as:
 
@@ -113,6 +116,20 @@ def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict[
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first of ``BENCHMARK.json`` and the files under ``bench/``, in
+    order of relative path, that the two checkouts do not both hold with
+    the same bytes; None if there is none."""
+    def bench_files(root: Path) -> set[str]:
+        return {f.relative_to(root).as_posix() for f in (root / "bench").rglob("*") if f.is_file()}
+
+    for name in ["BENCHMARK.json", *sorted(bench_files(parent) | bench_files(change))]:
+        a, b = parent / name, change / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return name
+    return None
+
+
 def commit_of(checkout: Path) -> str | None:
     """The commit ``checkout`` has checked out, or None if git cannot tell."""
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
@@ -138,6 +155,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pairs: {cache} holds bytecode; remove every __pycache__ from both checkouts",
                   file=sys.stderr)
             return 2
+    differing = first_difference(args.parent, args.change)
+    if differing is not None:
+        print(f"pairs: {differing} differs between {args.parent} and {args.change}; "
+              "both sides must run the same benchmark", file=sys.stderr)
+        return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for k in range(args.pairs):

@@ -16,22 +16,21 @@ selection is valid: any table accepts it with one range test,
 ``mask >> table.n == 0``, and takes its positions from the mask, never
 from the caller's set, which may hold ``1.0`` or ``True`` for ``1``.
 
-Every quantity below is a signed sum of subset entropies, and
-:func:`entropy` is the one place they are computed.  Tables are
-immutable, so each table memoises its subset entropies: a subset's
-entropy is computed by one marginal pass the first time it is asked for
-and looked up on every later request.  A pass keys the rows with one
-:func:`operator.itemgetter` and sums their masses per key in row order;
-the selection of every variable is the pmf itself, ``dict(rows)``, with
-nothing to sum, and that of none is one outcome of mass 1 exactly, so
-its entropy is 0 on every table.  Only this module builds the memo's
-keys or reads it.  The memo holds one kind of key, one entry per subset:
-the subset's int mask, the name the solver layers use, so
-:func:`_mask_entropy` reads an entry by hashing one int, and
-:func:`mutual_information` reads the entropy of a union under the OR of
-two masks.  A table also keeps the decisions of :mod:`infatom.terms`'
-reduction rules.  Both memos live and die with their table and play no
-part in equality, hashing or ``repr``.
+Every quantity below is a signed sum of subset entropies, the entropy of
+a union of selections being that of the OR of their masks.  Tables are
+immutable, so each table memoises its subset entropies, one entry per
+subset mask, and :func:`_mask_entropy` is the one reader and writer of
+that memo: a subset's entropy is computed by one marginal pass the first
+time it is asked for and looked up on every later request.  A pass keys
+the rows with one :func:`operator.itemgetter` and sums their masses per
+key in row order; the selection of every variable is the pmf itself,
+``dict(rows)``, with nothing to sum, and that of none is one outcome of
+mass 1 exactly, so its entropy is 0 on every table.  Each quantity takes
+its selections' masks once and does its arithmetic on masks, reading
+every entropy through :func:`_mask_entropy`, as the solver layers do.
+A table also keeps the decisions of :mod:`infatom.terms`' reduction
+rules.  Both memos live and die with their table and play no part in
+equality, hashing or ``repr``.
 
 File formats
 ------------
@@ -90,9 +89,10 @@ class ProbTable(_Record):
 
     def __init__(self, variables: tuple[str, ...], cards: tuple[int, ...],
                  rows: tuple[tuple[Outcome, float], ...]) -> None:
-        # _entropies: subset entropies by subset mask (an int), filled by
-        # entropy(); _decisions: reduction-rule decisions by eps, then by
-        # bracket-mask pair, filled by terms.reduce_antichain().
+        # _entropies: subset entropies by subset mask (an int), read and
+        # filled by _mask_entropy() only; _decisions: reduction-rule
+        # decisions by eps, then by bracket-mask pair, filled by
+        # terms.reduce_antichain().
         # n: the number of variables, stored rather than a property, as the
         # reduction rules read it on every call.
         self.__dict__.update(variables=variables, cards=cards, rows=rows, n=len(variables),
@@ -350,14 +350,24 @@ def dump_json(table: ProbTable) -> str:
 
 def _selection_mask(table: ProbTable, s: Iterable[int], *, allow_empty: bool = False) -> int:
     """The subset mask of the selection ``s``, checked against ``table``
-    once per process (see the module docstring).  A selection out of
-    range for ``table`` is checked afresh, so it raises the text it would
-    raise in a fresh process."""
-    key = frozenset(s)
+    once per process (see the module docstring).  Each element must equal
+    its ``int``: ``1.0`` and ``True`` select position 1, while ``1.5``,
+    ``"1"`` or ``None`` raise :class:`VariableSetError`.  A selection out
+    of range for ``table`` is checked afresh, so it raises the text it
+    would raise in a fresh process."""
+    try:
+        key = frozenset(s)
+    except TypeError as exc:  # an unhashable element, or no iterable at all
+        raise VariableSetError(f"bad variable selection: {exc}") from None
     mask = _SELECTION_MASKS.get(key)
     if mask is not None and not mask >> table.n and (mask or allow_empty):
         return mask
-    idx = frozenset(map(int, key))
+    try:
+        idx = frozenset(map(int, key))
+    except (TypeError, ValueError, OverflowError):
+        idx = None
+    if idx != key:
+        raise VariableSetError(f"selection {tuple(key)!r} holds a non-integer position")
     if not idx and not allow_empty:
         raise VariableSetError("empty variable selection")
     if idx and (min(idx) < 0 or max(idx) >= table.n):
@@ -426,52 +436,40 @@ def entropy(table: ProbTable, s: Iterable[int]) -> float:
 
     An empty selection has entropy 0 by the ``0 log 0`` convention.
     """
-    key = frozenset(s)
-    memo = table._entropies
-    h = memo.get(_SELECTION_MASKS.get(key))
-    if h is None:
-        mask = _selection_mask(table, key, allow_empty=True)
-        h = memo.get(mask)
-        if h is None:
-            masses = _marginal(table, tuple(sorted(_mask_positions(mask)))).values()
-            try:
-                h = -math.fsum(map(mul, masses, map(math.log2, masses)))
-            except ValueError:
-                # A zero mass: only a table built straight from the
-                # constructor keeps a zero-mass row, and it has the
-                # entropies of the table without that row.
-                masses = [p for p in masses if p]
-                h = -math.fsum(map(mul, masses, map(math.log2, masses)))
-            memo[mask] = h
-    return h
+    return _mask_entropy(table, _selection_mask(table, s, allow_empty=True))
 
 
 def _mask_entropy(table: ProbTable, mask: int) -> float:
-    """:func:`entropy` of a mask's positions, read from the table's memo."""
+    """The entropy of the subset ``mask``: read from the table's memo, or
+    computed by one marginal pass and stored there on the first request."""
     h = table._entropies.get(mask)
-    return entropy(table, _mask_positions(mask)) if h is None else h
+    if h is None:
+        masses = _marginal(table, tuple(sorted(_mask_positions(mask)))).values()
+        try:
+            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
+        except ValueError:
+            # A zero mass: only a table built straight from the
+            # constructor keeps a zero-mass row, and it has the
+            # entropies of the table without that row.
+            masses = [p for p in masses if p]
+            h = -math.fsum(map(mul, masses, map(math.log2, masses)))
+        table._entropies[mask] = h
+    return h
+
+
+def _mask_mi(table: ProbTable, x: int, y: int) -> float:
+    """I(x;y) = H(x) + H(y) - H(x | y) of two subset masks, summed in that
+    order, so every caller gets the same bits."""
+    return _mask_entropy(table, x) + _mask_entropy(table, y) - _mask_entropy(table, x | y)
 
 
 def mutual_information(table: ProbTable, a: Iterable[int], b: Iterable[int]) -> float:
     """I(a;b) = H(a) + H(b) - H(a u b).  Overlapping selections are fine.
 
-    The three entropies are read from the table's memo by mask, the union
-    under ``mask(a) | mask(b)``, before any is computed; :func:`entropy`
-    computes each one missing, from its mask's positions.  So a call
-    makes the same :func:`entropy` calls whatever selections the process
-    has seen before: every cold R1 decision of :mod:`infatom.terms`
-    comes here."""
-    ma = _selection_mask(table, a)
-    mb = _selection_mask(table, b)
-    get = table._entropies.get
-    ha, hb, hab = get(ma), get(mb), get(ma | mb)
-    if ha is None:
-        ha = entropy(table, _mask_positions(ma))
-    if hb is None:
-        hb = entropy(table, _mask_positions(mb))
-    if hab is None:
-        hab = entropy(table, _mask_positions(ma | mb))
-    return ha + hb - hab
+    :func:`_mask_mi` of the two masks, the union being ``mask(a) |
+    mask(b)``; every cold R1 decision of :mod:`infatom.terms` comes
+    here, and every two-bracket term size is the same sum."""
+    return _mask_mi(table, _selection_mask(table, a), _selection_mask(table, b))
 
 
 def conditional_mi(
@@ -481,9 +479,8 @@ def conditional_mi(
     ma = _selection_mask(table, a)
     mb = _selection_mask(table, b)
     mc = _selection_mask(table, c, allow_empty=True)
-    pos = _mask_positions
-    return (entropy(table, pos(ma | mc)) + entropy(table, pos(mb | mc))
-            - entropy(table, pos(ma | mb | mc)) - entropy(table, pos(mc)))
+    return (_mask_entropy(table, ma | mc) + _mask_entropy(table, mb | mc)
+            - _mask_entropy(table, ma | mb | mc) - _mask_entropy(table, mc))
 
 
 def interaction_information(table: ProbTable, groups: Sequence[Iterable[int]]) -> float:
@@ -500,7 +497,7 @@ def interaction_information(table: ProbTable, groups: Sequence[Iterable[int]]) -
     for k in range(1, len(masks) + 1):
         sign = 1.0 if k % 2 == 1 else -1.0
         for chosen in combinations(masks, k):
-            total += sign * entropy(table, _mask_positions(reduce(or_, chosen)))
+            total += sign * _mask_entropy(table, reduce(or_, chosen))
     return total
 
 
@@ -514,7 +511,7 @@ def is_deterministic_function(
     """True iff ``a`` is a deterministic function of ``b``: H(a|b) <= eps."""
     ma = _selection_mask(table, a)
     mb = _selection_mask(table, b)
-    return entropy(table, _mask_positions(ma | mb)) - entropy(table, _mask_positions(mb)) <= eps
+    return _mask_entropy(table, ma | mb) - _mask_entropy(table, mb) <= eps
 
 
 def is_independent(
@@ -525,13 +522,12 @@ def is_independent(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """True iff the disjoint selections carry no mutual information."""
-    sa = _mask_positions(_selection_mask(table, a))
-    sb = _mask_positions(_selection_mask(table, b))
-    if sa & sb:
-        raise VariableSetError(
-            f"selections {tuple(sorted(sa))!r} and {tuple(sorted(sb))!r} overlap"
-        )
-    return mutual_information(table, sa, sb) <= eps
+    ma = _selection_mask(table, a)
+    mb = _selection_mask(table, b)
+    if ma & mb:
+        raise VariableSetError(f"selections {tuple(sorted(_mask_positions(ma)))!r} and "
+                               f"{tuple(sorted(_mask_positions(mb)))!r} overlap")
+    return _mask_mi(table, ma, mb) <= eps
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ A missing R1 decision is made through
 :func:`~infatom.dist.mutual_information`, the rule's definition.  A
 missing R2 decision subtracts two mask entropies, ``H(x | y) - H(y)``
 (``|`` the mask union), as :func:`~infatom.dist.is_deterministic_function`
-does.  Entropies are read only through :mod:`infatom.dist`, which owns
-the entropy memo and its keys: ``dist._mask_entropy`` for a mask, and
-:func:`~infatom.dist.entropy` for the seven trivariate subsets.
+does.  Entropies come from :mod:`infatom.dist`'s memo: term sizes and R2
+read it by mask through ``dist._mask_entropy`` (a two-bracket size is
+``dist._mask_mi``, the value of ``mutual_information``), and the
+trivariate bounds read the seven subsets through
+:func:`~infatom.dist.entropy`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .dist import (DEFAULT_EPS, ProbTable, _mask_entropy, _mask_positions, entropy,
+from .dist import (DEFAULT_EPS, ProbTable, _mask_entropy, _mask_mi, _mask_positions, entropy,
                    mutual_information)
 from .errors import AntichainError, InfeasibleRedundancy, RedundancyValueError, WrongArity, _Record
 from .lattice import Antichain
@@ -176,12 +178,10 @@ def eval_term(
     masks = reduced.masks
     if len(masks) == 1:
         return TermValue.exact(_mask_entropy(table, masks[0]), trace)
-    # Each sum in the order mutual_information and interaction_information
-    # use, so every value is bit-identical to theirs.
     if len(masks) == 2:
-        x, y = masks
-        return TermValue.exact(_mask_entropy(table, x) + _mask_entropy(table, y)
-                               - _mask_entropy(table, x | y), trace)
+        return TermValue.exact(_mask_mi(table, *masks), trace)
+    # Each sum in the order mutual_information and interaction_information
+    # use, so every bound is bit-identical to their values.
     h = {m: _mask_entropy(table, m) for m in masks}
     mi = [h[x] + h[y] - _mask_entropy(table, x | y) for x, y in combinations(masks, 2)]
     lo = 0.0

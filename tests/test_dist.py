@@ -303,23 +303,6 @@ def test_equal_tables_keep_separate_memos(marginal_passes):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def entropy_calls(monkeypatch):
-    """The selection of every ``dist.entropy`` call, made through any
-    ``infatom`` module that holds the function."""
-    calls = []
-    real = dist.entropy
-
-    def counting(table, s):
-        calls.append(s)
-        return real(table, s)
-
-    for module in (ia, dist, ia.terms, ia.decomp):
-        if getattr(module, "entropy", None) is real:
-            monkeypatch.setattr(module, "entropy", counting)
-    return calls
-
-
 #: Calls on one fresh 5-variable table; later calls find earlier entries
 #: in its memo, as a union or as an argument, under other spellings.
 SELECTION_CALLS = [
@@ -337,30 +320,28 @@ SELECTION_CALLS = [
 ]
 
 
-def _calls_per_step(entropy_calls) -> list[int]:
+def _passes_per_step(marginal_passes) -> list[int]:
     counts = []
     t = ia.random_table("selections", [2, 3, 2, 2, 3])
     for call in SELECTION_CALLS:
-        entropy_calls.clear()
+        marginal_passes.clear()
         call(t)
-        counts.append(len(entropy_calls))
+        counts.append(len(marginal_passes))
     decomp, parity = ia.solve_n_parity(5), ia.parity_gate(5)
-    entropy_calls.clear()
+    marginal_passes.clear()
     ia.validate(decomp, parity)
-    return counts + [len(entropy_calls)]
+    return counts + [len(marginal_passes)]
 
 
-def test_entropy_calls_depend_only_on_the_table(entropy_calls):
-    # Each call reads its entropies from the table's memo by mask and has
-    # entropy() compute the missing ones; which selections the process has
-    # seen before must not change which calls are made.
+def test_marginal_passes_depend_only_on_the_table(marginal_passes):
+    # Each call reads its entropies from the table's memo by mask, and a
+    # missing one costs one pass; which selections the process has seen
+    # before must not change which passes are made.
     dist._SELECTION_MASKS.clear()
-    cold = _calls_per_step(entropy_calls)
-    warm = _calls_per_step(entropy_calls)
+    cold = _passes_per_step(marginal_passes)
+    warm = _passes_per_step(marginal_passes)
     assert warm == cold
-    # A mutual information reads all three entropies before computing any.
-    assert cold[:6] == [3, 2, 3, 1, 3, 2]
-    assert cold[6:11] == [4, 4, 7, 0, 2]
+    assert cold == [3, 2, 3, 1, 1, 2, 4, 2, 2, 0, 0, 31]
 
 
 def test_equal_numbers_and_one_shot_iterators_select_the_positions():
@@ -378,6 +359,27 @@ def test_equal_numbers_and_one_shot_iterators_select_the_positions():
     t = ia.random_table("spellings", [2, 3, 2])
     assert ia.mutual_information(t, iter([0.0]), (x for x in [True, 2])).hex() == mi.hex()
     assert sorted(t._entropies) == [0b1, 0b110, 0b111]
+
+
+@pytest.mark.parametrize("seen", [False, True], ids=["cold", "after-[1]"])
+@pytest.mark.parametrize("selection", [[1.5], [0.9], ["2"], ["x"], [None], [[1]], [1, 2.5]],
+                         ids=repr)
+def test_non_integer_positions_raise_variable_set_error(selection, seen):
+    t = ia.random_table("spellings", [2, 3, 2])
+    dist._SELECTION_MASKS.clear()
+    if seen:
+        ia.entropy(t, [1])
+    before = dict(t._entropies)
+    for call in (
+        lambda: ia.entropy(t, selection),
+        lambda: ia.mutual_information(t, selection, [0]),
+        lambda: ia.mutual_information(t, [0], iter(selection)),
+        lambda: ia.marginalize(t, selection),
+    ):
+        with pytest.raises(ia.VariableSetError):
+            call()
+    assert t._entropies == before
+    assert all(type(i) is int for key in dist._SELECTION_MASKS for i in key)
 
 
 _OUT_OF_RANGE = [

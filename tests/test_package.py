@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -87,3 +88,27 @@ def test_import_loads_no_submodule():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out == "['infatom']\n"
+
+
+def _scopes_naming(name: str) -> set[str]:
+    """``file:qualname`` of each scope in the package source that names
+    ``name`` as an attribute, a variable, a keyword or a string."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str, path: Path) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name, path)
+                continue
+            if name in (getattr(child, "attr", None), getattr(child, "id", None),
+                        getattr(child, "arg", None), getattr(child, "value", None)):
+                found.add(f"{path.name}:{scope}")
+            visit(child, scope, path)
+
+    for path in sorted(Path(infatom.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path)
+    return found
+
+
+def test_only_mask_entropy_touches_the_entropy_memo():
+    assert _scopes_naming("_entropies") == {"dist.py:ProbTable.__init__", "dist.py:_mask_entropy"}

@@ -150,6 +150,37 @@ def test_mask_entropies_are_the_entropies_bit_for_bit(make):
     assert set(by_mask._entropies) == set(by_set._entropies) == set(range(1 << n))
 
 
+#: The five decision tables and seeded random tables over 3 to 5 variables.
+EVAL_TABLES = {
+    **DECISION_TABLES,
+    **{f"random({seed},{cards})": (lambda s=seed, c=cards: ia.random_table(f"eval:{s}", c))
+       for seed, cards in enumerate([(2, 2, 2), (3, 2, 4), (2, 3, 2, 2), (2,) * 5, (3, 2, 2, 2, 2)])},
+}
+
+
+@pytest.mark.parametrize("make", EVAL_TABLES.values(), ids=list(EVAL_TABLES))
+def test_eval_term_equals_dist_bit_for_bit(make):
+    # eval_term reads mask entropies from its table's memo; dist's public
+    # quantities are computed on a second, equal table with its own memo.
+    t, ref = make(), make()
+    for a in ia.enumerate_antichains(t.n).elements:
+        tv = eval_term(t, a)
+        reduced, _ = reduce_antichain(t, a)
+        if reduced is None:
+            assert tv.value == 0.0, a
+            continue
+        groups = [[i - 1 for i in b] for b in reduced.brackets]
+        if len(groups) == 1:
+            assert tv.value.hex() == ia.entropy(ref, groups[0]).hex(), a
+        elif len(groups) == 2:
+            assert tv.value.hex() == ia.mutual_information(ref, *groups).hex(), a
+        else:
+            hi = min(ia.mutual_information(ref, x, y) for x, y in combinations(groups, 2))
+            lo = max(0.0, ia.interaction_information(ref, groups)) if len(groups) == 3 else 0.0
+            assert tv.value is None, a
+            assert [b.hex() for b in tv.bounds] == [lo.hex(), hi.hex()], a
+
+
 def test_xor_pair_bracket_reduces_by_function_rule(xor):
     tv = eval_term(xor, Antichain.parse("{1,2}{3}"))
     assert tv.is_exact

@@ -102,19 +102,30 @@ class AtomLabel(_Record):
 
     The classmethods return shared (immutable) labels from memos bounded
     to fit every label over :data:`MAX_VARIABLES` variables (255 set
-    labels): equal arguments get the label first built from them.  Errors
-    are not cached, so bad arguments raise on every call.  ``text`` and the
+    labels): equal arguments get the label first built from them.  The
+    constructor raises :class:`LabelError` for any other kind, a set label
+    not made of singleton brackets, a ghost index that is not an int
+    ``>= 1``, or an antichain or index the kind does not take.  Errors are
+    not cached, so bad arguments raise on every call.  ``text`` and the
     hash are computed when a label is built, and again when one is loaded:
     a label pickles as its fields, as string hashes differ by process."""
 
     def __init__(self, kind: str, antichain: Antichain | None = None, index: int = 0) -> None:
-        # kind: "set" | "synergy" | "ghost"
         if kind == "set":
+            if (not isinstance(antichain, Antichain) or antichain.is_empty
+                    or any(len(b) != 1 for b in antichain.brackets) or index != 0):
+                raise LabelError(f"set labels take singleton brackets, no index: {antichain}")
             text = str(antichain)
         elif kind == "synergy":
+            if antichain is not None or index != 0:
+                raise LabelError("the synergistic label takes no antichain or index")
             text = "Pi_s"
-        else:
+        elif kind == "ghost":
+            if antichain is not None or type(index) is not int or index < 1:
+                raise LabelError(f"ghost labels take an integer index >= 1, got {index!r}")
             text = "Pi_g" if index == 1 else f"Pi_g_{index}"
+        else:
+            raise LabelError(f"atom label kind {kind!r} has no parthood rule")
         key = (kind, antichain, index)
         self.__dict__.update(kind=kind, antichain=antichain, index=index, _key=key, text=text,
                              _hash=hash(key))
@@ -130,8 +141,6 @@ class AtomLabel(_Record):
         """The label of the set atom over ``a``'s indices."""
         label = _SET_LABELS.get(a.brackets)
         if label is None:
-            if any(len(b) != 1 for b in a.brackets) or a.is_empty:
-                raise LabelError(f"set-theoretic labels use singleton brackets: {a}")
             label = cls("set", antichain=a)
             if len(_SET_LABELS) < 1 << MAX_VARIABLES:
                 _SET_LABELS[a.brackets] = label
@@ -149,8 +158,6 @@ class AtomLabel(_Record):
     @classmethod
     @lru_cache(maxsize=MAX_VARIABLES, typed=True)
     def _ghost(cls, k: int) -> "AtomLabel":
-        if k < 1:
-            raise LabelError(f"ghost index must be >= 1, got {k}")
         return cls("ghost", index=k)
 
     def __str__(self) -> str:
@@ -248,32 +255,30 @@ class ParthoodTable(_Record):
     def _bitsets(self, view: LatticeView) -> tuple:
         """The entries as the int bitsets :func:`validate` reads, over the
         positions of ``view``, the lattice the rows were checked against:
-        ``(where, row_at, held, held_at, at, low)``.  ``where[i]`` is row
-        i's position and ``row_at`` its inverse (both ``range`` objects for
-        rows in lattice order); ``held[i]`` marks the columns row i holds
-        (bit j for column j) and ``held_at[p]`` those of the row at
-        position p; ``at[j]`` marks the positions whose rows hold column j
-        and ``low[j]`` is the lowest of them, -1 for none.  They depend on
+        ``(row_at, held_at, at, low)``.  ``row_at[p]`` is the row at
+        position p (a ``range`` for rows in lattice order); ``held_at[p]``
+        marks the columns that row holds (bit j for column j); ``at[j]``
+        marks the positions whose rows hold column j and ``low[j]`` is the
+        lowest of them, -1 for none.  All are indexed by lattice position,
+        so nothing here depends on the order of the rows.  They depend on
         the entries alone, so, like :attr:`_row_index`, they are built on
-        the first call and kept: a table shared through the solvers'
-        memo is read once per process."""
+        the first call and kept: a table shared through the solvers' memo
+        is read once per process."""
         bits = self.__dict__.get("_bits")
         if bits is None:
             rows = self.rows
-            where = row_at = range(len(rows))
+            row_at = range(len(rows))
             if rows != view.elements:
-                where = [view.index(a) for a in rows]
-                row_at = sorted(row_at, key=where.__getitem__)
+                row_at = sorted(row_at, key=[view.index(a) for a in rows].__getitem__)
             # Rows share few patterns, so each distinct row is read once.
-            code = {x: sum(1 << j for j, v in enumerate(x) if v) for x in set(self.entries)}
-            held = list(map(code.__getitem__, self.entries))
-            bits = self._keep_bits(where, row_at, held)
+            entries = self.entries
+            code = {x: sum(1 << j for j, v in enumerate(x) if v) for x in set(entries)}
+            bits = self._keep_bits(row_at, [code[entries[i]] for i in row_at])
         return bits
 
-    def _keep_bits(self, where, row_at, held: list[int]) -> tuple:
-        """Complete :meth:`_bitsets` from ``where``, ``row_at`` and
-        ``held``, keep it and return it."""
-        held_at = held if isinstance(row_at, range) else [held[i] for i in row_at]
+    def _keep_bits(self, row_at, held_at: list[int]) -> tuple:
+        """Complete :meth:`_bitsets` from ``row_at`` and ``held_at``, keep
+        it and return it."""
         # Each distinct pattern's positions become one mask, parsed from its
         # bit string rather than OR-ed a bit at a time, which copies the
         # mask once per position; a column's mask ORs its patterns' masks.
@@ -292,7 +297,7 @@ class ParthoodTable(_Record):
                 if h >> j & 1:
                     at[j] |= m
         low = [(m & -m).bit_length() - 1 for m in at]
-        bits = self.__dict__["_bits"] = (where, row_at, held, held_at, at, low)
+        bits = self.__dict__["_bits"] = (row_at, held_at, at, low)
         return bits
 
     def _covers_hold(self, covers: tuple[tuple[int, ...], ...]) -> bool:
@@ -301,7 +306,7 @@ class ParthoodTable(_Record):
         :meth:`_bitsets`, decided once per table and kept."""
         hold = self.__dict__.get("_monotone")
         if hold is None:
-            held_at = self._bits[3]
+            held_at = self._bits[1]
             hold = self.__dict__["_monotone"] = not any(
                 h & ~held_at[c] for h, cs in zip(held_at, covers) if h for c in cs)
         return hold
@@ -315,12 +320,13 @@ _PARTHOOD_TABLES: dict[tuple[int, tuple[AtomLabel, ...]], ParthoodTable] = {}
 def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
     """Parthood table of ``labels`` over every antichain on ``{1..n}``.
 
-    Each table is built once and shared, as tables are frozen.  The lattice
-    is fetched before the lookup, so every solve makes the same calls into
-    :mod:`lattice` whether or not its table was built by an earlier one."""
+    Each table is built once and shared, as tables are frozen, until the
+    lattice memo is cleared: then its rows are no longer the view's own.
+    The lattice is fetched before the lookup, so every solve makes the same
+    calls into :mod:`lattice` whether or not its table was built earlier."""
     view = enumerate_antichains(n)
     table = _PARTHOOD_TABLES.get((n, labels))
-    if table is not None:
+    if table is not None and table.rows is view.elements:
         return table
     # Built by the rule in the module docstring, one column at a time, on masks.
     masks = [a.masks for a in view.elements]
@@ -332,11 +338,9 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
             col = [all(m & support for m in ms) for ms in masks]
         elif lab.kind == "synergy":
             col = [len(ms) == 1 or (len(ms) == 2 and ms[0] | ms[1] == full) for ms in masks]
-        elif lab.kind == "ghost":
+        else:
             k = lab.index
             col = [len(ms) == 1 and k < min(ms[0].bit_count(), n - 1) for ms in masks]
-        else:
-            raise LabelError(f"atom label kind {lab.kind!r} has no parthood rule")
         columns.append([int(v) for v in col])
     table = _PARTHOOD_TABLES[n, labels] = ParthoodTable(view.elements, labels, tuple(zip(*columns)))
     return table
@@ -608,15 +612,14 @@ def lift_decomposition(
     if not report.passed:
         raise ValidationFailed(report)
     atoms = AtomSet(tuple(Atom(a.label, a.size, a.covering + 1) for a in decomp.atoms))
-    _, row_at, _, held_at, _, _ = decomp.table._bitsets(enumerate_antichains(decomp.n))
+    row_at, held_at, _, _ = decomp.table._bitsets(enumerate_antichains(decomp.n))
     entries = decomp.table.entries
     base = [entries[i] for i in row_at]
     view = enumerate_antichains(decomp.n + 1)
     lifts = view.lifts
     tab = ParthoodTable(view.elements, decomp.table.cols, tuple(base[q] for q in lifts))
     # The lifted rows are in lattice order, each holding its image's atoms.
-    spots = range(len(lifts))
-    tab._keep_bits(spots, spots, [held_at[q] for q in lifts])
+    tab._keep_bits(range(len(lifts)), [held_at[q] for q in lifts])
     return Decomposition(decomp.n + 1, tab, atoms, decomp.redundancy_param)
 
 
@@ -660,9 +663,9 @@ def validate(
     never raised.  Shape errors raise: :class:`WrongArity` if the variable
     counts differ, :class:`DecompositionFormatError` unless the parthood
     table has exactly one row per antichain over ``{1..n}``, its
-    columns are the decomposition's atoms, in order, every label is a set,
-    synergistic or ghost label, every set atom's label names variables in
-    ``1..n`` only, and every ghost ``Pi_g_k`` has ``1 <= k <= n - 2``.
+    columns are the decomposition's atoms, in order, every set atom's
+    label names variables in ``1..n`` only, and every ghost ``Pi_g_k`` has
+    ``k <= n - 2`` (:class:`AtomLabel` builds no other kind, and no k < 1).
     Columns are not tied to their labels: whether a column follows the
     parthood rule for its label is not checked, as a lifted table
     follows the rule over the base arity read through the lift maps
@@ -676,15 +679,16 @@ def validate(
     containment otherwise); and equal rows for reduction-equal terms.
 
     The parthood table is read into int bitsets once per table, not once
-    per call: ``held[i]``, the atoms row i holds (bit j for atom j), and
-    per atom, the lattice positions whose rows hold it and the lowest of
-    them.  They depend on the entries alone, so a table the solvers share
-    (every trivariate solve, every :func:`solve_n_parity` of one n) is read
-    once per process, and :func:`lift_decomposition` derives the lifted
-    table's from its input's.  ``positive``, the atoms of size above
-    ``eps``, is read per call.  Rows already in lattice order (every
-    solver's and lift's, and canonical JSON) are their own positions, so
-    only other orders are looked up.
+    per call: ``held[p]``, the atoms the row at lattice position p holds
+    (bit j for atom j), and per atom, the positions whose rows hold it and
+    the lowest of them.  They depend on the entries alone, so a table the
+    solvers share (every trivariate solve, every :func:`solve_n_parity` of
+    one n) is read once per process, and :func:`lift_decomposition`
+    derives the lifted table's from its input's.  ``positive``, the atoms
+    of size above ``eps``, is read per call.  Every check reads the table
+    by lattice position only, and a failed check's detail names its first
+    offender in lattice-position order, so a report, details included,
+    does not depend on the order of the rows.
     Write ``r(k)`` for k's reduced form where that differs from k (a row
     reduced to None or to itself has none).  Monotonicity is first decided
     on cover pairs: it passes, with residual 0, if equal rows pass and
@@ -715,17 +719,17 @@ def validate(
     unchanged only the middle clause exists.  That mask, the positions
     outside ``up[p]`` (pairs already ordered are counted once, as such)
     and the rows lacking a positive atom of row p are AND-ed, and the
-    violations are popcounts.  The detail names the first violating pair
-    in row order, whatever the row order.  The covering rule reads each
+    violations are popcounts.  The detail names the first position with a
+    violation and the lowest position in its mask.  The covering rule reads each
     atom's lowest position: the listing is graded by covering, most
     brackets first.  Term sizes sum each distinct ``held`` pattern once
     with ``fsum``, correctly rounded, so as :meth:`Decomposition.term_sum`
     would.  A term's size depends only on the masks of its reduced form,
     so :func:`~infatom.terms.eval_term` runs once per distinct reduced
-    form and ``held`` pattern, and the detail names the first row in row
-    order with the largest gap.  Equal rows test ``(held[i] ^ held[k]) &
-    positive`` for k the row of i's reduced form.  Each row with two or
-    more brackets is reduced once; monotonicity, term sizes and equal
+    form and ``held`` pattern, and the detail names the first position
+    with the largest gap.  Equal rows test ``(held[p] ^ held[q]) &
+    positive`` for q the position of p's reduced form.  Each term with two
+    or more brackets is reduced once; monotonicity, term sizes and equal
     rows share that reduction (a single bracket is its own reduced form).
     Reductions read the table's R1/R2 decisions per ``eps`` and mask pair
     (see :mod:`infatom.terms`), and a reduced form that differs from its
@@ -743,15 +747,11 @@ def validate(
     if decomp.table.cols != decomp.atoms.labels():
         raise DecompositionFormatError("table columns do not match atom list")
     for label in decomp.table.cols:
-        if label.kind not in ("set", "synergy", "ghost"):
-            raise DecompositionFormatError(f"atom label kind {label.kind!r} has no parthood rule")
         # Brackets are sorted, so each one's last index is its largest.
         if label.kind == "set" and max(b[-1] for b in label.antichain.brackets) > decomp.n:
             raise DecompositionFormatError(
                 f"set atom {label.text} names a variable outside 1..{decomp.n}"
             )
-        if label.kind == "ghost" and label.index < 1:
-            raise DecompositionFormatError(f"ghost atom {label.text} needs k >= 1")
         # The parthood rule puts Pi_g_k in no term unless k <= n - 2.
         if label.kind == "ghost" and label.index > decomp.n - 2:
             raise DecompositionFormatError(
@@ -765,29 +765,28 @@ def validate(
     worst = min((a.size for a in atoms), default=0.0)
     checks.append(CheckResult("atom_nonnegativity", worst >= -eps, max(0.0, -worst)))
 
-    # The reduction of every row term, for V2, V6 and V7; None for a
-    # single bracket, which is its own reduced form.
-    reductions = [
-        None if len(a.brackets) == 1 else reduce_antichain(table, a, eps=eps) for a in rows
-    ]
-
     # The table's bitsets (see ParthoodTable._bitsets), read once per table.
     elements = view.elements
-    where, row_at, held, held_at, at, low = decomp.table._bitsets(view)
+    _, held_at, at, low = decomp.table._bitsets(view)
+
+    # The reduction of every term, for V2, V6 and V7; None for a single
+    # bracket, which is its own reduced form.
+    reductions = [
+        None if len(a.brackets) == 1 else reduce_antichain(table, a, eps=eps) for a in elements
+    ]
 
     # ``red_pos[p]`` is the position of p's reduced form, or -1 where that
     # is p itself or None.
-    red_pos = [-1] * len(rows)
+    red_pos = [-1] * len(elements)
     position = view._index
-    for a, p, r in zip(rows, where, reductions):
+    for p, (a, r) in enumerate(zip(elements, reductions)):
         if r is not None and r[0] is not None and r[0] is not a:
             red_pos[p] = position[r[0].masks]
 
     # V7 (reported last): reduction-equal terms share rows on positive atoms.
     mismatches = 0
     first_bad = ""
-    for a, h, p in zip(rows, held, where):
-        q = red_pos[p]
+    for a, h, q in zip(elements, held_at, red_pos):
         if q >= 0 and (h ^ held_at[q]) & positive:
             mismatches += 1
             if not first_bad:
@@ -806,12 +805,12 @@ def validate(
         # later in the listing, a linear extension, so read backwards each
         # ``up`` and ``up_pre`` mask is complete before it is used.
         # ``lacking[h]`` marks the rows lacking an atom of pattern ``h``.
-        up_pre = [0] * len(rows)
+        up_pre = [0] * len(elements)
         for p, q in enumerate(red_pos):
             if q >= 0:
                 up_pre[q] |= 1 << p
-        up = [0] * len(rows)
-        for p in range(len(rows) - 1, -1, -1):
+        up = [0] * len(elements)
+        for p in range(len(elements) - 1, -1, -1):
             m = 0
             u = up_pre[p]
             for c in covers[p]:
@@ -819,28 +818,25 @@ def validate(
                 u |= up_pre[c]
             up[p] = m
             up_pre[p] = u
-        everywhere = (1 << len(rows)) - 1
+        everywhere = (1 << len(elements)) - 1
         lacking = {}
-        for h in {*held, *(h & positive for h in held)}:
+        for h in {*held_at, *(h & positive for h in held_at)}:
             common = everywhere
             for j in range(len(atoms)):
                 if h >> j & 1:
                     common &= at[j]
             lacking[h] = everywhere ^ common
-        # ``reach`` marks the rows that order with row i once reduced forms
-        # replace one side or both (see the docstring).  A row never lacks its
-        # own atoms, so its ``lacking`` masks leave it out.
+        # ``reach`` marks the rows that order with the row at p once reduced
+        # forms replace one side or both (see the docstring).  A row never
+        # lacks its own atoms, so its ``lacking`` masks leave it out.
         violations = 0
         first_bad = ""
-        for i, (a, p) in enumerate(zip(rows, where)):
-            q = red_pos[p]
+        for p, (a, h, q) in enumerate(zip(elements, held_at, red_pos)):
             reach = up_pre[p] if q < 0 else up[q] | 1 << q | up_pre[p] | up_pre[q]
-            bad = (up[p] & lacking[held[i]]) | (lacking[held[i] & positive] & reach & ~up[p])
+            bad = (up[p] & lacking[h]) | (lacking[h & positive] & reach & ~up[p])
             violations += bad.bit_count()
             if bad and not first_bad:
-                bits = bin(bad)[:1:-1]  # bit k at index k
-                first = min(row_at[k] for k, bit in enumerate(bits) if bit == "1")
-                first_bad = f"{a} vs {rows[first]}"
+                first_bad = f"{a} vs {elements[(bad & -bad).bit_length() - 1]}"
         checks.append(CheckResult("monotonicity", violations == 0, float(violations), first_bad))
 
     # V3: covering rule, read at the lowest position holding each atom.
@@ -867,11 +863,11 @@ def validate(
     # depends only on its reduced form's masks (None for the empty term),
     # so rows sharing that form and a ``held`` pattern share one gap.
     sizes = [a.size for a in atoms]
-    sums = {h: math.fsum(s for j, s in enumerate(sizes) if h >> j & 1) for h in set(held)}
+    sums = {h: math.fsum(s for j, s in enumerate(sizes) if h >> j & 1) for h in set(held_at)}
     gaps = {}
     worst_gap = 0.0
     first_bad = ""
-    for a, h, reduction in zip(rows, held, reductions):
+    for a, h, reduction in zip(elements, held_at, reductions):
         form = a if reduction is None else reduction[0]
         key = (None if form is None else form.masks, h)
         gap = gaps.get(key)

@@ -79,14 +79,15 @@ class Antichain(_Record):
             if not all(isinstance(i, int) and i >= 1 for i in bracket):
                 raise AntichainError(f"indices must be integers >= 1: {bracket!r}")
             if len(set(bracket)) != len(bracket) or seen & set(bracket):
-                raise AntichainError(f"indices repeat across brackets: {brackets!r}")
+                raise AntichainError(f"indices repeat within or across brackets: {brackets!r}")
             seen |= set(bracket)
         self.__dict__.update(brackets=brackets, _key=(brackets,))
 
     @classmethod
     def of(cls, *brackets: Iterable[int]) -> "Antichain":
-        """Canonicalize and build; ``Antichain.of([1,2],[3])``."""
-        canon = tuple(sorted(tuple(sorted(set(b))) for b in brackets))
+        """Canonicalize and build; ``Antichain.of([1,2],[3])``.  An index
+        repeated within or across brackets raises :class:`AntichainError`."""
+        canon = tuple(sorted(tuple(sorted(b)) for b in brackets))
         return cls(canon)
 
     @classmethod

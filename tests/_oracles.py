@@ -6,7 +6,8 @@ a genuine cross-check rather than a tautology.  The exceptions are the
 validator oracles (:func:`oracle_monotonicity`, :func:`oracle_covering_rule`,
 :func:`oracle_term_sizes` and :func:`oracle_equal_rows`), which read a
 decomposition and take reduced terms or term sizes from the package; their
-order test is :func:`brute_leq`.
+order test is :func:`brute_leq`, and they read rows in :func:`lattice_order`,
+the lattice's listing key written out.
 :func:`oracle_covers` is the closed-form cover rule on plain sets of
 brackets, with no order test at all.
 :func:`oracle_monotonicity_pairs` reads the package's lattice too: it tests
@@ -286,6 +287,18 @@ def oracle_set_row(brackets, supports) -> tuple[int, ...]:
     return tuple(row)
 
 
+def lattice_order(decomp) -> list[tuple]:
+    """A parthood table's ``(antichain, entries row)`` pairs in the lattice's
+    listing order, its key written out: more brackets first, then fewer
+    indices, then by brackets.  Validator details name their first offender
+    in this order."""
+    def key(pair) -> tuple:
+        brackets = pair[0].brackets
+        return -len(brackets), sum(len(b) for b in brackets), brackets
+
+    return sorted(zip(decomp.table.rows, decomp.table.entries), key=key)
+
+
 def oracle_monotonicity(decomp, table, eps, *, extended=True) -> tuple[bool, float, str]:
     """``(passed, residual, detail)`` of the validator's monotonicity check,
     by testing every ordered pair of rows with :func:`brute_leq`.
@@ -295,9 +308,10 @@ def oracle_monotonicity(decomp, table, eps, *, extended=True) -> tuple[bool, flo
     both are replaced by reduced forms that differ from them violates it
     if this happens for an atom of positive size; ``extended=False`` leaves
     these pairs out.  Reduced forms come from the package's
-    ``reduce_antichain``, as in the validator."""
-    rows = decomp.table.rows
-    entries = decomp.table.entries
+    ``reduce_antichain``, as in the validator.  Both loops run in
+    :func:`lattice_order`, so the detail is the first violating pair in it."""
+    pairs = lattice_order(decomp)
+    rows = [a for a, _x in pairs]
     positive = [a.size > eps for a in decomp.atoms.atoms]
     reduced = {a: reduce_antichain(table, a, eps=eps)[0] for a in rows}
 
@@ -314,8 +328,8 @@ def oracle_monotonicity(decomp, table, eps, *, extended=True) -> tuple[bool, flo
 
     violations = 0
     first_bad = ""
-    for a, x in zip(rows, entries):
-        for b, y in zip(rows, entries):
+    for a, x in pairs:
+        for b, y in pairs:
             if a == b:
                 continue
             if order(a, b):
@@ -352,29 +366,27 @@ def oracle_monotonicity_pairs(decomp, table, eps) -> tuple[bool, float, str]:
     in the validator.  The other candidates for row a are the rows outside
     its up-set that lack one of its positive atoms and, where a's reduced
     form is a itself, have another reduced form; each is tested with the
-    three clauses of :func:`oracle_monotonicity`."""
-    rows = decomp.table.rows
+    three clauses of :func:`oracle_monotonicity`.  Rows are read by lattice
+    position, so the detail pairs the first position with a violation with
+    the lowest position it violates with."""
     view = enumerate_antichains(decomp.n)
     elements = view.elements
+    size = len(elements)
     atoms = decomp.atoms.atoms
     positive = sum(1 << j for j, atom in enumerate(atoms) if atom.size > eps)
-    where = [view.index(a) for a in rows]
-    row_at = [0] * len(rows)
-    held = []
+    held_at = [0] * size
     at = [0] * len(atoms)
-    for i, (p, x) in enumerate(zip(where, decomp.table.entries)):
-        row_at[p] = i
-        h = 0
+    for a, x in zip(decomp.table.rows, decomp.table.entries):
+        p = view.index(a)
         for j, v in enumerate(x):
             if v:
-                h |= 1 << j
+                held_at[p] |= 1 << j
                 at[j] |= 1 << p
-        held.append(h)
-    up = [0] * len(rows)
-    for p in range(len(rows) - 1, -1, -1):
+    up = [0] * size
+    for p in range(size - 1, -1, -1):
         for c in view.covers[p]:
             up[p] |= up[c] | 1 << c
-    everywhere = (1 << len(rows)) - 1
+    everywhere = (1 << size) - 1
 
     def lacking(h) -> int:
         common = everywhere
@@ -383,18 +395,18 @@ def oracle_monotonicity_pairs(decomp, table, eps) -> tuple[bool, float, str]:
                 common &= at[j]
         return everywhere ^ common
 
-    red_at = [reduce_antichain(table, elements[p], eps=eps)[0] for p in range(len(rows))]
+    red_at = [reduce_antichain(table, a, eps=eps)[0] for a in elements]
     changed_at = [r is not None and r != a for r, a in zip(red_at, elements)]
     changed_mask = sum(1 << p for p, flag in enumerate(changed_at) if flag)
     violations = 0
     first_bad = ""
-    for i, (a, p) in enumerate(zip(rows, where)):
-        bad = up[p] & lacking(held[i])
+    for p, a in enumerate(elements):
+        bad = up[p] & lacking(held_at[p])
         violations += bad.bit_count()
-        first = len(rows)
+        first = size
         if bad and not first_bad:
-            first = min(row_at[k] for k in range(len(rows)) if bad >> k & 1)
-        candidates = lacking(held[i] & positive) & ~up[p]
+            first = min(k for k in range(size) if bad >> k & 1)
+        candidates = lacking(held_at[p] & positive) & ~up[p]
         if not changed_at[p]:
             candidates &= changed_mask
         bits = bin(candidates)[:1:-1]  # bit k at index k
@@ -406,10 +418,10 @@ def oracle_monotonicity_pairs(decomp, table, eps) -> tuple[bool, float, str]:
                 or (changed_at[p] and changed_at[k] and leq(red_at[p], red_at[k]))
             ):
                 violations += 1
-                first = min(first, row_at[k])
+                first = min(first, k)
             k = bits.find("1", k + 1)
-        if not first_bad and first < len(rows):
-            first_bad = f"{a} vs {rows[first]}"
+        if not first_bad and first < size:
+            first_bad = f"{a} vs {elements[first]}"
     return violations == 0, float(violations), first_bad
 
 
@@ -454,11 +466,13 @@ def oracle_term_gaps(decomp, table, eps) -> list[float]:
 def oracle_term_sizes(decomp, table, eps) -> tuple[bool, float, str]:
     """``(passed, residual, detail)`` of the validator's term-size check,
     row by row from :func:`oracle_term_gaps`: the residual is the largest
-    gap, and a failed check names the first row in row order whose gap is
-    strictly larger than every earlier row's."""
+    gap, and a failed check names the first row in :func:`lattice_order`
+    whose gap is strictly larger than every earlier row's."""
     worst = 0.0
     first_bad = ""
-    for a, gap in zip(decomp.table.rows, oracle_term_gaps(decomp, table, eps)):
+    gap_of = dict(zip(decomp.table.rows, oracle_term_gaps(decomp, table, eps)))
+    for a, _x in lattice_order(decomp):
+        gap = gap_of[a]
         if gap > worst:
             worst = gap
             first_bad = str(a)
@@ -468,14 +482,13 @@ def oracle_term_sizes(decomp, table, eps) -> tuple[bool, float, str]:
 def oracle_equal_rows(decomp, table, eps) -> tuple[bool, float, str]:
     """``(passed, residual, detail)`` of the validator's equal-rows check,
     row by row: a row whose reduced form is another term must agree with
-    that term's row on every atom of positive size."""
-    rows = decomp.table.rows
-    entries = decomp.table.entries
+    that term's row on every atom of positive size; a failed check names
+    the first such row in :func:`lattice_order`."""
     positive = [a.size > eps for a in decomp.atoms.atoms]
-    row_of = dict(zip(rows, entries))
+    row_of = dict(zip(decomp.table.rows, decomp.table.entries))
     mismatches = 0
     first_bad = ""
-    for a, x in zip(rows, entries):
+    for a, x in lattice_order(decomp):
         ra = reduce_antichain(table, a, eps=eps)[0]
         if ra is None or ra == a:
             continue

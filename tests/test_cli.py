@@ -517,6 +517,17 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, monkeypatch, command,
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("command", ["validate", "lift"])
+def test_a_row_repeating_an_index_exits_2(tmp_path, capsys, command):
+    # ``{1,1}{2}{3}`` is not read as ``{1}{2}{3}``, which would pass.
+    decomp = _xor_decomp_with('"rows": ["{1}{2}{3}"', '"rows": ["{1,1}{2}{3}"')
+    (tmp_path / "xor.csv").write_text(XOR_CSV)
+    (tmp_path / "decomp.json").write_text(decomp)
+    code, out, err = run(capsys, command, str(tmp_path / "decomp.json"), str(tmp_path / "xor.csv"))
+    assert code == 2 and out == ""
+    assert "within or across brackets" in err and len(err.splitlines()) == 1
+
+
 _DROP = object()
 
 

@@ -486,6 +486,18 @@ def test_validate_builds_the_hasse_diagram_once_per_lattice(monkeypatch):
     assert len(calls) == 2
 
 
+def test_solver_tables_follow_a_rebuilt_lattice():
+    # A memoised table over the old view's elements is not handed back
+    # once the lattice is rebuilt: it is rebuilt over the new elements.
+    t = ia.parity_gate(5)
+    before = ia.validate(ia.solve_n_parity(5), t)
+    lattice.enumerate_antichains.cache_clear()
+    d = ia.solve_n_parity(5)
+    assert d.table.rows is lattice.enumerate_antichains(5).elements
+    assert d.table is ia.solve_n_parity(5).table
+    assert ia.validate(d, t) == before
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_parity_table_matches_closed_form_oracle(n):
     d = ia.solve_n_parity(n)
@@ -745,26 +757,36 @@ def test_validator_rejects_set_atoms_outside_the_variables(xor, brackets):
 
 
 @pytest.mark.parametrize(
-    "label", [ia.AtomLabel("x"), ia.AtomLabel("ghost", index=0)], ids=["kind-x", "Pi_g_0"]
+    "kind, kw",
+    [
+        ("x", {}),
+        ("ghost", {"index": 0}),
+        ("ghost", {}),
+        ("ghost", {"index": True}),
+        ("ghost", {"index": 1.0}),
+        ("ghost", {"index": 1, "antichain": Antichain.of([1])}),
+        ("synergy", {"index": 1}),
+        ("synergy", {"antichain": Antichain.of([1])}),
+        ("set", {}),
+        ("set", {"antichain": Antichain(())}),
+        ("set", {"antichain": Antichain.of([1, 2])}),
+        ("set", {"antichain": Antichain.of([1], [2]), "index": 1}),
+    ],
+    ids=["kind-x", "Pi_g_0", "ghost-no-index", "ghost-True", "ghost-1.0", "ghost-antichain",
+         "synergy-index", "synergy-antichain", "set-none", "set-empty", "set-{1,2}", "set-index"],
 )
-def test_validator_rejects_labels_built_outside_the_rules(xor, label):
-    # Built directly, so no classmethod or parse_label checked them.
-    d = ia.solve_trivariate(xor)
-    old = parse_label("Pi_g")
-    atoms = AtomSet(
-        tuple(Atom(label if a.label == old else a.label, a.size, a.covering) for a in d.atoms)
-    )
-    bad = Decomposition(3, ParthoodTable(d.table.rows, atoms.labels(), d.table.entries), atoms)
-    with pytest.raises(ia.DecompositionFormatError):
-        ia.validate(bad, xor)
-    with pytest.raises(ia.DecompositionFormatError):
-        ia.lift_decomposition(bad, xor)
+def test_validator_rejects_labels_built_outside_the_rules(kind, kw):
+    # The constructor is the one check, so no validate or parthood rule
+    # ever meets such a label.
+    for _ in range(2):
+        with pytest.raises(ia.LabelError):
+            ia.AtomLabel(kind, **kw)
 
 
 def test_parthood_rejects_a_label_kind_without_a_rule():
-    with pytest.raises(ia.LabelError, match="'x'"):
-        decomp._parthood(3, (ia.AtomLabel("x"),))
-    assert (3, (ia.AtomLabel("x"),)) not in decomp._PARTHOOD_TABLES
+    # Such a label cannot be built, so it never reaches ``_parthood``.
+    with pytest.raises(ia.LabelError, match="'x' has no parthood rule"):
+        ia.AtomLabel("x")
 
 
 def test_validator_rejects_made_up_xor_decomposition(xor, made_up_xor_json):
@@ -906,20 +928,25 @@ def test_lift_matches_the_lift_map_loop():
 
 
 def test_validate_reports_agree_for_in_order_and_shuffled_rows():
-    # The detail of a failed check names the first offender in row order,
-    # so it may differ between orders; everything else must not.
+    # Every check reads the table by lattice position, so the whole report,
+    # failing checks' details included, does not depend on the row order:
+    # for each mutated case, and for the lift corpus and its lifts, which
+    # reach 8 variables, shuffled and in reversed lattice order alike.
     rng = random.Random(21)
-    for case, m, t in _mutated_cases():
+    cases = [(m, t) for _case, m, t in _mutated_cases()]
+    for d, t in _lift_corpus():
+        cases += [(d, t), _lifted(d, t)]
+    failing = 0
+    for m, t in cases:
         view = lattice.enumerate_antichains(m.n)
         order = sorted(range(len(m.table.rows)), key=lambda i: view.index(m.table.rows[i]))
         in_order = _with_rows(m, order)
         assert in_order.table.rows == view.elements
-        a, b = ia.validate(in_order, t), ia.validate(_shuffled(m, rng), t)
-        assert [(c.name, c.passed, c.residual) for c in a.checks] == [
-            (c.name, c.passed, c.residual) for c in b.checks
-        ], case
-        if a.passed:
-            assert a == b, case
+        expected = ia.validate(in_order, t)
+        for other in (_shuffled(m, rng), _with_rows(m, order[::-1])):
+            assert ia.validate(other, t) == expected, m.n
+        failing += not expected.passed
+    assert failing >= 50 and max(m.n for m, _t in cases) == 8
 
 
 def _report_text(report) -> list[tuple]:
@@ -955,15 +982,17 @@ def test_validate_reports_match_for_reused_fresh_and_shuffled_tables():
 
 
 def _bitsets_oracle(table: ParthoodTable, view) -> tuple:
-    """:meth:`ParthoodTable._bitsets`, read entry by entry."""
-    where = [view.index(a) for a in table.rows]
-    row_at = sorted(range(len(where)), key=where.__getitem__)
-    held = [sum(v << j for j, v in enumerate(x)) for x in table.entries]
-    held_at = [held[i] for i in row_at]
+    """:meth:`ParthoodTable._bitsets`, read entry by entry, by lattice position."""
+    row_at = [0] * len(view)
+    held_at = [0] * len(view)
+    for i, (a, x) in enumerate(zip(table.rows, table.entries)):
+        p = view.index(a)
+        row_at[p] = i
+        held_at[p] = sum(v << j for j, v in enumerate(x))
     at = [sum(1 << p for p, h in enumerate(held_at) if h >> j & 1)
           for j in range(len(table.cols))]
     low = [(m & -m).bit_length() - 1 for m in at]
-    return where, row_at, held, held_at, at, low
+    return row_at, held_at, at, low
 
 
 def test_bitsets_match_an_entry_by_entry_oracle():
@@ -1093,8 +1122,8 @@ def test_term_sizes_match_row_oracle():
         assert (check.passed, check.residual, check.detail) == expected, case
         failing += not check.passed
         # The validator evaluates one gap per reduced form and row pattern;
-        # count the cases where two such groups share the worst gap, so
-        # that the detail must pick the first row in row order among them.
+        # count the cases where two such groups share the worst gap, so that
+        # the detail must pick the first position in lattice order among them.
         gaps = oracle_term_gaps(m, t, ia.DEFAULT_EPS)
         worst = max(gaps)
         groups = {

@@ -82,6 +82,13 @@ def test_overlapping_brackets_rejected():
         Antichain.of([1], [])
 
 
+def test_repeated_index_within_a_bracket_rejected():
+    for build in (lambda: Antichain.parse("{1,1}{2}"), lambda: Antichain.of([1, 1], [2])):
+        for _ in range(2):  # parse errors are not cached
+            with pytest.raises(ia.AntichainError, match="within or across brackets"):
+                build()
+
+
 def test_covering_examples():
     assert Antichain.of([1, 2], [3]).covering == 2
     assert Antichain.of([1, 2, 3]).covering == 1

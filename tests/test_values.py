@@ -187,7 +187,9 @@ def test_missing_or_unknown_arguments_raise_type_error(cls, kw, text, memos):
 
 
 def test_defaults_and_keyword_arguments():
-    assert repr(d.AtomLabel("ghost", index=0)) == "AtomLabel(kind='ghost', antichain=None, index=0)"
+    assert repr(d.AtomLabel("ghost", index=2)) == "AtomLabel(kind='ghost', antichain=None, index=2)"
+    with pytest.raises(d.LabelError):
+        d.AtomLabel("ghost", index=0)
     assert d.AtomLabel("synergy") == d.AtomLabel("synergy", None, 0) == SYN
     assert TermValue(1.0, (1.0, 1.0)).trace == ()
     assert d.CheckResult("x", True, 0.0).detail == ""

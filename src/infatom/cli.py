@@ -97,7 +97,10 @@ def _cmd_info(args, eps: float) -> int:
     table = load_table(_read(args.dist), eps=eps)
     lines: list[str] = []
     for text in args.entropy or []:
-        lines.append(_fnum(entropy(table, _parse_varset(text, table.n))))
+        picked = _parse_varset(text, table.n)
+        if not picked:
+            raise VariableSetError("empty variable selection")
+        lines.append(_fnum(entropy(table, picked)))
     for text in args.mi or []:
         groups = _parse_groups(text, table.n)
         if len(groups) != 2:

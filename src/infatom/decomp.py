@@ -71,6 +71,7 @@ from .errors import (
     VariableSetError,
     WrongArity,
     _Record,
+    _integer,
 )
 from .lattice import MAX_VARIABLES, Antichain, LatticeView, enumerate_antichains
 from .terms import (
@@ -255,49 +256,38 @@ class ParthoodTable(_Record):
     def _bitsets(self, view: LatticeView) -> tuple:
         """The entries as the int bitsets :func:`validate` reads, over the
         positions of ``view``, the lattice the rows were checked against:
-        ``(row_at, held_at, at, low)``.  ``row_at[p]`` is the row at
-        position p (a ``range`` for rows in lattice order); ``held_at[p]``
-        marks the columns that row holds (bit j for column j); ``at[j]``
-        marks the positions whose rows hold column j and ``low[j]`` is the
-        lowest of them, -1 for none.  All are indexed by lattice position,
-        so nothing here depends on the order of the rows.  They depend on
-        the entries alone, so, like :attr:`_row_index`, they are built on
-        the first call and kept: a table shared through the solvers' memo
-        is read once per process."""
+        ``(held_at, low)``.  ``held_at[p]`` marks the columns that the row
+        at lattice position p holds (bit j for column j), and ``low[j]`` is
+        the lowest position whose row holds column j, -1 for none.  Both
+        are indexed by lattice position, so nothing here depends on the
+        order of the rows.  They depend on the entries alone, so, like
+        :attr:`_row_index`, they are built on the first call and kept: a
+        table shared through the solvers' memo is read once per process."""
         bits = self.__dict__.get("_bits")
         if bits is None:
-            rows = self.rows
-            row_at = range(len(rows))
-            if rows != view.elements:
-                row_at = sorted(row_at, key=[view.index(a) for a in rows].__getitem__)
-            # Rows share few patterns, so each distinct row is read once.
+            # Rows share few patterns, so each distinct row is coded once.
             entries = self.entries
             code = {x: sum(1 << j for j, v in enumerate(x) if v) for x in set(entries)}
-            bits = self._keep_bits(row_at, [code[entries[i]] for i in row_at])
+            held_at = [code[x] for x in entries]
+            if self.rows != view.elements:
+                held_at = [h for _p, h in sorted(zip(map(view.index, self.rows), held_at))]
+            bits = self._keep_bits(held_at)
         return bits
 
-    def _keep_bits(self, row_at, held_at: list[int]) -> tuple:
-        """Complete :meth:`_bitsets` from ``row_at`` and ``held_at``, keep
-        it and return it."""
-        # Each distinct pattern's positions become one mask, parsed from its
-        # bit string rather than OR-ed a bit at a time, which copies the
-        # mask once per position; a column's mask ORs its patterns' masks.
-        places: dict[int, list[int]] = {}
+    def _keep_bits(self, held_at: list[int]) -> tuple:
+        """Complete :meth:`_bitsets` from ``held_at``, keep it and return it."""
+        # A column's lowest position is where a pattern holding it is first
+        # seen; ``unseen`` marks the columns not yet placed.
+        low = [-1] * len(self.cols)
+        unseen = (1 << len(low)) - 1
         for p, h in enumerate(held_at):
-            places.setdefault(h, []).append(p)
-        at = [0] * len(self.cols)
-        for h, ps in places.items():
-            if not h:
-                continue
-            text = bytearray(b"0") * len(held_at)
-            for p in ps:
-                text[p] = 49  # "1"
-            m = int(text[::-1], 2)
-            for j in range(h.bit_length()):
-                if h >> j & 1:
-                    at[j] |= m
-        low = [(m & -m).bit_length() - 1 for m in at]
-        bits = self.__dict__["_bits"] = (row_at, held_at, at, low)
+            new = h & unseen
+            if new:
+                for j in range(new.bit_length()):
+                    if new >> j & 1:
+                        low[j] = p
+                unseen ^= new
+        bits = self.__dict__["_bits"] = (held_at, low)
         return bits
 
     def _covers_hold(self, covers: tuple[tuple[int, ...], ...]) -> bool:
@@ -306,7 +296,7 @@ class ParthoodTable(_Record):
         :meth:`_bitsets`, decided once per table and kept."""
         hold = self.__dict__.get("_monotone")
         if hold is None:
-            held_at = self._bits[1]
+            held_at = self._bits[0]
             hold = self.__dict__["_monotone"] = not any(
                 h & ~held_at[c] for h, cs in zip(held_at, covers) if h for c in cs)
         return hold
@@ -457,7 +447,7 @@ def pid_view(decomp: Decomposition, target: int) -> PidView:
     solution; ``target`` is 1-based."""
     if decomp.n != 3:
         raise WrongArity(f"expected a trivariate decomposition, got n = {decomp.n}")
-    if target not in (1, 2, 3):
+    if _integer(target) not in (1, 2, 3):
         raise VariableSetError(f"target must be 1, 2 or 3, got {target!r}")
     a, b = sorted({1, 2, 3} - {target})
     size = decomp.atoms.size
@@ -599,9 +589,10 @@ def lift_decomposition(
 
     Atoms keep their sizes and every covering grows by one.  A lifted
     term's row is the row of its image under :func:`lift_map`, the
-    whole-system row when the image is empty: each row of the smaller
-    lattice is read once and placed by the lifted view's cached
-    :attr:`~LatticeView.lifts` positions.  The input must validate
+    whole-system row when the image is empty: the lifted ``held`` bitsets
+    are the input's, read at the lifted view's cached
+    :attr:`~LatticeView.lifts` positions, and each distinct pattern's
+    entry row is built once from its bits.  The input must validate
     against ``table``; one over :data:`MAX_VARIABLES` variables is refused
     first, as its lift has no lattice.
     """
@@ -612,14 +603,13 @@ def lift_decomposition(
     if not report.passed:
         raise ValidationFailed(report)
     atoms = AtomSet(tuple(Atom(a.label, a.size, a.covering + 1) for a in decomp.atoms))
-    row_at, held_at, _, _ = decomp.table._bitsets(enumerate_antichains(decomp.n))
-    entries = decomp.table.entries
-    base = [entries[i] for i in row_at]
+    held_at, _ = decomp.table._bitsets(enumerate_antichains(decomp.n))
     view = enumerate_antichains(decomp.n + 1)
-    lifts = view.lifts
-    tab = ParthoodTable(view.elements, decomp.table.cols, tuple(base[q] for q in lifts))
     # The lifted rows are in lattice order, each holding its image's atoms.
-    tab._keep_bits(range(len(lifts)), [held_at[q] for q in lifts])
+    held = [held_at[q] for q in view.lifts]
+    row = {h: tuple(h >> j & 1 for j in range(len(decomp.table.cols))) for h in set(held)}
+    tab = ParthoodTable(view.elements, decomp.table.cols, tuple(map(row.__getitem__, held)))
+    tab._keep_bits(held)
     return Decomposition(decomp.n + 1, tab, atoms, decomp.redundancy_param)
 
 
@@ -680,13 +670,13 @@ def validate(
 
     The parthood table is read into int bitsets once per table, not once
     per call: ``held[p]``, the atoms the row at lattice position p holds
-    (bit j for atom j), and per atom, the positions whose rows hold it and
-    the lowest of them.  They depend on the entries alone, so a table the
-    solvers share (every trivariate solve, every :func:`solve_n_parity` of
-    one n) is read once per process, and :func:`lift_decomposition`
-    derives the lifted table's from its input's.  ``positive``, the atoms
-    of size above ``eps``, is read per call.  Every check reads the table
-    by lattice position only, and a failed check's detail names its first
+    (bit j for atom j), and per atom, the lowest position whose row holds
+    it.  They depend on the entries alone, so a table the solvers share
+    (every trivariate solve, every :func:`solve_n_parity` of one n) is
+    read once per process, and :func:`lift_decomposition` derives the
+    lifted table's from its input's.  ``positive``, the atoms of size
+    above ``eps``, is read per call.  Every check reads the table by
+    lattice position only, and a failed check's detail names its first
     offender in lattice-position order, so a report, details included,
     does not depend on the order of the rows.
     Write ``r(k)`` for k's reduced form where that differs from k (a row
@@ -707,7 +697,8 @@ def validate(
     Each row's strict up-set ``up[p]`` is OR-ed together in one backward
     pass over the view's cached :attr:`~LatticeView.covers`, and is
     intersected with the mask of rows lacking one of the row's atoms,
-    built once per distinct ``held`` pattern.  The reduction-extended
+    built once per distinct ``held`` pattern h as the OR of the positions
+    of each distinct pattern g with ``h & ~g``.  The reduction-extended
     pairs come from the same pass: let ``up_pre[p]`` mark the positions k
     with ``p <= r(k)``.  In a finite order ``p <= x`` iff ``x = p`` or
     ``c <= x`` for an upper cover c of p, so ``up_pre[p]`` is the
@@ -767,7 +758,7 @@ def validate(
 
     # The table's bitsets (see ParthoodTable._bitsets), read once per table.
     elements = view.elements
-    _, held_at, at, low = decomp.table._bitsets(view)
+    held_at, low = decomp.table._bitsets(view)
 
     # The reduction of every term, for V2, V6 and V7; None for a single
     # bracket, which is its own reduced form.
@@ -804,7 +795,8 @@ def validate(
         # ``up_pre[q]`` starts as the positions reduced to q.  Covers lie
         # later in the listing, a linear extension, so read backwards each
         # ``up`` and ``up_pre`` mask is complete before it is used.
-        # ``lacking[h]`` marks the rows lacking an atom of pattern ``h``.
+        # ``lacking[h]`` marks the rows lacking an atom of pattern ``h``:
+        # the positions of each distinct pattern ``g`` with ``h & ~g``.
         up_pre = [0] * len(elements)
         for p, q in enumerate(red_pos):
             if q >= 0:
@@ -818,14 +810,11 @@ def validate(
                 u |= up_pre[c]
             up[p] = m
             up_pre[p] = u
-        everywhere = (1 << len(elements)) - 1
-        lacking = {}
-        for h in {*held_at, *(h & positive for h in held_at)}:
-            common = everywhere
-            for j in range(len(atoms)):
-                if h >> j & 1:
-                    common &= at[j]
-            lacking[h] = everywhere ^ common
+        where = {}
+        for p, g in enumerate(held_at):
+            where[g] = where.get(g, 0) | 1 << p
+        lacking = {h: sum(m for g, m in where.items() if h & ~g)
+                   for h in {*held_at, *(h & positive for h in held_at)}}
         # ``reach`` marks the rows that order with the row at p once reduced
         # forms replace one side or both (see the docstring).  A row never
         # lacks its own atoms, so its ``lacking`` masks leave it out.
@@ -936,11 +925,13 @@ def scan_random(
     ``I((X1,X2);X3) - I(X1;X3) - I(X2;X3)`` is tracked (it stays <= 0 in
     every distributive system).
     """
-    cards_t = tuple(int(c) for c in cards)
+    cards_t = tuple(map(_integer, cards))
+    if None in cards_t:
+        raise GateSpecError(f"cardinalities must be integers, got {cards!r}")
     if len(cards_t) != 3:
         raise WrongArity("interval statistics need exactly 3 variables")
-    if n_samples < 1:
-        raise GateSpecError("n_samples must be >= 1")
+    if _integer(n_samples) is None or n_samples < 1:
+        raise GateSpecError("n_samples must be an integer >= 1")
     min_width = math.inf
     min_atom = math.inf
     pi_s_min = math.inf

@@ -62,6 +62,7 @@ from .errors import (
     TotalMassInvalid,
     VariableSetError,
     _Record,
+    _integer,
 )
 
 #: Default tolerance, in bits, for equality and non-negativity assertions
@@ -147,7 +148,9 @@ class ProbTable(_Record):
         if cards is None:
             cards_t = tuple(v + 1 for v in highs)
         else:
-            cards_t = tuple(map(int, cards))
+            cards_t = tuple(map(_integer, cards))
+            if None in cards_t:
+                raise MalformedRow(f"cardinalities must be integers, got {cards!r}")
             if len(cards_t) != n or min(cards_t) < 1:
                 raise MalformedRow(f"bad cardinalities {cards_t!r}")
             if any(map(ge, highs, cards_t)):
@@ -300,6 +303,8 @@ def _load_json(text: str, eps: float) -> ProbTable:
     names = obj["variables"]
     if not isinstance(names, list) or not isinstance(obj["outcomes"], list):
         raise MalformedRow("'variables' and 'outcomes' must be lists")
+    if not all(isinstance(v, str) for v in names):
+        raise MalformedRow("variable names must be strings")
     pmf: list[tuple[Outcome, float]] = []
     for entry in obj["outcomes"]:
         if not isinstance(entry, dict) or "p" not in entry or "values" not in entry:
@@ -308,7 +313,7 @@ def _load_json(text: str, eps: float) -> ProbTable:
         if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
             raise MalformedRow(f"bad outcome values {values!r}")
         pmf.append((tuple(values), _parse_prob(entry["p"])))
-    return ProbTable.from_pmf([str(v) for v in names], pmf, eps=eps)
+    return ProbTable.from_pmf(names, pmf, eps=eps)
 
 
 def load_table(text: str, *, eps: float = DEFAULT_EPS) -> ProbTable:
@@ -580,7 +585,9 @@ def random_table(seed: int | str, cards: Sequence[int]) -> ProbTable:
     whose ``random()`` stream is stable across Python releases for a given
     seed, so results are reproducible byte for byte.
     """
-    cards_t = tuple(int(c) for c in cards)
+    cards_t = tuple(map(_integer, cards))
+    if None in cards_t:
+        raise GateSpecError(f"cardinalities must be integers, got {cards!r}")
     if not cards_t or any(c < 2 for c in cards_t):
         raise GateSpecError(f"cardinalities must all be >= 2, got {cards_t!r}")
     size = 1

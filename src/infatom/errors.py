@@ -12,10 +12,13 @@ It also holds :class:`_Record`, the immutable value base of the package's
 record classes (``ProbTable``, ``Antichain``, ``Decomposition`` and the
 rest): every layer imports this module already, and the base spares each
 CLI process the ``dataclasses`` import (with ``inspect``) and the class
-builds that ``@dataclass`` costs.
+builds that ``@dataclass`` costs.  And it holds :func:`_integer`, the
+one reading of an integer argument that the layers share.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 
 class InfatomError(Exception):
@@ -116,6 +119,19 @@ class ValidationFailed(InfatomError):
 # ---------------------------------------------------------------------------
 # Record base
 # ---------------------------------------------------------------------------
+
+
+def _integer(value) -> int | None:
+    """``value`` as an int, or None for a bool or any value that
+    :func:`operator.index` refuses, such as ``2.0`` or ``"2"``: an integer
+    argument is neither truncated, as ``int()`` would, nor read from a
+    bool.  Each caller raises its own layer's error for None."""
+    if value.__class__ is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    return None
 
 
 class _Record:

@@ -273,7 +273,7 @@ class LatticeView(_Record):
                      for a in self.elements)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_antichains(n: int) -> LatticeView:
     """Every antichain over ``{1..n}``, from the partitions of ``{1..n+1}``.
 
@@ -281,8 +281,10 @@ def enumerate_antichains(n: int) -> LatticeView:
     maps the partitions one to one onto the antichains over ``{1..n}``;
     the one-block partition gives the empty antichain, which is left out.
     Counts run Bell(n+1) - 1 = 1, 4, 14, 51, 202, ... for n = 1, 2, 3, 4, 5.
+    ``n`` must be an ``int``: the memo keys each type apart, so ``True``
+    or ``2.0`` is refused, never read as the view of 1 or 2.
     """
-    if not isinstance(n, int) or n < 1 or n > MAX_VARIABLES:
+    if n.__class__ is not int or n < 1 or n > MAX_VARIABLES:
         raise LatticeRangeError(f"n must be an integer in [1, {MAX_VARIABLES}], got {n!r}")
     keyed = []
     for blocks in _set_partitions(range(1, n + 2)):

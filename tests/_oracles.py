@@ -546,7 +546,9 @@ def oracle_from_pmf(variables, pmf, cards=None, *, eps=1e-9) -> ProbTable:
                 inferred[i] = max(inferred[i], v + 1)
         cards_t = tuple(inferred)
     else:
-        cards_t = tuple(int(c) for c in cards)
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in cards):
+            raise MalformedRow(f"cardinalities must be integers, got {cards!r}")
+        cards_t = tuple(cards)
         if len(cards_t) != len(names) or any(c < 1 for c in cards_t):
             raise MalformedRow(f"bad cardinalities {cards_t!r}")
         for o in kept:

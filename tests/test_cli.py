@@ -120,7 +120,10 @@ def test_decompose_parity_conflicts_exit_2(tmp_path, capsys):
     (["decompose", "XOR", "--set-theoretic", "--redundancy", "0"],
      "--redundancy applies to the trivariate solver only"),
     (["decompose"], "decompose needs a distribution or --parity N"),
-], ids=["mi-groups", "cmi-parts", "set-theoretic-redundancy", "no-input"])
+    (["info", "XOR", "--entropy", ""], "empty variable selection"),
+    (["info", "XOR", "--entropy", ","], "empty variable selection"),
+], ids=["mi-groups", "cmi-parts", "set-theoretic-redundancy", "no-input", "entropy-empty",
+        "entropy-comma"])
 def test_misused_flags_exit_2_with_one_line(tmp_path, capsys, argv, message):
     path = tmp_path / "xor.csv"
     path.write_text(XOR_CSV)
@@ -426,6 +429,9 @@ HUGE_VALUES = '{"variables": ["a"], "outcomes": [{"p": 1, "values": [' + LONG_ZE
         ("p" + ",a" * 100000 + "\n1" + ",0" * 100000, "unique"),
         ('{"variables": ["a"], "outcomes": [[' + LONG_ZEROS + "]]}", "bad outcome entry"),
         (HUGE_VALUES, "bad outcome"),
+        ('{"variables": [1, null, true], "outcomes": []}', "variable names must be strings"),
+        ('{"variables": [{"a": 1}], "outcomes": []}', "variable names must be strings"),
+        ('{"variables": [["a"]], "outcomes": []}', "variable names must be strings"),
     ],
     ids=[
         "mass",
@@ -438,6 +444,9 @@ HUGE_VALUES = '{"variables": ["a"], "outcomes": [{"p": 1, "values": [' + LONG_ZE
         "huge-names",
         "huge-entry",
         "huge-values",
+        "scalar-names",
+        "object-name",
+        "array-name",
     ],
 )
 def test_malformed_table_exits_2(tmp_path, capsys, text, fragment):

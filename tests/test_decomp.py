@@ -303,6 +303,12 @@ def test_pid_view_rejects_bad_target(xor):
         ia.pid_view(ia.solve_trivariate(xor), 4)
 
 
+@pytest.mark.parametrize("target", [True, 2.0, "2", None])
+def test_pid_view_refuses_a_target_that_is_not_an_int(xor, target):
+    with pytest.raises(ia.VariableSetError, match="target must be 1, 2 or 3"):
+        ia.pid_view(ia.solve_trivariate(xor), target)
+
+
 # ---------------------------------------------------------------------------
 # Distributive solver
 # ---------------------------------------------------------------------------
@@ -983,16 +989,12 @@ def test_validate_reports_match_for_reused_fresh_and_shuffled_tables():
 
 def _bitsets_oracle(table: ParthoodTable, view) -> tuple:
     """:meth:`ParthoodTable._bitsets`, read entry by entry, by lattice position."""
-    row_at = [0] * len(view)
     held_at = [0] * len(view)
-    for i, (a, x) in enumerate(zip(table.rows, table.entries)):
-        p = view.index(a)
-        row_at[p] = i
-        held_at[p] = sum(v << j for j, v in enumerate(x))
-    at = [sum(1 << p for p, h in enumerate(held_at) if h >> j & 1)
-          for j in range(len(table.cols))]
-    low = [(m & -m).bit_length() - 1 for m in at]
-    return row_at, held_at, at, low
+    for a, x in zip(table.rows, table.entries):
+        held_at[view.index(a)] = sum(v << j for j, v in enumerate(x))
+    low = [next((p for p, h in enumerate(held_at) if h >> j & 1), -1)
+           for j in range(len(table.cols))]
+    return held_at, low
 
 
 def test_bitsets_match_an_entry_by_entry_oracle():
@@ -1181,6 +1183,18 @@ def test_scan_deterministic():
     b = ia.scan_random(200, 42, [2, 2, 2])
     assert a == b
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("n_samples, cards, message", [
+    (1, [2.5, 2, 2], "cardinalities must be integers"),
+    (1, [2.0, 2, 2], "cardinalities must be integers"),
+    (1, [True, 2, 2], "cardinalities must be integers"),
+    (True, [2, 2, 2], "n_samples must be an integer"),
+    (1.0, [2, 2, 2], "n_samples must be an integer"),
+])
+def test_scan_refuses_arguments_that_are_not_ints(n_samples, cards, message):
+    with pytest.raises(ia.GateSpecError, match=message):
+        ia.scan_random(n_samples, 0, cards)
 
 
 def test_scan_rejects_bad_requests():

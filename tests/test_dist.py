@@ -539,10 +539,25 @@ def test_extend_with_joint_steps_past_names_in_use():
     ('{"variables": ["A"]}', "JSON table needs 'variables' and 'outcomes' keys"),
     ('{"outcomes": []}', "JSON table needs 'variables' and 'outcomes' keys"),
     ('{"variables": ["A"], "outcomes": [{"p": 1, "values": 0}]}', "bad outcome values 0"),
+    ('{"variables": [1, null, true], "outcomes": []}', "variable names must be strings"),
+    ('{"variables": ["A", {"B": 1}], "outcomes": []}', "variable names must be strings"),
+    ('{"variables": [["A"]], "outcomes": []}', "variable names must be strings"),
 ])
 def test_load_json_refuses_missing_keys_and_values_that_are_not_a_list(text, message):
     with pytest.raises(ia.MalformedRow, match=re.escape(message)):
         ia.load_table(text)
+
+
+@pytest.mark.parametrize("cards", [[2.9, 2], [2.0, 2], [True, 2], ["2", 2], [None, 2]])
+def test_random_table_refuses_non_integer_cardinalities(cards):
+    with pytest.raises(ia.GateSpecError, match="cardinalities must be integers"):
+        ia.random_table(1, cards)
+
+
+@pytest.mark.parametrize("cards", [[2.7, True], [2.0, 2], [True, 2], ["2", 2]])
+def test_from_pmf_refuses_non_integer_cardinalities(cards):
+    with pytest.raises(ia.MalformedRow, match="cardinalities must be integers"):
+        ia.ProbTable.from_pmf(("A", "B"), {(0, 0): 1.0}, cards=cards)
 
 
 def test_oversized_generators_and_empty_groups_are_refused(xor):

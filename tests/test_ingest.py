@@ -144,6 +144,8 @@ def _overflow(rows, *positions):
     pytest.param(_overflow(BASE, 5), (2, 3, 2), id="overflow-other-column"),
     pytest.param(BASE, (2, 2), id="short-cards"),
     pytest.param(BASE, (2, 0, 2), id="zero-card"),
+    pytest.param(BASE, (2, 2.0, 2), id="float-card"),
+    pytest.param(BASE, (True, 2, 2), id="bool-card"),
 ])
 def test_card_errors_match_the_row_oracle(rows, cards):
     want = _result(oracle_from_pmf, NAMES, rows, cards)

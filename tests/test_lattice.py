@@ -162,6 +162,15 @@ def test_enumeration_rejects_out_of_range():
         enumerate_antichains(9)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, 2.0, 2.5, "2", None])
+def test_enumeration_refuses_what_is_not_an_int(n):
+    # The views of 1 and 2 are built first: a value equal to 1 or 2 must
+    # not read them from the memo.
+    enumerate_antichains(1), enumerate_antichains(2)
+    with pytest.raises(ia.LatticeRangeError, match="must be an integer"):
+        enumerate_antichains(n)
+
+
 # ---------------------------------------------------------------------------
 # Order
 # ---------------------------------------------------------------------------

@@ -112,3 +112,13 @@ def _scopes_naming(name: str) -> set[str]:
 
 def test_only_mask_entropy_touches_the_entropy_memo():
     assert _scopes_naming("_entropies") == {"dist.py:ProbTable.__init__", "dist.py:_mask_entropy"}
+
+
+def test_only_parthood_table_touches_its_bitsets():
+    # Validate and lift read a table's held bitsets through _bitsets and
+    # _keep_bits alone, so no other scope indexes their fields.
+    assert _scopes_naming("_bits") == {
+        "decomp.py:ParthoodTable._bitsets",
+        "decomp.py:ParthoodTable._keep_bits",
+        "decomp.py:ParthoodTable._covers_hold",
+    }

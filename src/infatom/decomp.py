@@ -58,6 +58,7 @@ from .dist import (
     entropy,
     interaction_information,
     random_table,
+    xor_gate,
 )
 from .errors import (
     DecompositionFormatError,
@@ -416,16 +417,16 @@ def solve_trivariate(
     """Decompose a 3-variable system into nine non-negative atoms.
 
     ``r`` is the size assigned to the triple intersection (covering 3)
-    and must lie in :func:`feasible_interval`; the default is the lower
-    endpoint, the minimal-synergy convention.  The synergistic and ghost
-    atoms both measure ``r - I_3``; pairwise atoms are ``I(Xi;Xj) - r``;
-    per-variable atoms are the conditional entropies given the rest.
+    and must lie in :func:`feasible_interval`; an ``r`` up to ``eps``
+    outside it is read, and recorded, as the nearest endpoint.  The
+    default is the lower endpoint, the minimal-synergy convention.  The
+    synergistic and ghost atoms both measure ``r - I_3``; pairwise atoms
+    are ``I(Xi;Xj) - r``; per-variable atoms are the conditional
+    entropies given the rest.
     """
     h = _trivariate_entropies(table)  # raises WrongArity unless n = 3
     lo, hi = _bounds(h)  # the feasible interval, from the entropies read once
-    if r is None:
-        r = lo
-    _check_feasible(r, lo, hi, eps)
+    r = _check_feasible(lo if r is None else r, lo, hi, eps)
     sizes = _trivariate_sizes(h, r, eps)
     atoms = AtomSet(tuple(Atom(parse_label(t), s, c) for t, s, c in sizes))
     return Decomposition(3, _parthood(3, atoms.labels()), atoms, r)
@@ -547,7 +548,7 @@ def solve_n_parity(n: int) -> Decomposition:
 
 
 class XorUniqueness(_Record):
-    """Closed-form solution of the symmetric 3-bit parity ansatz.
+    """Solution of the symmetric 3-bit parity ansatz.
 
     Unknowns: ``x`` the synergistic atom and ``y`` the per-pair atoms.
     The per-variable atoms measure ``1 - 2y - x`` and the ghost atom
@@ -564,16 +565,13 @@ class XorUniqueness(_Record):
 
 
 def verify_xor_uniqueness() -> XorUniqueness:
-    """Solve the symmetric ansatz; the unique solution is x = 1, y = 0."""
-    y = 0.0  # pi_variable = 1 - 2y - x = -y/2 >= 0 and y >= 0 force y = 0
-    x = (2.0 - 3.0 * y) / 2.0
-    return XorUniqueness(
-        x=x,
-        y=y,
-        pi_variable=1.0 - 2.0 * y - x,
-        pi_ghost=2.0 * x + 3.0 * y - 1.0,
-        conservation=2.0 * x + 3.0 * y,
-    )
+    """Solve the symmetric ansatz; the unique solution is x = 1, y = 0.
+    The gate's feasible interval is ``[0, 0]``, so :func:`solve_trivariate`
+    gives it: the sizes of ``Pi_s``, ``{1}{2}``, ``{1}`` and ``Pi_g``."""
+    size = solve_trivariate(xor_gate()).atom_size
+    x, y = size("Pi_s"), size("{1}{2}")
+    return XorUniqueness(x=x, y=y, pi_variable=size("{1}"), pi_ghost=size("Pi_g"),
+                         conservation=2.0 * x + 3.0 * y)
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +677,13 @@ def validate(
     lattice position only, and a failed check's detail names its first
     offender in lattice-position order, so a report, details included,
     does not depend on the order of the rows.
-    Write ``r(k)`` for k's reduced form where that differs from k (a row
-    reduced to None or to itself has none).  Monotonicity is first decided
-    on cover pairs: it passes, with residual 0, if equal rows pass and
+    Each term with two or more brackets is reduced once (see
+    :mod:`infatom.terms`), and ``red_pos[k]``, read by monotonicity, term
+    sizes and equal rows, is the position of k's reduced form, placed by
+    its masks: k itself where no rule fires (a single bracket included),
+    -1 where R1 empties the term.  Write ``r(k)`` for the reduced form
+    where ``red_pos[k]`` is neither.  Monotonicity is first decided on
+    cover pairs: it passes, with residual 0, if equal rows pass and
     ``held[p] & ~held[c] == 0`` for every upper cover c of every position
     p.  Row inclusion is transitive, so the cover test gives
     ``held[p] <= held[k]`` for every ``p <= k``: no plain pair violates.
@@ -706,25 +708,22 @@ def validate(
     covers, complete when the backward pass reaches p.  For the row at p,
     with ``r(p)`` at q, a row k extends the order with it iff
     ``r(p) <= k`` (k is q or in ``up[q]``), ``p <= r(k)`` (k in
-    ``up_pre[p]``) or ``r(p) <= r(k)`` (k in ``up_pre[q]``); where p is
-    unchanged only the middle clause exists.  That mask, the positions
-    outside ``up[p]`` (pairs already ordered are counted once, as such)
-    and the rows lacking a positive atom of row p are AND-ed, and the
-    violations are popcounts.  The detail names the first position with a
-    violation and the lowest position in its mask.  The covering rule reads each
-    atom's lowest position: the listing is graded by covering, most
-    brackets first.  Term sizes sum each distinct ``held`` pattern once
-    with ``fsum``, correctly rounded, so as :meth:`Decomposition.term_sum`
-    would.  A term's size depends only on the masks of its reduced form,
-    so :func:`~infatom.terms.eval_term` runs once per distinct reduced
-    form and ``held`` pattern, and the detail names the first position
+    ``up_pre[p]``) or ``r(p) <= r(k)`` (k in ``up_pre[q]``); where
+    ``r(p)`` does not exist only the middle clause does.  That mask, the
+    positions outside ``up[p]`` (pairs already ordered are counted once,
+    as such) and the rows lacking a positive atom of row p are AND-ed,
+    and the violations are popcounts.  The detail names the first position with a
+    violation and the lowest position in its mask.  The covering rule
+    reads each atom's lowest position: the listing is graded by covering,
+    most brackets first.  Term sizes sum each distinct ``held`` pattern
+    once with ``fsum``, correctly rounded, so as
+    :meth:`Decomposition.term_sum` would.  A term's size depends only on
+    its reduced form, so :func:`~infatom.terms.eval_term` runs once per key
+    ``(red_pos[p], held[p])``, and the detail names the first position
     with the largest gap.  Equal rows test ``(held[p] ^ held[q]) &
-    positive`` for q the position of p's reduced form.  Each term with two
-    or more brackets is reduced once; monotonicity, term sizes and equal
-    rows share that reduction (a single bracket is its own reduced form).
-    Reductions read the table's R1/R2 decisions per ``eps`` and mask pair
-    (see :mod:`infatom.terms`), and a reduced form that differs from its
-    row is placed by its masks, not looked up as an antichain.
+    positive`` for q = ``red_pos[p]`` where that is neither p nor -1.
+    Covering and equal rows list their offenders in lattice-position
+    order: the residual is their count, and the detail names the first.
     """
     if table.n != decomp.n:
         raise WrongArity(f"decomposition over {decomp.n} variables, table over {table.n}")
@@ -766,23 +765,17 @@ def validate(
         None if len(a.brackets) == 1 else reduce_antichain(table, a, eps=eps) for a in elements
     ]
 
-    # ``red_pos[p]`` is the position of p's reduced form, or -1 where that
-    # is p itself or None.
-    red_pos = [-1] * len(elements)
+    # ``red_pos[p]`` is the position of p's reduced form: p where no rule
+    # fires, -1 where R1 empties the term.
     position = view._index
-    for p, (a, r) in enumerate(zip(elements, reductions)):
-        if r is not None and r[0] is not None and r[0] is not a:
-            red_pos[p] = position[r[0].masks]
+    red_pos = [p if r is None or not r[1] else -1 if r[0] is None else position[r[0].masks]
+               for p, r in enumerate(reductions)]
 
     # V7 (reported last): reduction-equal terms share rows on positive atoms.
-    mismatches = 0
-    first_bad = ""
-    for a, h, q in zip(elements, held_at, red_pos):
-        if q >= 0 and (h ^ held_at[q]) & positive:
-            mismatches += 1
-            if not first_bad:
-                first_bad = f"{a} ~ {elements[q]}"
-    equal_rows = CheckResult("equal_rows", mismatches == 0, float(mismatches), first_bad)
+    offenders = [f"{elements[p]} ~ {elements[q]}" for p, q in enumerate(red_pos)
+                 if q >= 0 and q != p and (held_at[p] ^ held_at[q]) & positive]
+    equal_rows = CheckResult("equal_rows", not offenders, float(len(offenders)),
+                             offenders[0] if offenders else "")
 
     # V2: monotonicity along the order, extended by reduction equalities.
     # Where V7 passes and every row's atoms are held by its upper covers'
@@ -792,14 +785,14 @@ def validate(
     if equal_rows.passed and decomp.table._covers_hold(covers):
         checks.append(CheckResult("monotonicity", True, 0.0, ""))
     else:
-        # ``up_pre[q]`` starts as the positions reduced to q.  Covers lie
+        # ``up_pre[q]`` starts as the other positions reduced to q.  Covers lie
         # later in the listing, a linear extension, so read backwards each
         # ``up`` and ``up_pre`` mask is complete before it is used.
         # ``lacking[h]`` marks the rows lacking an atom of pattern ``h``:
         # the positions of each distinct pattern ``g`` with ``h & ~g``.
         up_pre = [0] * len(elements)
         for p, q in enumerate(red_pos):
-            if q >= 0:
+            if q >= 0 and q != p:
                 up_pre[q] |= 1 << p
         up = [0] * len(elements)
         for p in range(len(elements) - 1, -1, -1):
@@ -821,7 +814,7 @@ def validate(
         violations = 0
         first_bad = ""
         for p, (a, h, q) in enumerate(zip(elements, held_at, red_pos)):
-            reach = up_pre[p] if q < 0 else up[q] | 1 << q | up_pre[p] | up_pre[q]
+            reach = up_pre[p] if q < 0 or q == p else up[q] | 1 << q | up_pre[p] | up_pre[q]
             bad = (up[p] & lacking[h]) | (lacking[h & positive] & reach & ~up[p])
             violations += bad.bit_count()
             if bad and not first_bad:
@@ -829,15 +822,11 @@ def validate(
         checks.append(CheckResult("monotonicity", violations == 0, float(violations), first_bad))
 
     # V3: covering rule, read at the lowest position holding each atom.
-    mismatches = 0
-    first_bad = ""
-    for atom, p in zip(atoms, low):
-        observed = elements[p].covering if p >= 0 else 0
-        if observed != atom.covering:
-            mismatches += 1
-            if not first_bad:
-                first_bad = f"{atom.label.text}: {atom.covering} != {observed}"
-    checks.append(CheckResult("covering_rule", mismatches == 0, float(mismatches), first_bad))
+    observed = [elements[p].covering if p >= 0 else 0 for p in low]
+    offenders = [f"{atom.label.text}: {atom.covering} != {c}"
+                 for atom, c in zip(atoms, observed) if c != atom.covering]
+    checks.append(CheckResult("covering_rule", not offenders, float(len(offenders)),
+                              offenders[0] if offenders else ""))
 
     # V4: conservation law.
     lhs = math.fsum(entropy(table, [k]) for k in range(table.n))
@@ -849,17 +838,15 @@ def validate(
     checks.append(CheckResult("total_law", residual <= eps, residual))
 
     # V6: term sizes, exact or by interval containment.  A term's size
-    # depends only on its reduced form's masks (None for the empty term),
-    # so rows sharing that form and a ``held`` pattern share one gap.
+    # depends only on its reduced form, so rows sharing ``red_pos`` and a
+    # ``held`` pattern share one gap.
     sizes = [a.size for a in atoms]
     sums = {h: math.fsum(s for j, s in enumerate(sizes) if h >> j & 1) for h in set(held_at)}
     gaps = {}
     worst_gap = 0.0
     first_bad = ""
-    for a, h, reduction in zip(elements, held_at, reductions):
-        form = a if reduction is None else reduction[0]
-        key = (None if form is None else form.masks, h)
-        gap = gaps.get(key)
+    for a, h, q, reduction in zip(elements, held_at, red_pos, reductions):
+        gap = gaps.get((q, h))
         if gap is None:
             total = sums[h]
             tv = eval_term(table, a, eps=eps, reduction=reduction)
@@ -868,7 +855,7 @@ def validate(
             else:
                 lo, hi = tv.bounds
                 gap = max(lo - total, total - hi, 0.0)
-            gaps[key] = gap
+            gaps[q, h] = gap
         if gap > worst_gap:
             worst_gap = gap
             first_bad = str(a)
@@ -910,8 +897,12 @@ class ScanSummary(_Record):
 
 def sample_table(seed: int, index: int, cards) -> ProbTable:
     """The ``index``-th table of a scan: seeded independently per sample,
-    so results do not depend on evaluation order."""
-    return random_table(f"{seed}:{index}", cards)
+    so results do not depend on evaluation order.  Both numbers must be
+    ints (:class:`GateSpecError`), so equal seeds draw equal tables."""
+    key = _integer(seed), _integer(index)
+    if None in key:
+        raise GateSpecError(f"scan seed and index must be integers, got {seed!r}, {index!r}")
+    return random_table("{}:{}".format(*key), cards)
 
 
 def scan_random(

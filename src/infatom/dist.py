@@ -160,8 +160,10 @@ class ProbTable(_Record):
 
 
 def _names(variables: Sequence[str]) -> tuple[str, ...]:
-    """The variable names as strings, checked non-empty and unique."""
-    names = tuple(map(str, variables))
+    """The variable names, checked to be strings, non-empty and unique."""
+    names = tuple(variables)
+    if not all(isinstance(v, str) for v in names):
+        raise MalformedRow("variable names must be strings")
     if not names or len(set(names)) != len(names) or "" in names:
         raise MalformedRow(f"variable names must be non-empty and unique: {names!r}")
     return names
@@ -303,8 +305,6 @@ def _load_json(text: str, eps: float) -> ProbTable:
     names = obj["variables"]
     if not isinstance(names, list) or not isinstance(obj["outcomes"], list):
         raise MalformedRow("'variables' and 'outcomes' must be lists")
-    if not all(isinstance(v, str) for v in names):
-        raise MalformedRow("variable names must be strings")
     pmf: list[tuple[Outcome, float]] = []
     for entry in obj["outcomes"]:
         if not isinstance(entry, dict) or "p" not in entry or "values" not in entry:

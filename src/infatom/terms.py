@@ -11,10 +11,13 @@ undetermined is reported as an interval:
 * R2: if bracket-joint A is a deterministic function of bracket-joint B,
   intersecting with B is redundant, so bracket B is dropped.
 
-Rules are applied R1 first, then R2, iterated to a fixpoint, scanning
-bracket pairs in position order so reduction traces are deterministic.
-R1 needs one pass over the pairs: R2 only drops brackets, so every pair
-left after it was already tested and found dependent.
+Rules are applied R1 first, then R2, each in one pass over the bracket
+pairs in position order, so traces are deterministic.  R1 needs one
+pass: R2 only drops brackets, so every pair left was found dependent.
+R2's pass skips pairs that touch a dropped bracket and ends at a
+fixpoint: a decision depends on its pair's masks alone, so a drop changes
+none, and a scan restarted after it would find every earlier pair still
+not firing.
 
 Both rules work on bracket masks (bit ``i - 1`` for index ``i``).  Each
 table keeps, per ``eps``, the decision of every mask pair a rule tested,
@@ -109,7 +112,7 @@ def _decide(table: ProbTable, decided: dict[int, str], key: int, x: int, y: int,
 def reduce_antichain(
     table: ProbTable, a: Antichain, *, eps: float = DEFAULT_EPS
 ) -> tuple[Antichain | None, tuple[str, ...]]:
-    """Apply R1/R2 to a fixpoint.
+    """Apply R1, then R2, one pass each (see the module docstring).
 
     Returns ``(None, trace)`` when R1 proved the term empty, otherwise
     the reduced antichain (term sizes are equal along the whole trace).
@@ -127,24 +130,23 @@ def reduce_antichain(
             step = _decide(table, decided, key, x, y, eps)
         if step:
             return None, (step,)
-    kept = masks
+    gone = 0  # the OR of the dropped masks, which are disjoint
     trace: list[str] = []
-    while len(kept) >= 2:
-        for x, y in permutations(kept, 2):
-            key = (x << n | y) << 1 | 1
-            step = decided.get(key)
-            if step is None:
-                step = _decide(table, decided, key, x, y, eps)
-            if step:
-                trace.append(step)
-                kept = tuple(m for m in kept if m != y)
-                break
-        else:
-            break
+    for x, y in permutations(masks, 2):
+        if (x | y) & gone:
+            continue
+        key = (x << n | y) << 1 | 1
+        step = decided.get(key)
+        if step is None:
+            step = _decide(table, decided, key, x, y, eps)
+        if step:
+            trace.append(step)
+            gone |= y
     if not trace:
         return a, ()
+    kept = tuple(m for m in masks if not m & gone)
     # The kept masks are a subsequence of the canonical ones, as are their brackets.
-    brackets = tuple(b for b, m in zip(a.brackets, masks) if m in kept)
+    brackets = tuple(b for b, m in zip(a.brackets, masks) if not m & gone)
     return Antichain._trusted(brackets, kept), tuple(trace)
 
 
@@ -235,21 +237,22 @@ def redundancy_bounds(table: ProbTable) -> tuple[float, float]:
     return _bounds(_trivariate_entropies(table))
 
 
-def _check_feasible(r: float, lo: float, hi: float, eps: float) -> None:
+def _check_feasible(r: float, lo: float, hi: float, eps: float) -> float:
+    """``r`` clamped into ``[lo, hi]``; refused unless finite and within ``eps`` of it."""
     if not math.isfinite(r):
         raise RedundancyValueError(f"redundancy value must be a finite number, got {r!r}")
     if not (lo - eps <= r <= hi + eps):
         raise InfeasibleRedundancy(
             f"r = {r!r} outside feasible interval [{lo!r}, {hi!r}]"
         )
+    return min(max(r, lo), hi)
 
 
-def _feasible_entropies(table: ProbTable, r: float, eps: float) -> list[float]:
-    """:func:`_trivariate_entropies`, once ``r`` is checked against the
-    bounds they give."""
+def _feasible_entropies(table: ProbTable, r: float, eps: float) -> tuple[list[float], float]:
+    """:func:`_trivariate_entropies`, and ``r`` as :func:`_check_feasible`
+    reads it against the bounds they give."""
     h = _trivariate_entropies(table)
-    _check_feasible(r, *_bounds(h), eps)
-    return h
+    return h, _check_feasible(r, *_bounds(h), eps)
 
 
 def delta_H(table: ProbTable, r: float, *, eps: float = DEFAULT_EPS) -> float:
@@ -260,7 +263,8 @@ def delta_H(table: ProbTable, r: float, *, eps: float = DEFAULT_EPS) -> float:
     non-negative for feasible ``r`` and invariant under variable
     permutations.
     """
-    return r - _co_information(_feasible_entropies(table, r, eps))
+    h, r = _feasible_entropies(table, r, eps)
+    return r - _co_information(h)
 
 
 def check_inclusion_exclusion3(
@@ -274,7 +278,7 @@ def check_inclusion_exclusion3(
     subset entropies are read once, and every partial sum is the one
     ``delta_H`` and ``mutual_information`` compute.
     """
-    h = _feasible_entropies(table, r, eps)
+    h, r = _feasible_entropies(table, r, eps)
     h1, h2, h3, h12, h13, h23, h123 = h
     gap = r - _co_information(h)
     i12 = h1 + h2 - h12

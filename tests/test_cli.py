@@ -100,6 +100,15 @@ def test_decompose_infeasible_redundancy_exits_1(tmp_path, capsys):
     assert "feasible" in err
 
 
+def test_decompose_redundancy_just_past_the_interval_exits_0(tmp_path, capsys):
+    # The copy gate's interval is [1, 1], and 1 + eps is read as 1.
+    path = tmp_path / "copy.csv"
+    run(capsys, "gate", "copy", "-o", str(path))
+    code, out, err = run(capsys, "decompose", str(path), "--redundancy", "1.000000001")
+    assert (code, err) == (0, "")
+    assert "redundancy_param = 1.000000000" in out
+
+
 def test_decompose_parity(capsys):
     code, out, _ = run(capsys, "decompose", "--parity", "5")
     assert code == 0

@@ -201,6 +201,27 @@ def test_solver_rejects_infeasible_redundancy(xor):
         ia.solve_trivariate(xor, 0.25)
 
 
+@pytest.mark.parametrize("r", [1 - 5e-10, 1 + 5e-10, 1 + 1e-9])
+def test_redundancy_within_eps_of_the_interval_is_read_as_its_endpoint(copies, r):
+    # The copy gate's interval is [1, 1]: r is read, and recorded, as 1.
+    d = ia.solve_trivariate(copies, r)
+    assert d.redundancy_param == 1.0
+    assert ia.validate(d, copies).passed
+    assert ia.delta_H(copies, r) == ia.delta_H(copies, 1.0)
+
+
+def test_every_accepted_redundancy_validates_on_random_tables():
+    eps = ia.DEFAULT_EPS
+    for k in range(60):
+        t = ia.random_table(f"edge-r:{k}", [2, 3, 2])
+        lo, hi = ia.feasible_interval(t)
+        for r, endpoint in ((hi + eps, hi), (lo - eps, lo), (hi + eps / 2, hi), (lo - eps / 2, lo)):
+            d = ia.solve_trivariate(t, r)
+            assert d.redundancy_param == endpoint, (k, r)
+            assert ia.validate(d, t).passed, (k, r)
+            assert abs(ia.check_inclusion_exclusion3(t, r)) <= 1e-12, (k, r)
+
+
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
 def test_solver_rejects_non_finite_redundancy_as_input_error(xor, r):
     with pytest.raises(ia.RedundancyValueError, match="finite") as info:
@@ -531,6 +552,17 @@ def test_xor_uniqueness_closed_form():
     assert u.conservation == 2.0
     assert u.pi_variable == 0.0
     assert u.pi_ghost == 1.0
+
+
+def test_xor_uniqueness_redundancy_is_forced(xor):
+    assert ia.feasible_interval(xor) == (0.0, 0.0)
+
+
+def test_xor_uniqueness_fields_are_computed_by_the_solver(monkeypatch):
+    # On the copy gate the solver puts everything in the triple atom.
+    monkeypatch.setattr(decomp, "xor_gate", ia.copy_gate)
+    u = ia.verify_xor_uniqueness()
+    assert u.x == 0.0 and u.y == 0.0 and u.pi_ghost == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1195,6 +1227,16 @@ def test_scan_deterministic():
 def test_scan_refuses_arguments_that_are_not_ints(n_samples, cards, message):
     with pytest.raises(ia.GateSpecError, match=message):
         ia.scan_random(n_samples, 0, cards)
+
+
+@pytest.mark.parametrize("seed", [1.0, True, "1", None])
+def test_scan_refuses_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ia.GateSpecError, match="seed and index must be integers"):
+        ia.scan_random(2, seed, [2, 2, 2])
+    with pytest.raises(ia.GateSpecError, match="seed and index must be integers"):
+        ia.sample_table(seed, 0, [2, 2, 2])
+    with pytest.raises(ia.GateSpecError, match="seed and index must be integers"):
+        ia.sample_table(1, seed, [2, 2, 2])
 
 
 def test_scan_rejects_bad_requests():

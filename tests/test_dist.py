@@ -560,6 +560,18 @@ def test_from_pmf_refuses_non_integer_cardinalities(cards):
         ia.ProbTable.from_pmf(("A", "B"), {(0, 0): 1.0}, cards=cards)
 
 
+@pytest.mark.parametrize("names", [[1, "B"], ["A", None], [True, False]],
+                         ids=["int", "None", "bool"])
+def test_from_pmf_refuses_names_that_are_not_strings(names):
+    with pytest.raises(ia.MalformedRow, match="variable names must be strings"):
+        ia.ProbTable.from_pmf(names, {(0, 0): 1.0})
+
+
+def test_joint_name_must_be_a_string(xor):
+    with pytest.raises(ia.MalformedRow, match="variable names must be strings"):
+        ia.extend_with_joint(xor, name=5)
+
+
 def test_oversized_generators_and_empty_groups_are_refused(xor):
     with pytest.raises(ia.VariableSetError, match="needs at least one group"):
         ia.interaction_information(xor, [])

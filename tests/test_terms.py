@@ -376,6 +376,11 @@ REDUCTION_CORPUS = {
     "parity5": ia.parity_gate(5),
     "parity4-joint": ia.extend_with_joint(ia.parity_gate(4)),
     "xor-joint": ia.extend_with_joint(ia.xor_gate()),
+    # Many R2 drops per term: every bracket of copy5 determines every
+    # other, and parity5's joint determines each variable.
+    "copy5": ia.ProbTable.from_pmf([f"X{i}" for i in range(1, 6)],
+                                   {(0,) * 5: 0.5, (1,) * 5: 0.5}),
+    "parity5-joint": ia.extend_with_joint(ia.parity_gate(5)),
     **{f"random{n}:{seed}": ia.random_table(f"reduce:{n}:{seed}", [2] * n)
        for n in (4, 5) for seed in range(3)},
 }

@@ -102,9 +102,10 @@ class AtomLabel(_Record):
     """Name of one atom: a singleton-bracket antichain, the synergistic
     atom ``Pi_s``, or a ghost atom ``Pi_g`` / ``Pi_g_k``.
 
-    The classmethods return shared (immutable) labels from memos bounded
-    to fit every label over :data:`MAX_VARIABLES` variables (255 set
-    labels): equal arguments get the label first built from them.  The
+    The classmethods return shared (immutable) labels: ``Pi_s`` and the
+    ghosts any arity admits are built at import, and a set label is kept
+    when first built, in a memo bounded to fit all 255 over
+    :data:`MAX_VARIABLES` variables.  The
     constructor raises :class:`LabelError` for any other kind, a set label
     not made of singleton brackets, a ghost index that is not an int
     ``>= 1``, or an antichain or index the kind does not take.  Errors are
@@ -149,23 +150,22 @@ class AtomLabel(_Record):
         return label
 
     @classmethod
-    @lru_cache(maxsize=1)
     def synergy(cls) -> "AtomLabel":
-        return cls("synergy")
+        return _SYNERGY
 
     @classmethod
     def ghost(cls, k: int = 1) -> "AtomLabel":
-        return cls._ghost(k)  # one memo key per k, however k is passed
-
-    @classmethod
-    @lru_cache(maxsize=MAX_VARIABLES, typed=True)
-    def _ghost(cls, k: int) -> "AtomLabel":
+        if k.__class__ is int and 1 <= k <= len(_GHOSTS):
+            return _GHOSTS[k - 1]
         return cls("ghost", index=k)
 
     def __str__(self) -> str:
         return self.text
 
 
+#: The labels where distributivity fails; n variables admit ghosts k <= n - 2.
+_SYNERGY = AtomLabel("synergy")
+_GHOSTS = tuple(AtomLabel("ghost", index=k) for k in range(1, MAX_VARIABLES - 1))
 _GHOST_RE = re.compile(r"^Pi_g(?:_(\d+))?$")
 
 
@@ -303,21 +303,16 @@ class ParthoodTable(_Record):
         return hold
 
 
-#: Parthood tables already built, by ``(n, labels)``.  Each solver passes a
-#: label tuple fixed by its arity, so about 14 keys ever occur.
-_PARTHOOD_TABLES: dict[tuple[int, tuple[AtomLabel, ...]], ParthoodTable] = {}
-
-
 def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
     """Parthood table of ``labels`` over every antichain on ``{1..n}``.
 
-    Each table is built once and shared, as tables are frozen, until the
-    lattice memo is cleared: then its rows are no longer the view's own.
-    The lattice is fetched before the lookup, so every solve makes the same
-    calls into :mod:`lattice` whether or not its table was built earlier."""
+    Each table is built once and kept on its lattice view (``_tables``), as
+    tables are frozen, so a rebuilt lattice starts with none.  The lattice
+    is fetched first, so every solve makes the same calls into
+    :mod:`lattice` whether or not its table was built earlier."""
     view = enumerate_antichains(n)
-    table = _PARTHOOD_TABLES.get((n, labels))
-    if table is not None and table.rows is view.elements:
+    table = view._tables.get(labels)
+    if table is not None:
         return table
     # Built by the rule in the module docstring, one column at a time, on masks.
     masks = [a.masks for a in view.elements]
@@ -333,7 +328,7 @@ def _parthood(n: int, labels: tuple[AtomLabel, ...]) -> ParthoodTable:
             k = lab.index
             col = [len(ms) == 1 and k < min(ms[0].bit_count(), n - 1) for ms in masks]
         columns.append([int(v) for v in col])
-    table = _PARTHOOD_TABLES[n, labels] = ParthoodTable(view.elements, labels, tuple(zip(*columns)))
+    table = view._tables[labels] = ParthoodTable(view.elements, labels, tuple(zip(*columns)))
     return table
 
 
@@ -468,7 +463,7 @@ def pid_view(decomp: Decomposition, target: int) -> PidView:
 
 #: Arity cap for the distributive solver.  The inversion is cheap at any
 #: n; the cap bounds the parthood table, one row per antichain and one
-#: column per atom, which ``_parthood`` keeps for the process's life.
+#: column per atom, which ``_parthood`` keeps on the lattice view.
 MAX_SET_THEORETIC = 5
 
 @lru_cache(maxsize=MAX_SET_THEORETIC)
@@ -653,7 +648,9 @@ def validate(
     table has exactly one row per antichain over ``{1..n}``, its
     columns are the decomposition's atoms, in order, every set atom's
     label names variables in ``1..n`` only, and every ghost ``Pi_g_k`` has
-    ``k <= n - 2`` (:class:`AtomLabel` builds no other kind, and no k < 1).
+    ``k <= n - 2`` (:class:`AtomLabel` builds no other kind, and no k < 1),
+    and the atoms' absolute sizes times their coverings sum to a finite
+    float, which bounds every size sum the checks form.
     Columns are not tied to their labels: whether a column follows the
     parthood rule for its label is not checked, as a lifted table
     follows the rule over the base arity read through the lift maps
@@ -747,6 +744,13 @@ def validate(
             raise DecompositionFormatError(
                 f"ghost atom {label.text} needs k <= {decomp.n - 2} over {decomp.n} variables"
             )
+    try:
+        finite = math.isfinite(math.fsum(a.covering * abs(a.size) for a in decomp.atoms))
+    except OverflowError:  # a covering past the float range, or the sum
+        finite = False
+    if not finite:
+        raise DecompositionFormatError("atom sizes times coverings do not sum to a finite "
+                                       "float: JSON could not carry the residuals")
     checks: list[CheckResult] = []
     atoms = decomp.atoms.atoms
     positive = sum(1 << j for j, a in enumerate(atoms) if a.size > eps)

@@ -138,7 +138,10 @@ class ProbTable(_Record):
         n = len(names)
         if any(map((0.0).__gt__, masses)) or len(set(keys)) != len(keys):
             _checked_rows(list(zip(keys, masses)), n)  # raises
-        total = math.fsum(masses)
+        try:
+            total = math.fsum(masses)
+        except OverflowError:  # finite masses whose sum is not
+            total = math.inf
         if not (1.0 - eps <= total <= 1.0 + eps):
             raise TotalMassInvalid(f"total mass {total!r} outside [1-eps, 1+eps]")
         if 0.0 in masses:

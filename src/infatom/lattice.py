@@ -76,7 +76,7 @@ class Antichain(_Record):
         for bracket in brackets:
             if not bracket:
                 raise AntichainError("empty bracket")
-            if not all(isinstance(i, int) and i >= 1 for i in bracket):
+            if not all(isinstance(i, int) and i.__class__ is not bool and i >= 1 for i in bracket):
                 raise AntichainError(f"indices must be integers >= 1: {bracket!r}")
             if len(set(bracket)) != len(bracket) or seen & set(bracket):
                 raise AntichainError(f"indices repeat within or across brackets: {brackets!r}")
@@ -195,8 +195,9 @@ class LatticeView(_Record):
     def __init__(self, n: int, elements: tuple[Antichain, ...]) -> None:
         # _index: each element's position, keyed by its masks, which name an
         # antichain as its brackets do and hash without a Python call.
+        # _tables: parthood tables by label tuple, kept by decomp._parthood().
         self.__dict__.update(n=n, elements=elements, _key=(n, elements),
-                             _index={a.masks: i for i, a in enumerate(elements)})
+                             _index={a.masks: i for i, a in enumerate(elements)}, _tables={})
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -441,6 +441,9 @@ HUGE_VALUES = '{"variables": ["a"], "outcomes": [{"p": 1, "values": [' + LONG_ZE
         ('{"variables": [1, null, true], "outcomes": []}', "variable names must be strings"),
         ('{"variables": [{"a": 1}], "outcomes": []}', "variable names must be strings"),
         ('{"variables": [["a"]], "outcomes": []}', "variable names must be strings"),
+        ("p,a\n1e308,0\n1e308,1\n", "total mass inf"),
+        ('{"variables": ["a"], "outcomes": [{"p": 1e308, "values": [0]}, '
+         '{"p": 1e308, "values": [1]}]}', "total mass inf"),
     ],
     ids=[
         "mass",
@@ -456,6 +459,8 @@ HUGE_VALUES = '{"variables": ["a"], "outcomes": [{"p": 1, "values": [' + LONG_ZE
         "scalar-names",
         "object-name",
         "array-name",
+        "mass-sum-overflow-csv",
+        "mass-sum-overflow-json",
     ],
 )
 def test_malformed_table_exits_2(tmp_path, capsys, text, fragment):
@@ -471,6 +476,11 @@ def test_malformed_table_exits_2(tmp_path, capsys, text, fragment):
 XOR_DECOMP = ia.decomposition_to_json(ia.solve_trivariate(ia.xor_gate()))
 N_OVERFLOW = XOR_DECOMP.replace('"n": 3', '"n": 1e400', 1)
 COVERING_OVERFLOW = XOR_DECOMP.replace('"covering": 3', '"covering": 1e400', 1)
+#: Well-formed fields whose sums, which validate forms, are no finite float.
+SIZE_SUM_OVERFLOW = XOR_DECOMP.replace('"size": 1.0', '"size": 1e308', 2)
+COVERING_PAST_FLOATS = XOR_DECOMP.replace('"covering": 1}', f'"covering": {10**400}}}', 1)
+WEIGHTED_SUM_OVERFLOW = XOR_DECOMP.replace('"size": 0.0, "covering": 3',
+                                           '"size": 1e308, "covering": 3', 1)
 
 
 def _xor_decomp_with(old: str, new: str) -> str:
@@ -504,6 +514,12 @@ MISTYPED_FIELDS = {
         ("validate", COVERING_OVERFLOW, ""),
         ("lift", N_OVERFLOW, ""),
         ("lift", COVERING_OVERFLOW, ""),
+        ("validate", SIZE_SUM_OVERFLOW, ""),
+        ("validate", COVERING_PAST_FLOATS, ""),
+        ("validate", WEIGHTED_SUM_OVERFLOW, ""),
+        ("lift", SIZE_SUM_OVERFLOW, ""),
+        ("lift", COVERING_PAST_FLOATS, ""),
+        ("lift", WEIGHTED_SUM_OVERFLOW, ""),
         ("validate", None, "[" * 200000),
         *[("validate", _xor_decomp_with(*edit), "") for edit in MISTYPED_FIELDS.values()],
         ("lift", _xor_decomp_with(*MISTYPED_FIELDS["size-true"]), ""),
@@ -514,6 +530,12 @@ MISTYPED_FIELDS = {
         "validate-covering-overflow",
         "lift-n-overflow",
         "lift-covering-overflow",
+        "validate-size-sum-overflow",
+        "validate-covering-past-floats",
+        "validate-weighted-sum-overflow",
+        "lift-size-sum-overflow",
+        "lift-covering-past-floats",
+        "lift-weighted-sum-overflow",
         "validate-deep-array-stdin",
         *[f"validate-{name}" for name in MISTYPED_FIELDS],
         "lift-size-true",

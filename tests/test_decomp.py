@@ -795,6 +795,24 @@ def test_validator_rejects_set_atoms_outside_the_variables(xor, brackets):
 
 
 @pytest.mark.parametrize(
+    "edits",
+    [{"Pi_s": (1e308, 2), "Pi_g": (1e308, 1)}, {"{1}": (0.0, 10**400)}, {"{1}{2}{3}": (1e308, 3)}],
+    ids=["size-sum", "covering-past-floats", "weighted-sum"],
+)
+def test_validator_rejects_sums_past_the_float_range(xor, edits):
+    # Each atom is a finite size and an int covering, but a sum the checks
+    # form is not a finite float.
+    d = ia.solve_trivariate(xor)
+    atoms = AtomSet(tuple(Atom(a.label, *edits.get(a.label.text, (a.size, a.covering)))
+                          for a in d.atoms))
+    bad = Decomposition(3, d.table, atoms)
+    with pytest.raises(ia.DecompositionFormatError, match="finite float"):
+        ia.validate(bad, xor)
+    with pytest.raises(ia.DecompositionFormatError, match="finite float"):
+        ia.lift_decomposition(bad, xor)
+
+
+@pytest.mark.parametrize(
     "kind, kw",
     [
         ("x", {}),
@@ -1309,6 +1327,25 @@ def test_synergy_and_ghost_labels_are_shared():
     for _ in range(3):  # errors are not cached
         with pytest.raises(ia.LabelError):
             ia.AtomLabel.ghost(0)
+
+
+def test_ghost_labels_past_every_arity_are_built_but_refused():
+    # Every ghost an arity up to MAX_VARIABLES admits is shared; a larger k
+    # builds a label, which validate refuses at every n.
+    last = lattice.MAX_VARIABLES - 2
+    for k in range(1, last + 1):
+        assert ia.AtomLabel.ghost(k) is parse_label(f"Pi_g_{k}")
+    beyond = ia.AtomLabel.ghost(last + 1)
+    assert beyond == parse_label(f"Pi_g_{last + 1}") and beyond.text == f"Pi_g_{last + 1}"
+    d = ia.solve_n_parity(lattice.MAX_VARIABLES)
+    atoms = AtomSet(d.atoms.atoms + (Atom(beyond, 0.0, 1),))
+    cols = ParthoodTable(d.table.rows, atoms.labels(), tuple(row + (0,) for row in d.table.entries))
+    with pytest.raises(ia.DecompositionFormatError, match=f"k <= {last}"):
+        ia.validate(Decomposition(d.n, cols, atoms), ia.parity_gate(lattice.MAX_VARIABLES))
+    for k in (True, 1.0, 0, -1, "1"):
+        for _ in range(2):
+            with pytest.raises(ia.LabelError):
+                ia.AtomLabel.ghost(k)
 
 
 @pytest.mark.parametrize(

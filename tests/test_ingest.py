@@ -129,6 +129,22 @@ def test_from_pmf_rejects_as_the_row_oracle(rows):
     assert_same(_result(ia.ProbTable.from_pmf, NAMES, pmf), want)
 
 
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda: ia.ProbTable.from_pmf(["a"], {(0,): 1e308, (1,): 1e308}),
+        lambda: ia.load_table("p,a\n1e308,0\n1e308,1\n"),
+        lambda: ia.load_table('{"variables": ["a"], "outcomes": [{"p": 1e308, "values": [0]}, '
+                              '{"p": 1e308, "values": [1]}]}'),
+    ],
+    ids=["from_pmf", "csv", "json"],
+)
+def test_masses_summing_past_the_float_range_are_an_invalid_total(load):
+    # Each mass is finite; their sum is read as infinite.
+    with pytest.raises(ia.TotalMassInvalid, match="total mass inf"):
+        load()
+
+
 def _overflow(rows, *positions):
     rows = list(rows)
     for i in positions:

@@ -82,6 +82,25 @@ def test_overlapping_brackets_rejected():
         Antichain.of([1], [])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Antichain(((True,), (2,))), lambda: Antichain.of([True], [2]),
+     lambda: Antichain.of([2, True])],
+    ids=["init", "of", "of-in-a-bracket"],
+)
+def test_bool_indices_rejected(monkeypatch, build):
+    # True equals and hashes as 1, so a set label built over {True}{2} would
+    # be found by every later {1}{2} lookup, and print as {True}{2}.
+    monkeypatch.setattr("infatom.decomp._SET_LABELS", {})
+    for _ in range(2):
+        with pytest.raises(ia.AntichainError, match="integers"):
+            ia.AtomLabel.set_theoretic(build())
+    d = ia.solve_trivariate(ia.xor_gate())
+    assert [c.text for c in d.table.cols] == [
+        "{1}{2}{3}", "Pi_s", "{1}{2}", "{1}{3}", "{2}{3}", "{1}", "{2}", "{3}", "Pi_g"]
+    assert ia.decomposition_from_json(ia.decomposition_to_json(d)) == d
+
+
 def test_repeated_index_within_a_bracket_rejected():
     for build in (lambda: Antichain.parse("{1,1}{2}"), lambda: Antichain.of([1, 1], [2])):
         for _ in range(2):  # parse errors are not cached

@@ -122,3 +122,49 @@ def test_only_parthood_table_touches_its_bitsets():
         "decomp.py:ParthoodTable._keep_bits",
         "decomp.py:ParthoodTable._covers_hold",
     }
+
+
+def _package_trees():
+    for path in sorted(Path(infatom.__file__).parent.glob("*.py")):
+        yield ast.parse(path.read_text())
+
+
+def _memoised_functions() -> set[str]:
+    """Qualnames of the package functions decorated with ``lru_cache`` or
+    ``cache``, called or bare, by name or through ``functools``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                for dec in getattr(child, "decorator_list", ()):
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache"):
+                        found.add(name)
+                visit(child, name)
+
+    for tree in _package_trees():
+        visit(tree, "")
+    return found
+
+
+def test_the_process_memos_are_a_fixed_list():
+    # Each memo here lives as long as the process; the rest live on the
+    # value they are built from (a table, a lattice view, a label).
+    assert _memoised_functions() == {
+        "Antichain.parse", "enumerate_antichains", "_mask_positions", "_btext", "_mobius_plan",
+    }
+    empty_dicts = set()
+    for tree in _package_trees():
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(value, ast.Dict) \
+                    and not value.keys:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                empty_dicts.update(t.id for t in targets)
+    assert empty_dicts == {"_SET_LABELS", "_SELECTION_MASKS"}
+
+
+def test_only_parthood_touches_a_views_tables():
+    assert _scopes_naming("_tables") == {"lattice.py:LatticeView.__init__", "decomp.py:_parthood"}

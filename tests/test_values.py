@@ -50,7 +50,7 @@ CASES = [
         {"n": 2, "elements": L2},
         "LatticeView(n=2, elements=(Antichain(brackets=((1,), (2,))), Antichain(brackets="
         "((1,),)), Antichain(brackets=((2,),)), Antichain(brackets=((1, 2),))))",
-        ("_index", "covers", "lifts"),
+        ("_index", "covers", "lifts", "_tables"),
     ),
     (
         TermValue,
@@ -116,6 +116,8 @@ def _fill_memos(x) -> None:
         _ = x.masks
     elif isinstance(x, LatticeView):
         _ = x.covers, x.index(A1), x.lifts
+        # _parthood keeps its tables on the lattice memo's view, not on x.
+        x._tables[SYN,] = d._parthood(2, (SYN,))
     elif isinstance(x, d.AtomSet):
         x.size(SYN)
     elif isinstance(x, d.ParthoodTable):

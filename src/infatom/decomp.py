@@ -91,22 +91,14 @@ from .terms import (
 # ---------------------------------------------------------------------------
 
 
-#: Shared set labels keyed by their antichain's brackets: nested int tuples
-#: hash in C, unlike an antichain, and stay small for any index, unlike its
-#: masks.  Errors are not stored, and the memo stops growing at 256 labels,
-#: room for all 255 over :data:`MAX_VARIABLES` variables.
-_SET_LABELS: dict[tuple[tuple[int, ...], ...], "AtomLabel"] = {}
-
-
 class AtomLabel(_Record):
     """Name of one atom: a singleton-bracket antichain, the synergistic
     atom ``Pi_s``, or a ghost atom ``Pi_g`` / ``Pi_g_k``.
 
-    The classmethods return shared (immutable) labels: ``Pi_s`` and the
-    ghosts any arity admits are built at import, and a set label is kept
-    when first built, in a memo bounded to fit all 255 over
-    :data:`MAX_VARIABLES` variables.  The
-    constructor raises :class:`LabelError` for any other kind, a set label
+    The classmethods return shared (immutable) labels for every atom an
+    arity up to :data:`MAX_VARIABLES` admits, all built at import (see
+    :data:`_LABELS`), and build any other label afresh.  The constructor
+    raises :class:`LabelError` for any other kind, a set label
     not made of singleton brackets, a ghost index that is not an int
     ``>= 1``, or an antichain or index the kind does not take.  Errors are
     not cached, so bad arguments raise on every call.  ``text`` and the
@@ -142,12 +134,7 @@ class AtomLabel(_Record):
     @classmethod
     def set_theoretic(cls, a: Antichain) -> "AtomLabel":
         """The label of the set atom over ``a``'s indices."""
-        label = _SET_LABELS.get(a.brackets)
-        if label is None:
-            label = cls("set", antichain=a)
-            if len(_SET_LABELS) < 1 << MAX_VARIABLES:
-                _SET_LABELS[a.brackets] = label
-        return label
+        return isinstance(a, Antichain) and _LABELS.get(str(a)) or cls("set", antichain=a)
 
     @classmethod
     def synergy(cls) -> "AtomLabel":
@@ -169,16 +156,37 @@ _GHOSTS = tuple(AtomLabel("ghost", index=k) for k in range(1, MAX_VARIABLES - 1)
 _GHOST_RE = re.compile(r"^Pi_g(?:_(\d+))?$")
 
 
+def _label_table() -> dict[str, AtomLabel]:
+    """``Pi_s``, the ghosts and the 255 set labels over ``1..MAX_VARIABLES``,
+    keyed by their text.  The index sets over ``1..i + 1`` are those over
+    ``1..i``, each also with ``i + 1`` added, so each set's brackets and
+    masks are built in canonical order and checked no further."""
+    brackets, masks = [()], [()]
+    for i in range(MAX_VARIABLES):
+        brackets += [b + ((i + 1,),) for b in brackets]
+        masks += [m + (1 << i,) for m in masks]
+    sets = [AtomLabel("set", antichain=Antichain._trusted(b, m))
+            for b, m in zip(brackets[1:], masks[1:])]
+    return {label.text: label for label in (_SYNERGY, *_GHOSTS, *sets)}
+
+
+#: Every label an arity up to :data:`MAX_VARIABLES` admits, 262 in all,
+#: keyed by its text and built at import: a finite family, so no memo.
+_LABELS = _label_table()
+
+
 def parse_label(text: str) -> AtomLabel:
     """Inverse of :attr:`AtomLabel.text`; any other text raises
-    :class:`LabelError`.  Set labels, the solvers' most common, are tried
-    first.  Every label read again is the shared object of its
-    :class:`AtomLabel` classmethod, and set texts hit the parse memo too."""
+    :class:`LabelError`.  A canonical text of a label in :data:`_LABELS`
+    is one dict read, returning the shared label; other spellings
+    (``{2}{1}``, ``Pi_g_1``) and labels beyond :data:`MAX_VARIABLES` are
+    parsed, and get the shared label wherever one exists."""
     text = text.strip()
+    label = _LABELS.get(text)
+    if label is not None:
+        return label
     if text.startswith("{"):
         return AtomLabel.set_theoretic(Antichain.parse(text))
-    if text == "Pi_s":
-        return AtomLabel.synergy()
     m = _GHOST_RE.match(text)
     if m:
         return AtomLabel.ghost(int(m.group(1)) if m.group(1) else 1)
@@ -853,13 +861,9 @@ def validate(
         gap = gaps.get((q, h))
         if gap is None:
             total = sums[h]
-            tv = eval_term(table, a, eps=eps, reduction=reduction)
-            if tv.is_exact:
-                gap = abs(total - tv.value)
-            else:
-                lo, hi = tv.bounds
-                gap = max(lo - total, total - hi, 0.0)
-            gaps[q, h] = gap
+            # An exact term's bounds are (value, value): the gap is |total - value|.
+            lo, hi = eval_term(table, a, eps=eps, reduction=reduction).bounds
+            gap = gaps[q, h] = max(lo - total, total - hi, 0.0)
         if gap > worst_gap:
             worst_gap = gap
             first_bad = str(a)

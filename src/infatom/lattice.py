@@ -12,9 +12,9 @@ bottom element and the single full bracket is the unique top.  Each
 antichain carries its brackets as int bitmasks (bit ``i - 1`` for index
 ``i``), built on first use or, for the lattice's elements, at
 enumeration, so ``leq`` is a handful of subset tests on ints.
-:meth:`Antichain.parse` returns one shared immutable object per text,
-from a bounded memo, so labels read again and again (the solvers' atom
-labels) are parsed, and their masks built, once.
+:meth:`Antichain.parse` builds a new antichain on every call; the
+solvers' atom labels, the texts read again and again, are built once, at
+import, in :mod:`infatom.decomp`.
 
 Cover moves
 -----------
@@ -100,14 +100,10 @@ class Antichain(_Record):
         return a
 
     @classmethod
-    @lru_cache(maxsize=1 << MAX_VARIABLES)
     def parse(cls, text: str) -> "Antichain":
-        """Parse the ``{1,2}{3}`` syntax (1-based, comma-separated).
-
-        Memoised by text, bounded so that the 255 set-atom labels over
-        :data:`MAX_VARIABLES` variables fit: every call with the same text
-        returns one shared (immutable) object.  Errors are not cached, so
-        bad text raises on every call."""
+        """Parse the ``{1,2}{3}`` syntax (1-based, comma-separated); bad
+        text raises :class:`AntichainError`.  Nothing is memoised: each
+        row text of a decomposition's JSON is parsed once per load."""
         text = text.strip()
         if text in ("", "{}"):
             return cls(())
@@ -125,9 +121,7 @@ class Antichain(_Record):
         return cls.of(*brackets)
 
     def __str__(self) -> str:
-        if not self.brackets:
-            return "{}"
-        return "".join("{" + ",".join(str(i) for i in b) + "}" for b in self.brackets)
+        return "{" + "}{".join([",".join(map(str, b)) for b in self.brackets]) + "}"
 
     @property
     def covering(self) -> int:

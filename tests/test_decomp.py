@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -1346,6 +1351,55 @@ def test_ghost_labels_past_every_arity_are_built_but_refused():
         for _ in range(2):
             with pytest.raises(ia.LabelError):
                 ia.AtomLabel.ghost(k)
+
+
+def test_labels_past_the_cap_leave_the_shared_labels_shared():
+    # Labels beyond MAX_VARIABLES, however many, do not unshare the ones
+    # an arity admits; run in a fresh process, so no earlier test has
+    # built {1}{2} first.
+    code = (
+        "from infatom.decomp import AtomLabel, parse_label\n"
+        "from infatom.lattice import Antichain\n"
+        "for i in range(9, 300):\n"
+        "    parse_label('{%d}' % i)\n"
+        "first = parse_label('{1}{2}')\n"
+        "print(first is parse_label('{1}{2}') is AtomLabel.set_theoretic(Antichain.of([1], [2])))\n"
+    )
+    src = str(Path(ia.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "True\n"
+
+
+def test_every_label_an_arity_admits_is_shared():
+    top = lattice.MAX_VARIABLES
+    for m in range(1, 1 << top):
+        indices = [i + 1 for i in range(top) if m >> i & 1]
+        text = "".join(f"{{{i}}}" for i in indices)
+        label = parse_label(text)
+        assert label.kind == "set" and label.text == text and parse_label(text) is label
+        assert ia.AtomLabel.set_theoretic(Antichain.of(*[[i] for i in indices])) is label
+        assert ia.AtomLabel.set_theoretic(label.antichain) is label
+    assert parse_label("{2}{1}") is parse_label("{1}{2}")
+    assert parse_label("Pi_s") is ia.AtomLabel.synergy()
+    for k in range(1, top - 1):
+        assert parse_label("Pi_g" if k == 1 else f"Pi_g_{k}") is ia.AtomLabel.ghost(k)
+    assert parse_label("Pi_g_1") is ia.AtomLabel.ghost(1)
+    with pytest.raises(ia.LabelError):  # a text is not an antichain
+        ia.AtomLabel.set_theoretic("{1}")
+    # Past the cap, labels are equal but built afresh, and validate refuses them.
+    d = ia.solve_n_parity(top)
+    for text, message in ((f"{{{top + 1}}}", f"set atom {{{top + 1}}} names a variable "
+                                             f"outside 1..{top}"),
+                          (f"Pi_g_{top - 1}", f"ghost atom Pi_g_{top - 1} needs k <= {top - 2} "
+                                              f"over {top} variables")):
+        beyond = parse_label(text)
+        assert beyond == parse_label(text) and beyond is not parse_label(text)
+        atoms = AtomSet(d.atoms.atoms + (Atom(beyond, 0.0, 1),))
+        table = ParthoodTable(d.table.rows, atoms.labels(),
+                              tuple(row + (0,) for row in d.table.entries))
+        with pytest.raises(ia.DecompositionFormatError, match=re.escape(message)):
+            ia.validate(Decomposition(d.n, table, atoms), ia.parity_gate(top))
 
 
 @pytest.mark.parametrize(

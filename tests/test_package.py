@@ -153,7 +153,7 @@ def test_the_process_memos_are_a_fixed_list():
     # Each memo here lives as long as the process; the rest live on the
     # value they are built from (a table, a lattice view, a label).
     assert _memoised_functions() == {
-        "Antichain.parse", "enumerate_antichains", "_mask_positions", "_btext", "_mobius_plan",
+        "enumerate_antichains", "_mask_positions", "_btext", "_mobius_plan",
     }
     empty_dicts = set()
     for tree in _package_trees():
@@ -163,7 +163,7 @@ def test_the_process_memos_are_a_fixed_list():
                     and not value.keys:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 empty_dicts.update(t.id for t in targets)
-    assert empty_dicts == {"_SET_LABELS", "_SELECTION_MASKS"}
+    assert empty_dicts == {"_SELECTION_MASKS"}
 
 
 def test_only_parthood_touches_a_views_tables():

@@ -253,7 +253,7 @@ def _cmd_scan(args, eps: float) -> int:
     from .decomp import scan_random
 
     try:
-        cards = [int(tok) for tok in args.cards.split(",") if tok.strip()]
+        cards = [int(tok) for tok in args.cards.split(",")]
     except ValueError as exc:
         raise GateSpecError(f"bad --cards value {args.cards!r}") from exc
     summary = scan_random(args.samples, args.seed, cards, eps=eps)

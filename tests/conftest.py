@@ -43,15 +43,22 @@ def three_pair():
 
 @pytest.fixture
 def marginal_passes(monkeypatch):
-    """Selections passed to ``dist._marginal``, one entry per row pass."""
+    """Row passes, one entry each: the selection passed to ``dist._marginal``,
+    or ``"3-variable"`` for the one pass that sums all seven subsets of a
+    3-variable table."""
     passes = []
-    real = dist._marginal
+    real, real3 = dist._marginal, dist._trivariate_marginals
 
     def counting(table, idx):
         passes.append(idx)
         return real(table, idx)
 
+    def counting3(table):
+        passes.append("3-variable")
+        return real3(table)
+
     monkeypatch.setattr(dist, "_marginal", counting)
+    monkeypatch.setattr(dist, "_trivariate_marginals", counting3)
     return passes
 
 

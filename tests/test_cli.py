@@ -46,6 +46,24 @@ def test_gate_rejects_unknown_spec(capsys):
     assert "nand" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["random(1,[2,,2])", "random(1,[2,2,])", "random(1,[,2,2])", "random(1,[2 2])"]
+)
+def test_gate_rejects_an_empty_or_split_cardinality(capsys, spec):
+    code, out, err = run(capsys, "gate", spec)
+    assert code == 2 and out == ""
+    assert err == f"infatom: bad cardinality list in gate spec {spec!r}\n"
+    # Spaces around a field are still accepted.
+    assert run(capsys, "gate", "random(1,[2, 2])") == run(capsys, "gate", "random(1,[2,2])")
+
+
+@pytest.mark.parametrize("cards", ["2,,2", "2,2,", ",2,2", "2 2,2"])
+def test_scan_rejects_an_empty_or_split_cardinality(capsys, cards):
+    code, out, err = run(capsys, "scan", "--samples", "3", "--seed", "1", "--cards", cards)
+    assert code == 2 and out == ""
+    assert err == f"infatom: bad --cards value {cards!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------

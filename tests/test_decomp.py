@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -159,7 +160,20 @@ def test_one_marginal_pass_per_subset(marginal_passes):
         ia.solve_set_theoretic(t)
     except ia.NotSetTheoretic:
         pass
-    assert sorted(marginal_passes) == [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+    # One pass over the rows sums all seven subsets of a 3-variable table.
+    assert marginal_passes == ["3-variable"]
+    assert sorted(t._entropies) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_one_marginal_pass_per_subset_of_four_variables(marginal_passes):
+    t = ia.random_table("passes", [2, 3, 4, 2])
+    for _ in range(3):
+        try:
+            ia.solve_set_theoretic(t)
+        except ia.NotSetTheoretic:
+            pass
+    subsets = [s for k in range(1, 5) for s in combinations(range(4), k)]
+    assert sorted(marginal_passes) == sorted(subsets)
 
 
 def test_copies_decomposition_is_pure_redundancy(copies):

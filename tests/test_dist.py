@@ -219,7 +219,19 @@ def test_interaction_information_independent_groups():
 
 
 def test_entropy_memo_keys_the_sorted_selection(marginal_passes):
+    # A 3-variable table fills all seven subsets from its first miss.
     t = ia.random_table("memo", [2, 3, 2])
+    h = ia.entropy(t, [2, 0])
+    assert ia.entropy(t, [0, 2]) == h
+    assert ia.entropy(t, (2, 0, 2)) == h
+    assert ia.entropy(t, frozenset({0, 2})) == h
+    assert marginal_passes == ["3-variable"]
+    assert list(t._entropies) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_entropy_memo_keys_the_sorted_selection_of_four_variables(marginal_passes):
+    # Any other arity makes one pass per subset asked for.
+    t = ia.random_table("memo", [2, 3, 2, 2])
     h = ia.entropy(t, [2, 0])
     assert ia.entropy(t, [0, 2]) == h
     assert ia.entropy(t, (2, 0, 2)) == h
@@ -259,7 +271,7 @@ def test_entropy_rejects_out_of_range_after_memo_fills(selection, marginal_passe
         with pytest.raises(ia.VariableSetError, match="empty"):
             derived()
     assert t._entropies == before
-    assert len(marginal_passes) == 5
+    assert marginal_passes == ["3-variable", ()]
 
 
 def test_entropy_of_empty_selection_is_zero(marginal_passes):
@@ -295,7 +307,17 @@ def test_equal_tables_keep_separate_memos(marginal_passes):
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second)
     ia.entropy(second, [0])
-    assert marginal_passes == [(0,), (1,), (2,), (0,)]
+    assert marginal_passes == ["3-variable", "3-variable"]
+
+
+def test_equal_tables_of_four_variables_keep_separate_memos(marginal_passes):
+    first = ia.random_table("memo-eq", [2, 2, 3, 2])
+    second = ia.random_table("memo-eq", [2, 2, 3, 2])
+    for i in range(4):
+        ia.entropy(first, [i])
+    assert first == second and hash(first) == hash(second)
+    ia.entropy(second, [0])
+    assert marginal_passes == [(0,), (1,), (2,), (3,), (0,)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +372,27 @@ def test_equal_numbers_and_one_shot_iterators_select_the_positions():
     for spelling in ([1.0], [True], iter([1]), (x for x in [1])):
         t = ia.random_table("spellings", [2, 3, 2])
         assert ia.entropy(t, spelling).hex() == h.hex()
-        assert list(t._entropies) == [0b10] and type(next(iter(t._entropies))) is int
+        assert list(t._entropies) == [1, 2, 3, 4, 5, 6, 7]
+        assert all(type(mask) is int for mask in t._entropies)
     for spelling in ([1.0], [True], iter([1])):
         single = ia.marginalize(first, spelling)
         assert single.variables == ("X2",)
         assert all(type(v) is int for o, _ in single.rows for v in o)
     mi = ia.mutual_information(first, [0], [1, 2])
     t = ia.random_table("spellings", [2, 3, 2])
+    assert ia.mutual_information(t, iter([0.0]), (x for x in [True, 2])).hex() == mi.hex()
+    assert sorted(t._entropies) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_equal_numbers_and_one_shot_iterators_select_the_positions_of_four_variables():
+    first = ia.random_table("spellings", [2, 3, 2, 2])
+    h = ia.entropy(first, [1])
+    for spelling in ([1.0], [True], iter([1]), (x for x in [1])):
+        t = ia.random_table("spellings", [2, 3, 2, 2])
+        assert ia.entropy(t, spelling).hex() == h.hex()
+        assert list(t._entropies) == [0b10] and type(next(iter(t._entropies))) is int
+    mi = ia.mutual_information(first, [0], [1, 2])
+    t = ia.random_table("spellings", [2, 3, 2, 2])
     assert ia.mutual_information(t, iter([0.0]), (x for x in [True, 2])).hex() == mi.hex()
     assert sorted(t._entropies) == [0b1, 0b110, 0b111]
 
@@ -500,6 +536,10 @@ def test_gen_gate_rejects_bad_specs():
         ia.gen_gate("random(7,[1,2])")
     with pytest.raises(ia.GateSpecError):
         ia.gen_gate("nand")
+    # An empty or a split cardinality field is refused, not dropped.
+    for spec in ("random(1,[2,,2])", "random(1,[2,2,])", "random(1,[,2,2])", "random(1,[2 2])"):
+        with pytest.raises(ia.GateSpecError, match="bad cardinality list"):
+            ia.gen_gate(spec)
 
 
 def test_two_coins_copy_shape(two_coins):

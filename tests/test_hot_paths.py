@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import infatom as ia
 from infatom import decomp, dist, terms
 
-from _oracles import oracle_marginal, oracle_mobius_atoms
+from _oracles import oracle_entropy, oracle_marginal, oracle_mobius_atoms
 
 #: SHA-256 of the first 300 sweep3 ops of seed 0, recorded before the
 #: full-selection marginal, the Möbius plan and the record stores changed.
@@ -161,3 +161,85 @@ def test_negative_mass_rows_still_raise():
     t = ia.ProbTable(("a",), (2,), (((0,), -0.5), ((1,), 1.5)))
     with pytest.raises(ValueError, match="math domain error"):
         ia.entropy(t, [0])
+
+
+# ---------------------------------------------------------------------------
+# The one row pass of a 3-variable table
+# ---------------------------------------------------------------------------
+
+
+def _with_constant_columns(seed: int, cards: tuple[int, ...]) -> ia.ProbTable:
+    """``random_table(seed, ...)`` over the cards above 1, with a constant
+    column of symbol 0 wherever ``cards`` holds a 1."""
+    wide = [i for i, c in enumerate(cards) if c > 1]
+    if not wide:
+        return ia.ProbTable.from_pmf(("X1", "X2", "X3"), {(0, 0, 0): 1.0}, cards)
+    base = ia.random_table(seed, [cards[i] for i in wide])
+    pmf = {}
+    for outcome, p in base.rows:
+        full = [0, 0, 0]
+        for i, v in zip(wide, outcome):
+            full[i] = v
+        pmf[tuple(full)] = p
+    return ia.ProbTable.from_pmf(("X1", "X2", "X3"), pmf, cards)
+
+
+#: Rows whose outcome repeats: the full selection is ``dict(rows)``, where
+#: the later mass wins, while every proper subset sums both rows.
+REPEATED_ROWS = (((0, 0, 0), 0.25), ((0, 1, 1), 0.25), ((0, 0, 0), 0.5))
+
+#: 3-variable tables: seeded random tables over every card triple from
+#: {1, 2, 3, 5}, symbols past 255, the gates, one row, and two tables
+#: built with the constructor, one with a zero-mass row.
+TRIVARIATE_TABLES = {
+    **{f"random{cards}": (lambda c=cards: _with_constant_columns(sum(c), c))
+       for cards in product((1, 2, 3, 5), repeat=3)},
+    "random(1,[300,2,2])": lambda: ia.gen_gate("random(1,[300,2,2])"),
+    "xor": ia.xor_gate,
+    "and": ia.and_gate,
+    "copy": ia.copy_gate,
+    "two-coins-copy": ia.two_coins_copy_gate,
+    "one-row": lambda: ia.ProbTable.from_pmf(("a", "b", "c"), {(1, 0, 2): 1.0}),
+    "zero-mass-row": lambda: ia.ProbTable(
+        ("a", "b", "c"), (2, 2, 2),
+        (((0, 0, 1), 0.25), ((0, 1, 0), 0.0), ((1, 0, 0), 0.5), ((1, 1, 1), 0.25))),
+    "repeated-outcome": lambda: ia.ProbTable(("a", "b", "c"), (2, 2, 2), REPEATED_ROWS),
+}
+
+
+def _per_subset_entropy(t: ia.ProbTable, idx: tuple[int, ...]) -> float:
+    """The entropy of one subset from its own marginal: of ``t.pmf()`` for
+    the full selection, and of the rows, a repeated outcome's masses
+    summed, for every other."""
+    if len(idx) == 3:
+        return oracle_entropy(t.pmf(), idx)
+    summed: dict = {}
+    for outcome, p in t.rows:
+        summed[outcome] = summed.get(outcome, 0.0) + p
+    return oracle_entropy(summed, idx)
+
+
+@pytest.mark.parametrize("make", TRIVARIATE_TABLES.values(), ids=list(TRIVARIATE_TABLES))
+def test_trivariate_entropies_match_one_marginal_per_subset_bit_for_bit(make):
+    t = make()
+    subsets = {mask: tuple(i for i in range(3) if mask >> i & 1) for mask in range(1, 8)}
+    want = {mask: _per_subset_entropy(t, idx).hex() for mask, idx in subsets.items()}
+    for first in range(1, 8):
+        fresh = ia.ProbTable(*t._key)
+        got = {first: dist._mask_entropy(fresh, first).hex()}
+        got.update((mask, ia.entropy(fresh, idx).hex()) for mask, idx in subsets.items())
+        assert got == want, first
+
+
+def test_a_cold_trivariate_interval_makes_one_row_pass(marginal_passes):
+    t = ia.random_table("one-pass", (2, 3, 4))
+    ia.feasible_interval(t)
+    assert marginal_passes == ["3-variable"]
+    assert sorted(t._entropies) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_a_negative_mass_leaves_the_trivariate_memo_empty():
+    t = ia.ProbTable(("a", "b", "c"), (2, 2, 2), (((0, 0, 0), -0.5), ((1, 1, 1), 1.5)))
+    with pytest.raises(ValueError, match="math domain error"):
+        ia.entropy(t, [0])
+    assert t._entropies == {}

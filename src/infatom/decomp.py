@@ -448,18 +448,19 @@ class PidView(_Record):
 
 def pid_view(decomp: Decomposition, target: int) -> PidView:
     """Source decomposition of ``I(sources; target)`` for a 3-variable
-    solution; ``target`` is 1-based."""
+    solution; ``target`` is 1-based.  An atom the decomposition does not
+    hold (``Pi_s`` of a distributive solution) adds nothing: it reads 0."""
     if decomp.n != 3:
         raise WrongArity(f"expected a trivariate decomposition, got n = {decomp.n}")
     if _integer(target) not in (1, 2, 3):
         raise VariableSetError(f"target must be 1, 2 or 3, got {target!r}")
     a, b = sorted({1, 2, 3} - {target})
-    size = decomp.atoms.size
+    size = {atom.label: atom.size for atom in decomp.atoms}.get
     return PidView(
-        redundancy=size(AtomLabel.set_theoretic(Antichain.of([1], [2], [3]))),
-        unique_a=size(AtomLabel.set_theoretic(Antichain.of([a], [target]))),
-        unique_b=size(AtomLabel.set_theoretic(Antichain.of([b], [target]))),
-        synergy=size(AtomLabel.synergy()),
+        redundancy=size(AtomLabel.set_theoretic(Antichain.of([1], [2], [3])), 0.0),
+        unique_a=size(AtomLabel.set_theoretic(Antichain.of([a], [target])), 0.0),
+        unique_b=size(AtomLabel.set_theoretic(Antichain.of([b], [target])), 0.0),
+        synergy=size(AtomLabel.synergy(), 0.0),
         sources=(a, b),
         target=target,
     )
@@ -684,9 +685,10 @@ def validate(
     does not depend on the order of the rows.
     Each term with two or more brackets is reduced once (see
     :mod:`infatom.terms`), and ``red_pos[k]``, read by monotonicity, term
-    sizes and equal rows, is the position of k's reduced form, placed by
-    its masks: k itself where no rule fires (a single bracket included),
-    -1 where R1 empties the term.  Write ``r(k)`` for the reduced form
+    sizes and equal rows, is the position of k's reduced form, found by
+    the key of its masks in the view's index (bit m for each mask m): k
+    itself where no rule fires (a single bracket included), -1 where R1
+    empties the term.  Write ``r(k)`` for the reduced form
     where ``red_pos[k]`` is neither.  Monotonicity is first decided on
     cover pairs: it passes, with residual 0, if equal rows pass and
     ``held[p] & ~held[c] == 0`` for every upper cover c of every position
@@ -780,8 +782,8 @@ def validate(
     # ``red_pos[p]`` is the position of p's reduced form: p where no rule
     # fires, -1 where R1 empties the term.
     position = view._index
-    red_pos = [p if r is None or not r[1] else -1 if r[0] is None else position[r[0].masks]
-               for p, r in enumerate(reductions)]
+    red_pos = [p if r is None or not r[1] else -1 if r[0] is None
+               else position[sum(1 << m for m in r[0].masks)] for p, r in enumerate(reductions)]
 
     # V7 (reported last): reduction-equal terms share rows on positive atoms.
     offenders = [f"{elements[p]} ~ {elements[q]}" for p, q in enumerate(red_pos)

@@ -79,7 +79,7 @@ class DecompositionFormatError(InfatomError, ValueError):
 
 
 class RedundancyValueError(InfatomError, ValueError):
-    """A redundancy value is not a finite number."""
+    """A redundancy value is not a finite real number (a bool is not one)."""
 
 
 # ---------------------------------------------------------------------------

@@ -30,21 +30,20 @@ of ``b`` holds two masks of ``a``: drop either.)  Hence the covers of
 ``a`` are exactly its moves ``b`` such that no other move ``c`` of ``a``
 has ``leq(c, b)``, which is how :class:`LatticeView` finds them (for
 :attr:`~LatticeView.covers` and :meth:`~LatticeView.hasse_edges`)
-without comparing all pairs.  Each move is built as a masks tuple in
-canonical order (masks ordered by lowest bit) and found in the view's
-masks-keyed index: a drop keeps that order, and ``x | bit`` keeps
-``x``'s slot when ``bit`` lies above ``x``'s lowest bit and otherwise
-moves to ``bit``'s place.  ``leq`` then filters the moves in position
-order.  :func:`enumerate_antichains` lists more brackets first, then
-fewer indices, then by brackets; every move raises that key (it drops a
-bracket or adds an index), so the listing is a linear extension of the
-order.
+without comparing all pairs.  The view keys each element by the set of
+its masks as one int, bit ``m`` set for each mask ``m``, which no
+ordering of the masks changes.  So each move is one XOR on the key:
+dropping ``x`` is ``key ^ 1 << x``, and OR-ing ``bit`` into ``x`` is
+``key ^ 1 << x ^ 1 << (x | bit)``.  ``leq`` then filters the moves in
+position order.  :func:`enumerate_antichains` lists more brackets first,
+then fewer indices, then by brackets; every move raises that listing key
+(it drops a bracket or adds an index), so the listing is a linear
+extension of the order.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -187,23 +186,24 @@ class LatticeView(_Record):
     """
 
     def __init__(self, n: int, elements: tuple[Antichain, ...]) -> None:
-        # _index: each element's position, keyed by its masks, which name an
-        # antichain as its brackets do and hash without a Python call.
+        # _index: each element's position, keyed by the set of its masks as
+        # one int (bit m for mask m); _cover_positions reads the keys in order.
         # _tables: parthood tables by label tuple, kept by decomp._parthood().
-        self.__dict__.update(n=n, elements=elements, _key=(n, elements),
-                             _index={a.masks: i for i, a in enumerate(elements)}, _tables={})
+        self.__dict__.update(n=n, elements=elements, _key=(n, elements), _tables={},
+                             _index={sum(1 << m for m in a.masks): p
+                                     for p, a in enumerate(elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index(self, a: Antichain) -> int:
-        return self._index[a.masks]
+        return self._index[sum(1 << m for m in a.masks)]
 
     def _cover_positions(self) -> tuple[tuple[int, ...], ...]:
         """Positions of each element's upper covers, ascending, by position:
         its moves that lie above no other move (see the module docstring).
-        Each move is built as a canonical masks tuple and placed through
-        :attr:`_index`; the moves are then tested with :func:`leq` in
+        Each move is one XOR on the element's :attr:`_index` key, placed
+        through that index; the moves are then tested with :func:`leq` in
         position order, each against the moves before it, up to the first
         one below it.  :attr:`elements` is a linear extension of the order,
         so only moves earlier in it can lie below a move."""
@@ -211,22 +211,12 @@ class LatticeView(_Record):
         index = self._index
         full = (1 << self.n) - 1
         covers = []
-        for a in elements:
+        for key, a in zip(index, elements):
             masks = a.masks
             free = full ^ sum(masks)  # disjoint masks: the sum is their OR
             bits = [1 << i for i in range(self.n) if free >> i & 1]
-            drops = range(len(masks)) if len(masks) > 1 else ()
-            ups = [index[masks[:i] + masks[i + 1:]] for i in drops]
-            if bits:
-                lows = [x & -x for x in masks]
-                for i, x in enumerate(masks):
-                    tail = masks[i + 1:]
-                    for bit in bits:
-                        if bit > lows[i]:  # x | bit keeps x's lowest bit and slot
-                            ups.append(index[masks[:i] + (x | bit,) + tail])
-                        else:  # its lowest bit is now bit: it moves down to bit's place
-                            j = bisect_left(lows, bit)
-                            ups.append(index[masks[:j] + (x | bit,) + masks[j:i] + tail])
+            ups = [index[key ^ 1 << x] for x in masks] if len(masks) > 1 else []
+            ups += [index[key ^ 1 << x ^ 1 << (x | bit)] for x in masks for bit in bits]
             ups.sort()
             above = [elements[p] for p in ups]
             kept = []
@@ -259,12 +249,13 @@ class LatticeView(_Record):
         """Position of each element's :func:`lift_map` image in the view over
         ``n - 1``, the top's (the last) for the empty image; built once per
         view, like :attr:`covers`, for ``n >= 2``.  The masks not holding bit
-        ``n - 1`` are the image's, in canonical order, so no image is built."""
+        ``n - 1`` are the image's, so no image is built: their key is the
+        element's :attr:`_index` key without the others' bits."""
         below = enumerate_antichains(self.n - 1)
         position = below._index.get
         whole = len(below) - 1
         bit = 1 << (self.n - 1)
-        return tuple(position(tuple(m for m in a.masks if not m & bit), whole)
+        return tuple(position(sum(1 << m for m in a.masks if not m & bit), whole)
                      for a in self.elements)
 
 

@@ -238,14 +238,20 @@ def redundancy_bounds(table: ProbTable) -> tuple[float, float]:
 
 
 def _check_feasible(r: float, lo: float, hi: float, eps: float) -> float:
-    """``r`` clamped into ``[lo, hi]``; refused unless finite and within ``eps`` of it."""
-    if not math.isfinite(r):
-        raise RedundancyValueError(f"redundancy value must be a finite number, got {r!r}")
-    if not (lo - eps <= r <= hi + eps):
+    """``r`` as a float clamped into ``[lo, hi]``; refused unless a finite
+    real number within ``eps`` of it.  A bool, or a value with no
+    ``__float__`` (a string, None), is not read as a number."""
+    try:
+        x = float(r) if r.__class__ is not bool and hasattr(type(r), "__float__") else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        x = math.nan
+    if not math.isfinite(x):
+        raise RedundancyValueError(f"redundancy value must be a finite real number, got {r!r}")
+    if not (lo - eps <= x <= hi + eps):
         raise InfeasibleRedundancy(
             f"r = {r!r} outside feasible interval [{lo!r}, {hi!r}]"
         )
-    return min(max(r, lo), hi)
+    return min(max(x, lo), hi)
 
 
 def _feasible_entropies(table: ProbTable, r: float, eps: float) -> tuple[list[float], float]:

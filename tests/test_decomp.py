@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -248,6 +249,43 @@ def test_solver_rejects_non_finite_redundancy_as_input_error(xor, r):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("check", [ia.solve_trivariate, ia.delta_H, ia.check_inclusion_exclusion3])
+@pytest.mark.parametrize("gate, r", [
+    ("copy_gate", True),  # feasible as 1, but a bool is not a number
+    ("xor_gate", False),
+    ("xor_gate", "0"),
+    ("xor_gate", 10**400),  # past the float range
+], ids=["true", "false", "text", "huge-int"])
+def test_a_redundancy_value_that_is_not_a_finite_real_number_is_refused(check, gate, r):
+    with pytest.raises(ia.RedundancyValueError, match="finite real number"):
+        check(getattr(ia, gate)(), r)
+
+
+@pytest.mark.parametrize("check", [ia.delta_H, ia.check_inclusion_exclusion3])
+def test_the_gap_and_the_identity_refuse_no_redundancy_value(xor, check):
+    # None is solve_trivariate's default; the other two have none.
+    with pytest.raises(ia.RedundancyValueError, match="finite real number"):
+        check(xor, None)
+
+
+@pytest.mark.parametrize("r", [Fraction(1), 1], ids=["fraction", "int"])
+def test_a_real_redundancy_value_is_recorded_as_a_float(copies, r):
+    d = ia.solve_trivariate(copies, r)
+    assert d.redundancy_param.__class__ is float
+    assert d.atom_size("{1}{2}{3}").__class__ is float
+    assert d == ia.solve_trivariate(copies, 1.0)
+    assert ia.decomposition_from_json(ia.decomposition_to_json(d)) == d
+
+
+def test_a_repeated_outcome_of_zero_mass_gives_a_negative_atom():
+    # The constructor checks nothing: the full selection keeps the later,
+    # zero-mass row of (0, 0, 0), so H(X1,X2,X3) = 0.5 < H(X2,X3) = 1.
+    t = ia.ProbTable(("a", "b", "c"), (2, 2, 2),
+                     (((0, 0, 0), 0.5), ((0, 1, 1), 0.5), ((0, 0, 0), 0.0)))
+    with pytest.raises(ia.NegativeAtomSize, match=r"^\{1\} = -0\.5 is negative beyond eps$"):
+        ia.solve_trivariate(t)
+
+
 def test_solver_wrong_arity():
     with pytest.raises(ia.WrongArity):
         ia.solve_trivariate(ia.random_table("arity2", [2, 2]))
@@ -336,6 +374,30 @@ def test_pid_view_satisfies_information_equations():
             assert v.redundancy + v.unique_a + v.unique_b + v.synergy == pytest.approx(
                 ia.mutual_information(t, [a, b], [tt]), abs=1e-9
             )
+
+
+def test_pid_view_sums_to_the_sources_information_for_every_solver():
+    # An atom a decomposition does not hold (Pi_s of a distributive
+    # solution) reads 0, so every solver's view sums to I(sources; target).
+    tables = [ia.xor_gate(), ia.and_gate(), ia.copy_gate(), ia.two_coins_copy_gate()]
+    tables += [ia.random_table(f"pid-solvers:{seed}", [2, 3, 2]) for seed in range(5)]
+    distributive = 0
+    for k, t in enumerate(tables):
+        solutions = [ia.solve_trivariate(t, r) for r in ia.feasible_interval(t)]
+        if k == 0:
+            solutions.append(ia.solve_n_parity(3))
+        try:
+            solutions.append(ia.solve_set_theoretic(t))
+            distributive += 1
+        except ia.NotSetTheoretic:
+            pass
+        for d in solutions:
+            for target in (1, 2, 3):
+                v = ia.pid_view(d, target)
+                total = v.redundancy + v.unique_a + v.unique_b + v.synergy
+                sources = [s - 1 for s in v.sources]
+                assert abs(total - ia.mutual_information(t, sources, [target - 1])) <= 1e-9, (k, d)
+    assert distributive >= 2  # the two copy gates
 
 
 def test_pid_view_rejects_bad_target(xor):

@@ -277,6 +277,24 @@ def test_covers_match_the_closed_form_rule(n):
         assert {blocks[p] for p in ups} == oracle_covers(a.brackets, n), a
 
 
+@pytest.mark.parametrize("n", range(1, MAX_VARIABLES + 1))
+def test_index_keys_each_element_by_the_set_of_its_masks(n):
+    # One int per element, bit m for each bracket mask m, in position
+    # order: no two elements share a key, and up to n = 5 an element is
+    # found at its position whatever the order its masks are listed in.
+    view = enumerate_antichains(n)
+    assert len(view._index) == len(view)
+    assert list(view._index.items()) == [
+        (sum(1 << m for m in a.masks), p) for p, a in enumerate(view.elements)
+    ]
+    if n <= 5:
+        for p, a in enumerate(view.elements):
+            for order in permutations(range(a.covering)):
+                listed = Antichain._trusted(tuple(a.brackets[i] for i in order),
+                                            tuple(a.masks[i] for i in order))
+                assert view.index(listed) == p, (a, order)
+
+
 def test_masks_stay_out_of_eq_hash_and_repr():
     a = Antichain.of([1, 3], [2])
     b = Antichain.of([2], [1, 3])
